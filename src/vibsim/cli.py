@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .experiment import (
     observed_distribution,
 )
 from .gaussian import BeamSplitter, PhysicalityError
-from .optimize import monte_carlo_fidelity, optimize_experiment
+from .optimize import loss_sweep, monte_carlo_fidelity, optimize_experiment
 from .tables import FCTable, is_sink
 from .vibronic import OpticalTarget, VibronicTransition, doktorov_decompose, fc_factors, spectrum
 
@@ -67,6 +68,8 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
         return fixtures.tropolone_target(), fixtures.tropolone_excited_freqs()
     if kind == "optical":
         squeeze = tuple(float(r) for r in obj["squeeze"])
+        if not all(math.isfinite(r) for r in squeeze):
+            raise ConfigError("target squeeze values must be finite")
         interferometer = ()
         if "bs_angle" in obj:
             if len(squeeze) != 2:
@@ -104,18 +107,14 @@ def _parse_experiment(obj: dict) -> ExperimentModel:
     _check_keys(det_obj, "experiment.detector", set(), {
         "dark_p1", "pump_p2", "noise_fidelity_factor",
     })
-    detector = DetectorModel(**det_obj)
-    try:
-        return ExperimentModel(
-            source=source,
-            bs_transmission=float(obj["bs_transmission"]),
-            loss_pre=tuple(obj.get("loss_pre", (1.0, 1.0))),
-            loss_post=tuple(obj.get("loss_post", (1.0, 1.0))),
-            distinguishability=float(obj.get("distinguishability", 0.0)),
-            detector=detector,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentModel(
+        source=source,
+        bs_transmission=float(obj["bs_transmission"]),
+        loss_pre=tuple(obj.get("loss_pre", (1.0, 1.0))),
+        loss_post=tuple(obj.get("loss_post", (1.0, 1.0))),
+        distinguishability=float(obj.get("distinguishability", 0.0)),
+        detector=DetectorModel(**det_obj),
+    )
 
 
 def load_config(path: Path) -> dict:
@@ -125,6 +124,18 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    try:
+        return _parse_config(raw)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing field {exc} in {path}") from None
+    except (TypeError, ValueError) as exc:
+        # wrong types and out-of-range values, from parsing or a model constructor
+        raise ConfigError(f"invalid config {path}: {exc}") from None
+
+
+def _parse_config(raw: dict) -> dict:
     _check_keys(raw, "config", {"version"}, {
         "target", "experiment", "uncertainties", "cutoff", "shots", "seed",
         "eps_g", "monte_carlo_samples",
@@ -310,41 +321,12 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, grid: list[float]) -> int:
         raise ConfigError("loss grid values must lie in [0, 1)")
     detector = cfg["experiment"].detector if "experiment" in cfg else DetectorModel()
     delta = cfg["experiment"].distinguishability if "experiment" in cfg else 0.06
-    factor = detector.noise_fidelity_factor
-    ideal_det = DetectorModel(0.0, 0.0, 1.0)
     threshold = metrics.closest_classical(target).classical_fidelity
-
-    smsv_start = {"r1": abs(target.squeeze[0]), "r2": abs(target.squeeze[1]),
-                  "t_bs": fixtures.IDEAL_BS_TRANSMISSION}
-    tmsv_start = {"r": 0.5, "t_bs": 0.5}
-    tmsv_dist_start = dict(tmsv_start)
-    rows = []
-    for loss in sorted(grid):
-        eta = 1.0 - loss
-        smsv = ExperimentModel(
-            SMSVPair(smsv_start["r1"], smsv_start["r2"]), smsv_start["t_bs"],
-            loss_pre=(eta, eta), detector=ideal_det,
-        )
-        best_smsv, f_smsv = optimize_experiment(smsv, target)
-        smsv_start = {"r1": best_smsv.source.r1, "r2": best_smsv.source.r2,
-                      "t_bs": best_smsv.bs_transmission}
-        tmsv = ExperimentModel(
-            TMSV(tmsv_start["r"]), tmsv_start["t_bs"], loss_pre=(eta, eta),
-            detector=detector,
-        )
-        best_tmsv, f_tmsv = optimize_experiment(tmsv, target)
-        tmsv_start = {"r": best_tmsv.source.r, "t_bs": best_tmsv.bs_transmission}
-        tmsv_d = ExperimentModel(
-            TMSV(tmsv_dist_start["r"]), tmsv_dist_start["t_bs"], loss_pre=(eta, eta),
-            distinguishability=delta, detector=detector,
-        )
-        best_d, f_dist = optimize_experiment(tmsv_d, target)
-        tmsv_dist_start = {"r": best_d.source.r, "t_bs": best_d.bs_transmission}
-        rows.append((loss, f_smsv, f_smsv * factor, f_tmsv, f_dist, threshold))
-
+    losses = sorted(grid)
+    curves = loss_sweep(target, losses, detector, delta)
     lines = ["loss,f_smsv,f_smsv_noisydet,f_tmsv,f_tmsv_dist,classical_threshold"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    for row in zip(losses, *curves.values()):
+        lines.append(",".join(_fmt(v) for v in (*row, threshold)))
     (out_dir / "loss_sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -6,14 +6,28 @@ truncated ladder-operator generators, so they are exactly unitary on the
 truncated space; loss is an exact Kraus sum and thermal admixture is a
 pure-loss/amplifier composition, both of which stay inside the truncated
 space up to genuine tail mass.
+
+Every two-mode operator conserves a photon number: beam splitters and
+other passive mixings conserve the total n1 + n2, the two-mode squeezer
+the difference n1 - n2.  They are built and applied as one small unitary
+per value of that quantity, so a cached operator holds O(cutoff^3)
+entries rather than the cutoff^4 of the dense pair matrix.  Loss and the
+amplifier are Kraus families "shift by k times diagonal weights"; they
+conserve the ket-minus-bra photon difference of their mode, so a channel
+(thermal admixture: loss then amplifier, composed) is the same kind of
+block operator on the mode's (ket, bra) axes, O(cutoff^3) entries too.
+Every generator is tridiagonal within its blocks (the single-mode
+squeezer within each photon-number parity), so each block exponential is
+one real tridiagonal eigenproblem.  Blocks are applied to column panels
+small enough that BLAS runs each product on the calling thread.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -54,112 +68,109 @@ class TruncationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _ladder(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
-
-
-def _expm_skew(gen: np.ndarray) -> np.ndarray:
-    """Exponential of an anti-Hermitian matrix via diagonalization."""
-    herm = -1j * gen
-    w, v = np.linalg.eigh(herm)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _pair_index(m1: int, m2: int, cutoff: int) -> int:
-    return m1 * cutoff + m2
+def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """exp(iH) for the Hermitian tridiagonal H with real diagonal ``diag``
+    and subdiagonal ``lower``, via H = D T D+ with a diagonal phase D and
+    T real: the dense Hermitian eigensolver wakes BLAS threads even at 30 x 30."""
+    gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(lower)))))
+    w, v = la.eigh_tridiagonal(np.asarray(diag, dtype=float), np.abs(lower))
+    return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
 
 
 @lru_cache(maxsize=128)
 def _squeeze_matrix(r: float, phase: float, cutoff: int) -> np.ndarray:
-    a = _ladder(cutoff)
+    """exp((conj(z) a^2 - z a+^2) / 2), z = r e^{i phase}: tridiagonal per parity."""
     z = r * np.exp(1j * phase)
-    gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T))
-    out = _expm_skew(gen)
+    out = np.zeros((cutoff, cutoff), dtype=complex)
+    for n in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
+        lower = 0.5j * z * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+        out[np.ix_(n, n)] = _expm_tridiagonal(np.zeros(n.size), lower)
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=128)
 def _displace_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    a = _ladder(cutoff)
-    gen = alpha * a.T - np.conj(alpha) * a
-    out = _expm_skew(gen)
+    """exp(alpha a+ - conj(alpha) a)."""
+    out = _expm_tridiagonal(np.zeros(cutoff), -1j * alpha * np.sqrt(np.arange(1.0, cutoff)))
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=128)
-def _bs_matrix(theta: float, phase: float, cutoff: int) -> np.ndarray:
-    """Beam splitter on a mode pair; block diagonal in total photon number.
+class _PairBlocks(NamedTuple):
+    """Block-diagonal operator on a mode pair.
 
-    Generator theta * (e^{i phase} a1+ a2 - e^{-i phase} a1 a2+); within a
-    block of fixed total it is tridiagonal in the first occupation.
+    ``perm`` lists the pair indices ``m1 * cutoff + m2`` block by block;
+    block ``k`` occupies ``perm[bounds[k]:bounds[k + 1]]`` and acts there as
+    ``blocks[k]``.
     """
-    dim = cutoff * cutoff
-    out = np.zeros((dim, dim), dtype=complex)
-    ph = np.exp(1j * phase)
-    for total in range(2 * cutoff - 1):
-        lo = max(0, total - cutoff + 1)
-        hi = min(total, cutoff - 1)
-        m1s = np.arange(lo, hi)
-        raising = theta * ph * np.sqrt((m1s + 1.0) * (total - m1s))
-        gen = np.diag(raising, -1) - np.diag(raising.conj(), 1)
-        block = _expm_skew(gen)
-        idx = [_pair_index(m, total - m, cutoff) for m in range(lo, hi + 1)]
-        out[np.ix_(idx, idx)] = block
-    out.setflags(write=False)
-    return out
+
+    perm: np.ndarray
+    bounds: tuple[int, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    def conj(self) -> "_PairBlocks":
+        return self._replace(blocks=tuple(b.conj() for b in self.blocks))
+
+    @classmethod
+    def build(cls, cutoff: int, difference: bool, block_of) -> "_PairBlocks":
+        """One block ``block_of(m1, m2)`` per value of m1 + m2, or of
+        m1 - m2 when ``difference``, over its pair states in increasing m1."""
+        levels = np.arange(cutoff)
+        values = range(1 - cutoff, cutoff) if difference else range(2 * cutoff - 1)
+        perm, bounds, blocks = [], [0], []
+        for value in values:
+            m2 = levels - value if difference else value - levels
+            inside = (m2 >= 0) & (m2 < cutoff)
+            m1, m2 = levels[inside], m2[inside]
+            block = block_of(m1, m2)
+            block.setflags(write=False)
+            blocks.append(block)
+            perm.append(m1 * cutoff + m2)
+            bounds.append(bounds[-1] + m1.size)
+        perm_arr = np.concatenate(perm)
+        perm_arr.setflags(write=False)
+        return cls(perm_arr, tuple(bounds), tuple(blocks))
 
 
 @lru_cache(maxsize=128)
-def _tms_matrix(r: float, cutoff: int) -> np.ndarray:
-    """Two-mode squeezer exp(r (a1+ a2+ - a1 a2)); block diagonal in the
-    photon-number difference, tridiagonal within each block."""
-    dim = cutoff * cutoff
-    out = np.zeros((dim, dim), dtype=complex)
-    for diff in range(-(cutoff - 1), cutoff):
-        lo = max(0, diff)
-        hi = min(cutoff - 1, cutoff - 1 + diff)
-        m1s = np.arange(lo, hi)
-        raising = r * np.sqrt((m1s + 1.0) * (m1s - diff + 1.0))
-        gen = np.diag(raising, -1) - np.diag(raising, 1)
-        block = _expm_skew(gen)
-        idx = [_pair_index(m, m - diff, cutoff) for m in range(lo, hi + 1)]
-        out[np.ix_(idx, idx)] = block
-    out.setflags(write=False)
-    return out
+def _pair_blocks(
+    coupling: complex, phase1: float, phase2: float, squeezer: bool, cutoff: int
+) -> _PairBlocks:
+    """Two-mode unitary exp(G) with
+    G = coupling A - conj(coupling) A+ + i (phase1 n1 + phase2 n2).
+
+    A = a1+ a2 for a passive element, which conserves n1 + n2, and
+    A = a1+ a2+ for the two-mode squeezer, which conserves n1 - n2.  One
+    block per value of the conserved quantity holds its pair states in
+    increasing m1, on which G is tridiagonal.
+    """
+
+    def block_of(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+        # G = iH; A links neighbours i -> i + 1 by sqrt(m1[i + 1] * max(m2[i], m2[i + 1]))
+        lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
+        return _expm_tridiagonal(phase1 * m1 + phase2 * m2, lower)
+
+    return _PairBlocks.build(cutoff, squeezer, block_of)
 
 
-def _passive_pair_matrix(w: np.ndarray, cutoff: int) -> np.ndarray:
+def _pair_operator(elem: BeamSplitter | TwoModeSqueeze, cutoff: int) -> _PairBlocks:
+    if isinstance(elem, BeamSplitter):
+        # mode generator theta [[0, e^{i phase}], [-e^{-i phase}, 0]]
+        coupling = float(elem.theta) * np.exp(1j * float(elem.phase))
+        return _pair_blocks(complex(coupling), 0.0, 0.0, False, cutoff)
+    return _pair_blocks(complex(float(elem.r)), 0.0, 0.0, True, cutoff)
+
+
+def _passive_operator(w: np.ndarray, cutoff: int) -> _PairBlocks:
     """Fock unitary of a two-mode passive mixing a -> W a."""
-    gen_small = la.logm(np.asarray(w, dtype=complex))
-    dim = cutoff * cutoff
-    out = np.zeros((dim, dim), dtype=complex)
-    for total in range(2 * cutoff - 1):
-        lo = max(0, total - cutoff + 1)
-        hi = min(total, cutoff - 1)
-        states = [(m, total - m) for m in range(lo, hi + 1)]
-        size = len(states)
-        gen = np.zeros((size, size), dtype=complex)
-        for row, occ in enumerate(states):
-            for j, k in itertools.product(range(2), repeat=2):
-                c = gen_small[j, k]
-                if abs(c) < 1e-16:
-                    continue
-                if j == k:
-                    gen[row, row] += c * occ[j]
-                    continue
-                if occ[k] >= 1:
-                    new = list(occ)
-                    new[k] -= 1
-                    new[j] += 1
-                    if new[j] <= cutoff - 1:
-                        col = states.index(tuple(new))
-                        gen[col, row] += c * math.sqrt(occ[k] * (occ[j] + 1))
-        block = _expm_skew(gen)
-        idx = [_pair_index(m1, m2, cutoff) for m1, m2 in states]
-        out[np.ix_(idx, idx)] = block
-    return out
+    # principal logarithm from the Schur form, diagonal for a unitary W
+    # (scipy's logm takes milliseconds on 2 x 2 and wakes BLAS threads)
+    t, z = la.schur(np.asarray(w, dtype=complex), output="complex")
+    gen = (z * (1j * np.angle(np.diag(t)))) @ z.conj().T
+    return _pair_blocks(
+        complex(gen[0, 1]), float(gen[0, 0].imag), float(gen[1, 1].imag), False, cutoff
+    )
 
 
 def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
@@ -176,68 +187,39 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
         return _squeeze_matrix(float(elem.r), float(elem.phase), cutoff)
     if isinstance(elem, Displace):
         return _displace_matrix(complex(elem.alpha), cutoff)
-    if isinstance(elem, BeamSplitter):
-        return _bs_matrix(float(elem.theta), float(elem.phase), cutoff)
-    if isinstance(elem, TwoModeSqueeze):
-        return _tms_matrix(float(elem.r), cutoff)
+    if isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
+        perm, _, blocks = _pair_operator(elem, cutoff)
+        out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
+        out[np.ix_(perm, perm)] = la.block_diag(*blocks)
+        return out
     raise TypeError(f"{type(elem).__name__} has no unitary matrix")
 
 
-def _loss_kraus(transmission: float, cutoff: int) -> list[np.ndarray]:
-    """K_k[n-k, n] = sqrt(C(n,k) eta^(n-k) (1-eta)^k)."""
-    eta = transmission
-    ops = []
+@lru_cache(maxsize=128)
+def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
+    """Loss of ``transmission`` eta, then a quantum-limited amplifier of ``gain``
+    cosh(s)^2, as blocks on a mode's (ket, bra) axes by ket-minus-bra difference.
+
+    Kraus operators K_k[n-k, n] = sqrt(C(n,k) eta^(n-k) (1-eta)^k) and
+    K_k[n+k, n] = sqrt(C(n+k,k)) tanh(s)^k / cosh(s)^(n+1), tabulated as
+    K_t[n + t, n] = table[cutoff - 1 + t, n] for a shift t = -k or k.
+    """
+    eta, th, ch = transmission, math.tanh(math.acosh(math.sqrt(gain))), math.sqrt(gain)
+    loss, amp = np.zeros((2, 2 * cutoff - 1, cutoff))
     for k in range(cutoff):
-        mat = np.zeros((cutoff, cutoff))
-        for n in range(k, cutoff):
-            mat[n - k, n] = math.sqrt(
-                math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k
-            )
-        if np.any(mat):
-            ops.append(mat)
-    return ops
-
-
-def _superop(kraus: list[np.ndarray]) -> np.ndarray:
-    """Single-mode channel as one matrix on the doubled (bra, ket) axis."""
-    return sum(np.kron(k, k.conj()) for k in kraus).astype(complex)
-
-
-@lru_cache(maxsize=64)
-def _loss_superop(transmission: float, cutoff: int) -> np.ndarray:
-    out = _superop(_loss_kraus(transmission, cutoff))
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _thermal_mix_superop(reflectivity: float, mean_photons: float, cutoff: int) -> np.ndarray:
-    # V -> (1-d)V + d(nbar+1/2)I  ==  amplifier(1 + d*nbar) o loss
-    gain = 1.0 + reflectivity * mean_photons
-    eta = (1.0 - reflectivity) / gain
-    op = np.eye(cutoff * cutoff)
-    if eta < 1.0:
-        op = _loss_superop(eta, cutoff) @ op
-    if gain > 1.0:
-        op = _superop(_amplifier_kraus(gain, cutoff)) @ op
-    op = np.ascontiguousarray(op, dtype=complex)
-    op.setflags(write=False)
-    return op
-
-
-def _amplifier_kraus(gain: float, cutoff: int, weight_tol: float = 1e-16) -> list[np.ndarray]:
-    """Quantum-limited amplifier of gain G = cosh(s)^2 as a Kraus family."""
-    s = math.acosh(math.sqrt(gain))
-    th, ch = math.tanh(s), math.cosh(s)
-    ops = []
-    for k in range(cutoff):
-        if th**(2 * k) < weight_tol and k > 0:
-            break
-        mat = np.zeros((cutoff, cutoff))
         for n in range(cutoff - k):
-            mat[n + k, n] = math.sqrt(math.comb(n + k, k)) * th**k / ch ** (n + 1)
-        ops.append(mat)
-    return ops
+            root = math.sqrt(math.comb(n + k, k))
+            loss[cutoff - 1 - k, n + k] = root * math.sqrt(eta**n * (1.0 - eta) ** k)
+            amp[cutoff - 1 + k, n] = root * th**k / ch ** (n + 1)
+
+    def block_of(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+        # K_t rho K_t+ moves entry j to j + t, weighted K_t[n + t, n] K_t[m + t, m]
+        out_j, in_j = np.indices((n.size, n.size))
+        shift = cutoff - 1 + out_j - in_j
+        loss_b, amp_b = (t[shift, n[in_j]] * t[shift, m[in_j]] for t in (loss, amp))
+        return (amp_b @ loss_b).astype(complex)
+
+    return _PairBlocks.build(cutoff, True, block_of)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +244,12 @@ class FockDensity:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {dim}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        # one buffer serves |mat - mat+| and (mat + mat+) / 2
+        adj = mat.conj().T
+        herm = mat - adj
+        if np.abs(herm, out=herm).real.max() > 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = np.multiply(np.add(mat, adj, out=herm), 0.5, out=herm)
         tr = float(mat.trace().real)
         if not -1e-10 < tr < 1.0 + 1e-9:
             raise ValueError(f"trace {tr} is not a probability")
@@ -300,18 +285,37 @@ class FockDensity:
 # ---------------------------------------------------------------------------
 
 
+#: complex multiply-adds per product from which OpenBLAS uses a second
+#: thread; waking it costs 20 times a 30 x 30 block product (470 us, not 20),
+#: and its spinning slowed replays by 30 % and made their time unsteady
+_SERIAL_MNK = 1 << 16
+
+
 def _apply_single(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(op, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
+    shape = tensor.shape
+    # (before, axis, after): a view of a C-contiguous tensor, op acts on the middle
+    grid = tensor.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    out = np.empty(grid.shape[:1] + op.shape[:1] + grid.shape[2:], np.result_type(op, grid))
+    width = max(1, (_SERIAL_MNK - 1) // op.size)
+    for start in range(0, grid.shape[2], width):
+        cols = slice(start, start + width)
+        np.matmul(op, grid[:, :, cols], out=out[:, :, cols])
+    return out.reshape(shape[:axis] + op.shape[:1] + shape[axis + 1:])
 
 
-def _apply_pair(tensor: np.ndarray, op: np.ndarray, ax1: int, ax2: int, cutoff: int) -> np.ndarray:
-    nd = tensor.ndim
-    rest = [a for a in range(nd) if a not in (ax1, ax2)]
-    moved = np.ascontiguousarray(np.transpose(tensor, (ax1, ax2) + tuple(rest)))
-    flat = op @ moved.reshape(cutoff * cutoff, -1)
-    moved = flat.reshape((cutoff, cutoff) + tuple(tensor.shape[a] for a in rest))
-    return np.transpose(moved, np.argsort((ax1, ax2) + tuple(rest)))
+def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.ndarray:
+    rest = tuple(a for a in range(tensor.ndim) if a not in (ax1, ax2))
+    moved = np.transpose(tensor, (ax1, ax2) + rest)
+    index = np.divmod(op.perm, tensor.shape[ax1])
+    flat = moved[index].reshape(op.perm.size, -1)
+    width = max(1, (_SERIAL_MNK - 1) // tensor.shape[ax1] ** 2)  # blocks are at most c x c
+    for start in range(0, flat.shape[1], width):
+        panel = flat[:, start:start + width]
+        for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
+            panel[lo:hi] = block @ panel[lo:hi]
+    out = np.empty_like(moved)
+    out[index] = flat.reshape(op.perm.shape + moved.shape[2:])
+    return np.transpose(out, np.argsort((ax1, ax2) + rest))
 
 
 class _FockWorkspace:
@@ -333,33 +337,21 @@ class _FockWorkspace:
             )
             self.vec = None
 
-    def apply_unitary(self, op: np.ndarray, modes: tuple[int, ...]) -> None:
-        n, cut = self.num_modes, self.cutoff
+    def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:
+        """Apply a ``cutoff x cutoff`` matrix to one mode, blocks to a pair."""
+        apply = _apply_single if len(modes) == 1 else _apply_pair
         if self.vec is not None:
-            if len(modes) == 1:
-                self.vec = _apply_single(self.vec, op, modes[0])
-            else:
-                self.vec = _apply_pair(self.vec, op, modes[0], modes[1], cut)
+            self.vec = apply(self.vec, op, *modes)
             return
         assert self.rho is not None
-        if len(modes) == 1:
-            self.rho = _apply_single(self.rho, op, modes[0])
-            self.rho = _apply_single(self.rho, op.conj(), n + modes[0])
-        else:
-            self.rho = _apply_pair(self.rho, op, modes[0], modes[1], cut)
-            self.rho = _apply_pair(self.rho, op.conj(), n + modes[0], n + modes[1], cut)
+        self.rho = apply(self.rho, op, *modes)
+        self.rho = apply(self.rho, op.conj(), *(self.num_modes + m for m in modes))
 
-    def apply_channel(self, superop: np.ndarray, mode: int) -> None:
-        """Apply a single-mode channel given on the doubled (bra, ket) axis."""
+    def apply_channel(self, op: _PairBlocks, mode: int) -> None:
+        """Apply a channel, a block operator on the (ket, bra) axes of ``mode``."""
         self._densify()
         assert self.rho is not None
-        n, cut = self.num_modes, self.cutoff
-        axes = (mode, n + mode)
-        rest = [a for a in range(2 * n) if a not in axes]
-        moved = np.ascontiguousarray(np.transpose(self.rho, axes + tuple(rest)))
-        flat = superop @ moved.reshape(cut * cut, -1)
-        moved = flat.reshape((cut, cut) + tuple(self.rho.shape[a] for a in rest))
-        self.rho = np.transpose(moved, np.argsort(axes + tuple(rest)))
+        self.rho = _apply_pair(self.rho, op, mode, self.num_modes + mode)
 
     def density(self) -> np.ndarray:
         self._densify()
@@ -373,18 +365,16 @@ def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
     if isinstance(elem, (Squeeze, Displace)):
         ws.apply_unitary(element_matrix(elem, cut), (elem.mode,))
     elif isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
-        ws.apply_unitary(element_matrix(elem, cut), (elem.mode1, elem.mode2))
+        ws.apply_unitary(_pair_operator(elem, cut), (elem.mode1, elem.mode2))
     elif isinstance(elem, Loss):
         if elem.transmission < 1.0:
-            ws.apply_channel(_loss_superop(float(elem.transmission), cut), elem.mode)
+            ws.apply_channel(_channel(float(elem.transmission), 1.0, cut), elem.mode)
     elif isinstance(elem, ThermalMix):
         if elem.reflectivity > 0.0:
-            ws.apply_channel(
-                _thermal_mix_superop(
-                    float(elem.reflectivity), float(elem.mean_photons), cut
-                ),
-                elem.mode,
-            )
+            # V -> (1-d)V + d(nbar+1/2)I  ==  amplifier(1 + d*nbar) o loss
+            gain = 1.0 + float(elem.reflectivity) * float(elem.mean_photons)
+            eta = (1.0 - float(elem.reflectivity)) / gain
+            ws.apply_channel(_channel(eta, gain, cut), elem.mode)
     else:  # pragma: no cover
         raise TypeError(f"unknown element {elem!r}")
 
@@ -419,14 +409,16 @@ def replay_fock(
 # ---------------------------------------------------------------------------
 
 
+def _table(probs: np.ndarray, cutoff: int, floor: float) -> FCTable:
+    """Probabilities above ``floor`` keyed by outcome; the rest is tail."""
+    keep = probs > floor
+    entries = dict(zip(map(tuple, np.argwhere(keep).tolist()), probs[keep].tolist()))
+    return FCTable(entries, cutoff, max(0.0, 1.0 - sum(entries.values())))
+
+
 def photon_distribution(rho: FockDensity, *, floor: float = 1e-16) -> FCTable:
     """Diagonal probabilities grouped by occupation tuple."""
-    occ = rho.occupations()
-    entries: dict[tuple[int, ...], float] = {}
-    for idx in np.argwhere(occ > floor):
-        entries[tuple(int(i) for i in idx)] = float(occ[tuple(idx)])
-    tail = max(0.0, 1.0 - sum(entries.values()))
-    return FCTable(entries, rho.cutoff, tail)
+    return _table(rho.occupations(), rho.cutoff, floor)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -475,7 +467,6 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     event) attributes.  Noise is convolved classically and independently
     per detector; outcomes may exceed the signal cutoff.
     """
-    signal = photon_distribution(rho)
     dark = _dark_kernel(float(det.dark_p1))
     pump = float(det.pump_p2)
     kernel = np.zeros(len(dark) + 2)
@@ -483,24 +474,14 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     if pump > 0.0:
         kernel[2:] += dark * pump
     if kernel[0] >= 1.0:
-        return signal
-    modes, cut = rho.num_modes, rho.cutoff
-    occ = rho.occupations()
-    width = occ.shape[0] + kernel.size - 1
-    grid = np.zeros((width,) * modes)
-    shifts = [s for s in np.ndindex(*(kernel.size,) * modes)]
-    for shift in shifts:
-        weight = math.prod(kernel[s] for s in shift)
-        if weight < 1e-18:
-            continue
-        window = tuple(slice(s, s + occ.shape[0]) for s in shift)
-        grid[window] += weight * occ
-    entries = {
-        tuple(int(i) for i in idx): float(grid[tuple(idx)])
-        for idx in np.argwhere(grid > 1e-16)
-    }
-    tail = max(0.0, 1.0 - sum(entries.values()))
-    return FCTable(entries, cut, tail)
+        return photon_distribution(rho)
+    cut = rho.cutoff
+    # separable: convolve each detector's axis with the kernel in turn
+    conv = sum(k * np.eye(cut + kernel.size - 1, cut, -s) for s, k in enumerate(kernel))
+    grid = rho.occupations()
+    for axis in range(rho.num_modes):
+        grid = _apply_single(grid, conv, axis)
+    return _table(grid, cut, 1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -509,23 +490,14 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
 
 
 def _thermal_diag(nbar: float, cutoff: int) -> np.ndarray:
-    if nbar <= 0.0:
-        out = np.zeros(cutoff)
-        out[0] = 1.0
-        return out
     ratio = nbar / (1.0 + nbar)
     return ratio ** np.arange(cutoff) / (1.0 + nbar)
 
 
 def _apply_passive(ws: _FockWorkspace, w: np.ndarray) -> None:
     num_modes = w.shape[0]
-    if num_modes == 1:
-        phase = np.angle(w[0, 0])
-        op = np.diag(np.exp(1j * phase * np.arange(ws.cutoff)))
-        ws.apply_unitary(op, (0,))
-        return
     if num_modes == 2:
-        ws.apply_unitary(_passive_pair_matrix(w, ws.cutoff), (0, 1))
+        ws.apply_unitary(_passive_operator(w, ws.cutoff), (0, 1))
         return
     # general case: QR-style reduction into two-mode mixes
     work = w.copy()
@@ -546,7 +518,7 @@ def _apply_passive(ws: _FockWorkspace, w: np.ndarray) -> None:
         op = np.diag(np.exp(1j * phases[mode] * np.arange(ws.cutoff)))
         ws.apply_unitary(op, (mode,))
     for g, (i, j) in reversed(ops):
-        ws.apply_unitary(_passive_pair_matrix(g, ws.cutoff), (i, j))
+        ws.apply_unitary(_passive_operator(g, ws.cutoff), (i, j))
 
 
 def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:

@@ -8,13 +8,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import ExperimentModel, ParameterUncertainty, TMSV, model_fidelity
+from .experiment import (
+    DetectorModel,
+    ExperimentModel,
+    ParameterUncertainty,
+    SMSVPair,
+    TMSV,
+    model_fidelity,
+)
+from .fixtures import IDEAL_BS_TRANSMISSION
 from .vibronic import OpticalTarget
 
 __all__ = [
     "OptResult",
     "nelder_mead",
     "optimize_experiment",
+    "loss_sweep",
     "MonteCarloResult",
     "monte_carlo_fidelity",
     "DEFAULT_BOUNDS",
@@ -176,6 +185,41 @@ def optimize_experiment(
         best = alt
     model = template.with_values(**dict(zip(names, best.x)))
     return model, best.value
+
+
+def loss_sweep(
+    target: OpticalTarget,
+    losses,
+    detector: DetectorModel,
+    distinguishability: float,
+) -> dict[str, list[float]]:
+    """Optimized fidelity against equal pre-interference loss in both arms.
+
+    At each loss, in the given order, three sources are optimized, each
+    warm-started from its optimum at the previous loss: an SMSV pair with
+    ideal detectors (``f_smsv``, and ``f_smsv_noisydet`` scaled by the
+    detector's noise fidelity factor), a TMSV with ``detector``
+    (``f_tmsv``), and that TMSV with ``distinguishability``
+    (``f_tmsv_dist``).
+    """
+    squeeze = (abs(target.squeeze[0]), abs(target.squeeze[1]))
+    ideal = DetectorModel(0.0, 0.0, 1.0)
+    models = {
+        "f_smsv": ExperimentModel(SMSVPair(*squeeze), IDEAL_BS_TRANSMISSION, detector=ideal),
+        "f_tmsv": ExperimentModel(TMSV(0.5), 0.5, detector=detector),
+        "f_tmsv_dist": ExperimentModel(
+            TMSV(0.5), 0.5, distinguishability=distinguishability, detector=detector
+        ),
+    }
+    curves = {"f_smsv": [], "f_smsv_noisydet": [], "f_tmsv": [], "f_tmsv_dist": []}
+    for loss in losses:
+        for name, model in models.items():
+            models[name], f = optimize_experiment(
+                model.with_values(loss_pre=(1.0 - loss, 1.0 - loss)), target
+            )
+            curves[name].append(f)
+        curves["f_smsv_noisydet"].append(curves["f_smsv"][-1] * detector.noise_fidelity_factor)
+    return curves
 
 
 @dataclass(frozen=True)

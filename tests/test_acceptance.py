@@ -29,7 +29,7 @@ from vibsim.gaussian import (
     vacuum,
 )
 from vibsim.metrics import closest_classical, restrict_to, total_bound, trace_bound, tvd
-from vibsim.optimize import monte_carlo_fidelity, optimize_experiment
+from vibsim.optimize import loss_sweep, monte_carlo_fidelity, optimize_experiment
 from vibsim.sampler import estimate_fc, sample
 from vibsim.vibronic import fc_factors
 from helpers import TROPOLONE_IDEAL, random_circuit
@@ -161,32 +161,7 @@ def test_criterion_07_tvd_normalization():
 def test_criterion_08_loss_sweep(target):
     grid = [0.0, 0.3, 0.6, 0.8, 0.85, 0.88, 0.90, 0.92, 0.94]
     threshold = closest_classical(target).classical_fidelity
-    factor = DetectorModel().noise_fidelity_factor
-    ideal_det = DetectorModel(0.0, 0.0, 1.0)
-
-    start = {"r1": 0.72, "r2": 0.19, "t_bs": fixtures.IDEAL_BS_TRANSMISSION}
-    tmsv_start = {"r": 0.5, "t_bs": 0.5}
-    dist_start = {"r": 0.5, "t_bs": 0.5}
-    curves = {"f_smsv": [], "f_smsv_noisydet": [], "f_tmsv": [], "f_tmsv_dist": []}
-    from vibsim.experiment import TMSV
-
-    for loss in grid:
-        eta = 1.0 - loss
-        smsv = ExperimentModel(SMSVPair(start["r1"], start["r2"]), start["t_bs"],
-                               loss_pre=(eta, eta), detector=ideal_det)
-        best, f = optimize_experiment(smsv, target)
-        start = {"r1": best.source.r1, "r2": best.source.r2, "t_bs": best.bs_transmission}
-        curves["f_smsv"].append(f)
-        curves["f_smsv_noisydet"].append(f * factor)
-        tmsv = ExperimentModel(TMSV(tmsv_start["r"]), tmsv_start["t_bs"], loss_pre=(eta, eta))
-        best_t, f_t = optimize_experiment(tmsv, target)
-        tmsv_start = {"r": best_t.source.r, "t_bs": best_t.bs_transmission}
-        curves["f_tmsv"].append(f_t)
-        dist = ExperimentModel(TMSV(dist_start["r"]), dist_start["t_bs"], loss_pre=(eta, eta),
-                               distinguishability=0.06)
-        best_d, f_d = optimize_experiment(dist, target)
-        dist_start = {"r": best_d.source.r, "t_bs": best_d.bs_transmission}
-        curves["f_tmsv_dist"].append(f_d)
+    curves = loss_sweep(target, grid, DetectorModel(), 0.06)
 
     monotone = all(
         all(b <= a + 1e-6 for a, b in zip(vals, vals[1:])) for vals in curves.values()

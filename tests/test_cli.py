@@ -38,6 +38,20 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+#: config fields that are missing, of a wrong type or out of range
+MALFORMED = {
+    "cutoff-string": {"cutoff": "abc"},
+    "negative-sigma-r": {"uncertainties": {"sigma_r": -0.01}},
+    "string-bs-angle": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2], "bs_angle": "wide"}},
+    "dark-p1-above-one": {"experiment": {**paper_experiment_section(), "detector": {"dark_p1": 2}}},
+    "negative-frequency": {"target": {
+        "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
+        "ground_freqs_cm1": [100.0, -200.0], "excited_freqs_cm1": [120.0, 180.0]}},
+    "nan-squeeze": {"target": {"kind": "optical", "squeeze": [math.nan, 0.2], "bs_angle": 0.3}},
+    "missing-squeeze": {"target": {"kind": "optical"}},
+}
+
+
 class TestConfigValidation:
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, typo_field=1)
@@ -56,6 +70,12 @@ class TestConfigValidation:
     def test_unknown_target_kind(self, tmp_path):
         path = write_config(tmp_path, target={"kind": "mystery"})
         assert main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"]) == 2
+
+    @pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_value_exits_2(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **{"experiment": paper_experiment_section(), **overrides})
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestIdeal:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+from vibsim import fock
 from vibsim.fock import (
     FockDensity,
     TruncationError,
@@ -69,6 +72,132 @@ class TestElementMatrix:
     def test_tiny_cutoff_rejected(self):
         with pytest.raises(ValueError):
             element_matrix(Squeeze(0, 0.1), 1)
+
+
+def _ladder_pair(cutoff):
+    """Truncated a1, a2 on the row-major pair space |m1, m2>."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    eye = np.eye(cutoff)
+    return np.kron(a, eye), np.kron(eye, a)
+
+
+def _dense(op, cutoff):
+    out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
+    out[np.ix_(op.perm, op.perm)] = la.block_diag(*op.blocks)
+    return out
+
+
+def _random_density(rng, dim):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def _apply_to_density(rho, elem, num_modes, cutoff):
+    ws = fock._FockWorkspace(num_modes, cutoff)
+    ws.vec, ws.rho = None, rho.reshape((cutoff,) * (2 * num_modes))
+    fock._apply_element(ws, elem)
+    return ws.density()
+
+
+def _kraus_sum(rho, kraus, mode, cutoff):
+    """sum_k K_k rho K_k+ with each K_k acting on ``mode`` of two."""
+    eye = np.eye(cutoff)
+    out = np.zeros_like(rho)
+    for k in kraus:
+        full = np.kron(k, eye) if mode == 0 else np.kron(eye, k)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def _loss_kraus(eta, cutoff):
+    ops = []
+    for k in range(cutoff):
+        op = np.zeros((cutoff, cutoff))
+        for n in range(k, cutoff):
+            op[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k)
+        ops.append(op)
+    return ops
+
+
+def _amplifier_kraus(gain, cutoff):
+    s = math.acosh(math.sqrt(gain))
+    ops = []
+    for k in range(cutoff):
+        op = np.zeros((cutoff, cutoff))
+        for n in range(cutoff - k):
+            op[n + k, n] = math.sqrt(math.comb(n + k, k)) * math.tanh(s) ** k / math.cosh(s) ** (n + 1)
+        ops.append(op)
+    return ops
+
+
+class TestBlockOperators:
+    cutoff = 6
+
+    def test_beam_splitter_is_exp_of_generator(self):
+        theta, phase = 0.7, 1.1
+        a1, a2 = _ladder_pair(self.cutoff)
+        gen = theta * (np.exp(1j * phase) * a1.T @ a2 - np.exp(-1j * phase) * a1 @ a2.T)
+        u = element_matrix(BeamSplitter(0, 1, theta, phase), self.cutoff)
+        assert np.max(np.abs(u - la.expm(gen))) < 1e-12
+
+    def test_two_mode_squeezer_is_exp_of_generator(self):
+        r = 0.4
+        a1, a2 = _ladder_pair(self.cutoff)
+        gen = r * (a1.T @ a2.T - a1 @ a2)
+        u = element_matrix(TwoModeSqueeze(0, 1, r), self.cutoff)
+        assert np.max(np.abs(u - la.expm(gen))) < 1e-12
+
+    def test_squeezer_is_exp_of_generator(self):
+        z = 0.6 * np.exp(0.4j)
+        a = np.diag(np.sqrt(np.arange(1.0, self.cutoff)), k=1)
+        gen = 0.5 * (np.conj(z) * a @ a - z * a.T @ a.T)
+        u = element_matrix(Squeeze(0, 0.6, 0.4), self.cutoff)
+        assert np.max(np.abs(u - la.expm(gen))) < 1e-12
+
+    def test_displacement_is_exp_of_generator(self):
+        alpha = 0.5 - 0.2j
+        a = np.diag(np.sqrt(np.arange(1.0, self.cutoff)), k=1)
+        u = element_matrix(Displace(0, alpha), self.cutoff)
+        assert np.max(np.abs(u - la.expm(alpha * a.T - np.conj(alpha) * a))) < 1e-12
+
+    def test_passive_mixing_is_exp_of_generator(self):
+        rng = np.random.default_rng(11)
+        w, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        small = la.logm(w)
+        ladders = _ladder_pair(self.cutoff)
+        gen = sum(small[j, k] * ladders[j].T @ ladders[k] for j in range(2) for k in range(2))
+        u = _dense(fock._passive_operator(w, self.cutoff), self.cutoff)
+        assert np.max(np.abs(u - la.expm(gen))) < 1e-12
+
+    def test_loss_is_kraus_sum(self):
+        rho = _random_density(np.random.default_rng(12), self.cutoff**2)
+        got = _apply_to_density(rho, Loss(1, 0.7), 2, self.cutoff)
+        expected = _kraus_sum(rho, _loss_kraus(0.7, self.cutoff), 1, self.cutoff)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_thermal_mix_is_kraus_sum(self):
+        reflectivity, nbar = 0.3, 0.6
+        rho = _random_density(np.random.default_rng(13), self.cutoff**2)
+        got = _apply_to_density(rho, ThermalMix(0, reflectivity, nbar), 2, self.cutoff)
+        gain = 1 + reflectivity * nbar
+        lossy = _kraus_sum(rho, _loss_kraus((1 - reflectivity) / gain, self.cutoff), 0, self.cutoff)
+        expected = _kraus_sum(lossy, _amplifier_kraus(gain, self.cutoff), 0, self.cutoff)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_cached_pair_operator_is_cubic_in_cutoff(self):
+        cutoff = 30
+        for fn in vars(fock).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        tracemalloc.start()
+        try:
+            replay_fock(GaussianCircuit(2, [BeamSplitter(0, 1, 0.4, 0.3)]), cutoff)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        complex_entries = retained / np.dtype(complex).itemsize
+        assert complex_entries < cutoff**4 / 10
 
 
 class TestReplay:
