@@ -15,9 +15,8 @@ import numpy as np
 from . import fock
 from .experiment import DetectorModel
 from .gaussian import BeamSplitter, GaussianCircuit, Loss, TwoModeSqueeze
-from .metrics import tvd
-from .optimize import nelder_mead
-from .tables import CountHistogram, FCTable, sink_outcome
+from .optimize import SIMPLEX_STEP, nelder_mead
+from .tables import CountHistogram, FCTable
 
 __all__ = [
     "TomographyFit",
@@ -41,6 +40,20 @@ class TomographyFit:
     iterations: int
 
 
+def _lossy_source(r: float, eta: tuple[float, float], cutoff: int) -> fock.FockDensity:
+    """Truncated density of a two-mode squeezed source after per-arm loss."""
+    elements = [TwoModeSqueeze(0, 1, r)] + [Loss(m, e) for m, e in enumerate(eta) if e < 1.0]
+    return fock.replay_fock(GaussianCircuit(2, elements), cutoff, strict=False)
+
+
+def _at_setting(source: fock.FockDensity, bs_transmission: float) -> fock.FockDensity:
+    """The source after the beam splitter set to ``bs_transmission``."""
+    theta = math.acos(math.sqrt(bs_transmission))
+    if theta == 0.0:
+        return source
+    return fock.evolve_fock(source, GaussianCircuit(2, [BeamSplitter(0, 1, theta)]))
+
+
 def predicted_distribution(
     r: float,
     eta: tuple[float, float],
@@ -50,29 +63,72 @@ def predicted_distribution(
 ) -> FCTable:
     """Photon statistics of a lossy two-mode squeezed source measured by
     noisy detectors, for one beam-splitter setting."""
-    elements = [TwoModeSqueeze(0, 1, r)]
-    for mode, e in enumerate(eta):
-        if e < 1.0:
-            elements.append(Loss(mode, e))
-    theta = math.acos(math.sqrt(bs_transmission))
-    if theta != 0.0:
-        elements.append(BeamSplitter(0, 1, theta))
-    rho = fock.replay_fock(GaussianCircuit(2, elements), cutoff, strict=False)
+    rho = _at_setting(_lossy_source(r, eta, cutoff), bs_transmission)
     return fock.attach_detector_noise(rho, det)
 
 
-def _pooled_table(hist: CountHistogram, cutoff: int) -> FCTable:
-    return hist.pooled(cutoff).frequencies(cutoff)
+def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of a two-mode histogram, one row each, and their frequencies."""
+    if hist.num_modes != 2:
+        raise ValueError("source tomography needs two-mode histograms")
+    outcomes = np.array(list(hist.counts), dtype=np.int64)
+    return outcomes, np.array(list(hist.counts.values()), dtype=float) / hist.total_shots
 
 
-def _pool_prediction(table: FCTable, cutoff: int) -> FCTable:
-    entries: dict[tuple[int, ...], float] = {}
-    sink = sink_outcome(table.num_modes)
-    for key, p in table.entries.items():
-        target = sink if max(key) >= cutoff else key
-        entries[target] = entries.get(target, 0.0) + p
-    entries[sink] = entries.get(sink, 0.0) + table.tail_mass
-    return FCTable(entries, cutoff, 0.0)
+def _pooled(grid: np.ndarray, cutoff: int) -> tuple[np.ndarray, float]:
+    """Probabilities of the outcomes below ``cutoff`` in both modes, and the
+    sink holding all the rest."""
+    head = grid[:cutoff, :cutoff]
+    return head, 1.0 - float(head.sum())
+
+
+def _observed(hist: CountHistogram, cutoff: int) -> tuple[np.ndarray, float]:
+    """The relative frequencies of ``hist``, pooled."""
+    outcomes, probs = _outcomes(hist)
+    grid = np.zeros((cutoff, cutoff))
+    inside = np.all((outcomes >= 0) & (outcomes < cutoff), axis=1)
+    grid[tuple(outcomes[inside].T)] = probs[inside]
+    return _pooled(grid, cutoff)
+
+
+def _pooled_tvd(p: tuple[np.ndarray, float], q: tuple[np.ndarray, float]) -> float:
+    """(1/2) (sum |p - q| + |sink_p - sink_q|) of two pooled distributions."""
+    return 0.5 * (float(np.abs(p[0] - q[0]).sum()) + abs(p[1] - q[1]))
+
+
+#: (r, eta_1, eta_2) box of the source fit
+_BOUNDS = np.array([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)])
+
+
+def _moment_start(hist: CountHistogram, det: DetectorModel) -> np.ndarray:
+    """(r, eta_1, eta_2) from the count moments of the transmissive setting.
+
+    A two-mode squeezed vacuum holds s = sinh(r)^2 photons per arm with
+    covariance s^2 + s; binomial loss scales the means by eta_i and the
+    covariance by eta_1 eta_2, and independent detector noise adds its mean
+    mu to each arm and nothing to the covariance.  Hence the estimate in
+    :func:`fit_source`, or (0.3, 0.5, 0.5) without a positive excess
+    covariance.  Sink rows (the unlisted mass, whose counts are unknown)
+    are left out.  The start is clamped one first-simplex step inside the
+    bounds, which keeps it off the flat r = 0 and eta = 0 edges, where
+    the objective does not depend on the other parameters.
+    """
+    outcomes, probs = _outcomes(hist)
+    listed = np.all(outcomes >= 0, axis=1)
+    outcomes, probs = outcomes[listed], probs[listed]
+    kernel = fock.noise_kernel(det)
+    means = probs @ outcomes
+    cov = probs @ (outcomes[:, 0] * outcomes[:, 1]) - means[0] * means[1]
+    n1, n2 = means - np.arange(kernel.size) @ kernel
+    excess = cov - n1 * n2
+    if n1 > 0.0 and n2 > 0.0 and excess > 0.0:
+        s = n1 * n2 / excess
+        start = np.array([math.asinh(math.sqrt(s)), n1 / s, n2 / s])
+    else:
+        start = np.array([0.3, 0.5, 0.5])
+    lo, hi = _BOUNDS.T
+    margin = SIMPLEX_STEP * (hi - lo)
+    return np.clip(start, lo + margin, hi - margin)
 
 
 def fit_source(
@@ -81,7 +137,7 @@ def fit_source(
     det: DetectorModel,
     *,
     cutoff: int = 12,
-    start: tuple[float, float, float] = (0.3, 0.5, 0.5),
+    start: tuple[float, float, float] | None = None,
     tol: float = 1e-7,
     max_iter: int = 1500,
 ) -> TomographyFit:
@@ -91,23 +147,34 @@ def fit_source(
     ``hist_100_0`` is recorded with the beam splitter fully transmissive,
     ``hist_0_100`` fully reflective.  The detector model is held fixed at
     its independently characterized values.  The fit minimizes the summed
-    total variation distance between predicted and observed statistics;
-    the worse of the two residuals is reported (a candidate for the
-    model-mismatch error term).
+    total variation distance between predicted and observed statistics,
+    each pooled into its outcomes below ``cutoff`` in both modes and one
+    sink for the rest; the worse of the two residuals is reported (a
+    candidate for the model-mismatch error term).
+
+    Without an explicit ``start`` the simplex starts from the moment
+    estimate of the transmissive counts: with n_i = <m_i> - mu, mu the
+    mean count the detector noise adds,
+    s = sinh(r)^2 = n_1 n_2 / (Cov(m_1, m_2) - n_1 n_2) and eta_i = n_i / s
+    (see :func:`_moment_start`).  Each candidate replays the lossy source
+    once; the reflective setting adds the beam splitter to that density.
     """
-    emp_t = _pooled_table(hist_100_0, cutoff)
-    emp_r = _pooled_table(hist_0_100, cutoff)
+    observed = [_observed(hist, cutoff) for hist in (hist_100_0, hist_0_100)]
+    if start is None:
+        start = _moment_start(hist_100_0, det)
 
     def residuals(x) -> tuple[float, float]:
         r, e1, e2 = x
-        pred_t = _pool_prediction(predicted_distribution(r, (e1, e2), 1.0, det, cutoff), cutoff)
-        pred_r = _pool_prediction(predicted_distribution(r, (e1, e2), 0.0, det, cutoff), cutoff)
-        return tvd(pred_t, emp_t), tvd(pred_r, emp_r)
+        source = _lossy_source(r, (e1, e2), cutoff)
+        return tuple(
+            _pooled_tvd(_pooled(fock.noisy_occupations(_at_setting(source, t), det), cutoff), obs)
+            for t, obs in zip((1.0, 0.0), observed)
+        )
 
     result = nelder_mead(
         lambda x: -sum(residuals(x)),
         np.asarray(start, dtype=float),
-        bounds=[(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)],
+        bounds=_BOUNDS.tolist(),
         tol=tol,
         max_iter=max_iter,
     )

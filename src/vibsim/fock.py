@@ -51,8 +51,11 @@ __all__ = [
     "FockDensity",
     "element_matrix",
     "replay_fock",
+    "evolve_fock",
     "photon_distribution",
     "fidelity_fock",
+    "noise_kernel",
+    "noisy_occupations",
     "attach_detector_noise",
     "gaussian_to_fock",
     "mean_photon_fock",
@@ -71,9 +74,17 @@ class TruncationError(RuntimeError):
 def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """exp(iH) for the Hermitian tridiagonal H with real diagonal ``diag``
     and subdiagonal ``lower``, via H = D T D+ with a diagonal phase D and
-    T real: the dense Hermitian eigensolver wakes BLAS threads even at 30 x 30."""
+    T real: the dense Hermitian eigensolver wakes BLAS threads even at 30 x 30.
+    T goes straight to LAPACK's ?stevd, the driver ``eigh_tridiagonal``
+    picks, without that wrapper's checks, which cost more than the solve."""
     gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(lower)))))
-    w, v = la.eigh_tridiagonal(np.asarray(diag, dtype=float), np.abs(lower))
+    w = np.asarray(diag, dtype=float)
+    if w.size == 1:
+        v = np.ones((1, 1))
+    else:
+        w, v, info = la.lapack.dstevd(w, np.abs(lower))
+        if info:
+            raise np.linalg.LinAlgError(f"dstevd failed (info {info})")
     return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
 
 
@@ -100,37 +111,37 @@ def _displace_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 class _PairBlocks(NamedTuple):
     """Block-diagonal operator on a mode pair.
 
-    ``perm`` lists the pair indices ``m1 * cutoff + m2`` block by block;
-    block ``k`` occupies ``perm[bounds[k]:bounds[k + 1]]`` and acts there as
-    ``blocks[k]``.
+    ``index`` lists the pair states (m1, m2) block by block; block ``k``
+    occupies entries ``bounds[k]:bounds[k + 1]`` and acts there as
+    ``blocks[k]``.  Each operator owns its ``index`` arrays: sharing the
+    cached layout's arrays raised the peak resident size of cutoff-30
+    replays by about 10 MB, through glibc's heap placement.
     """
 
-    perm: np.ndarray
+    index: tuple[np.ndarray, np.ndarray]
     bounds: tuple[int, ...]
     blocks: tuple[np.ndarray, ...]
 
     def conj(self) -> "_PairBlocks":
         return self._replace(blocks=tuple(b.conj() for b in self.blocks))
 
-    @classmethod
-    def build(cls, cutoff: int, difference: bool, block_of) -> "_PairBlocks":
-        """One block ``block_of(m1, m2)`` per value of m1 + m2, or of
-        m1 - m2 when ``difference``, over its pair states in increasing m1."""
-        levels = np.arange(cutoff)
-        values = range(1 - cutoff, cutoff) if difference else range(2 * cutoff - 1)
-        perm, bounds, blocks = [], [0], []
-        for value in values:
-            m2 = levels - value if difference else value - levels
-            inside = (m2 >= 0) & (m2 < cutoff)
-            m1, m2 = levels[inside], m2[inside]
-            block = block_of(m1, m2)
-            block.setflags(write=False)
-            blocks.append(block)
-            perm.append(m1 * cutoff + m2)
-            bounds.append(bounds[-1] + m1.size)
-        perm_arr = np.concatenate(perm)
-        perm_arr.setflags(write=False)
-        return cls(perm_arr, tuple(bounds), tuple(blocks))
+
+@lru_cache(maxsize=128)
+def _block_layout(cutoff: int, difference: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Pair indices ``m1 * cutoff + m2`` grouped by m1 + m2, or by m1 - m2
+    when ``difference``, in increasing m1 within each group, and the group
+    bounds."""
+    levels = np.arange(cutoff)
+    values = range(1 - cutoff, cutoff) if difference else range(2 * cutoff - 1)
+    perm, bounds = [], [0]
+    for value in values:
+        m2 = levels - value if difference else value - levels
+        inside = (m2 >= 0) & (m2 < cutoff)
+        perm.append(levels[inside] * cutoff + m2[inside])
+        bounds.append(bounds[-1] + perm[-1].size)
+    perm_arr = np.concatenate(perm)
+    perm_arr.setflags(write=False)
+    return perm_arr, tuple(bounds)
 
 
 @lru_cache(maxsize=128)
@@ -145,13 +156,16 @@ def _pair_blocks(
     block per value of the conserved quantity holds its pair states in
     increasing m1, on which G is tridiagonal.
     """
-
-    def block_of(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    perm, bounds = _block_layout(cutoff, squeezer)
+    index = np.divmod(perm, cutoff)
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        m1, m2 = index[0][lo:hi], index[1][lo:hi]
         # G = iH; A links neighbours i -> i + 1 by sqrt(m1[i + 1] * max(m2[i], m2[i + 1]))
         lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
-        return _expm_tridiagonal(phase1 * m1 + phase2 * m2, lower)
-
-    return _PairBlocks.build(cutoff, squeezer, block_of)
+        blocks.append(_expm_tridiagonal(phase1 * m1 + phase2 * m2, lower))
+        blocks[-1].setflags(write=False)
+    return _PairBlocks(index, bounds, tuple(blocks))
 
 
 def _pair_operator(elem: BeamSplitter | TwoModeSqueeze, cutoff: int) -> _PairBlocks:
@@ -188,7 +202,8 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     if isinstance(elem, Displace):
         return _displace_matrix(complex(elem.alpha), cutoff)
     if isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
-        perm, _, blocks = _pair_operator(elem, cutoff)
+        (m1, m2), _, blocks = _pair_operator(elem, cutoff)
+        perm = m1 * cutoff + m2
         out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
         out[np.ix_(perm, perm)] = la.block_diag(*blocks)
         return out
@@ -202,24 +217,34 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
 
     Kraus operators K_k[n-k, n] = sqrt(C(n,k) eta^(n-k) (1-eta)^k) and
     K_k[n+k, n] = sqrt(C(n+k,k)) tanh(s)^k / cosh(s)^(n+1), tabulated as
-    K_t[n + t, n] = table[cutoff - 1 + t, n] for a shift t = -k or k.
+    K_t[n + t, n] = table[cutoff - 1 + t, n] for a shift t = -k or k; the
+    tables' extra column n = cutoff stays zero.
     """
     eta, th, ch = transmission, math.tanh(math.acosh(math.sqrt(gain))), math.sqrt(gain)
-    loss, amp = np.zeros((2, 2 * cutoff - 1, cutoff))
-    for k in range(cutoff):
-        for n in range(cutoff - k):
-            root = math.sqrt(math.comb(n + k, k))
-            loss[cutoff - 1 - k, n + k] = root * math.sqrt(eta**n * (1.0 - eta) ** k)
-            amp[cutoff - 1 + k, n] = root * th**k / ch ** (n + 1)
+    levels = np.arange(cutoff)
+    steps = np.arange(1, cutoff)[:, None]
+    # binom[k, n] = C(n + k, k) = prod_{i <= k} (n + i) / i
+    binom = np.vstack([np.ones(cutoff), np.cumprod((levels + steps) / steps, axis=0)])
+    k, n = np.nonzero(np.add.outer(levels, levels) < cutoff)
+    root = np.sqrt(binom[k, n])
+    loss, amp = np.zeros((2, 2 * cutoff - 1, cutoff + 1))
+    loss[cutoff - 1 - k, n + k] = root * np.sqrt(eta**n * (1.0 - eta) ** k)
+    amp[cutoff - 1 + k, n] = root * th**k / ch ** (n + 1)
 
-    def block_of(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # K_t rho K_t+ moves entry j to j + t, weighted K_t[n + t, n] K_t[m + t, m]
-        out_j, in_j = np.indices((n.size, n.size))
-        shift = cutoff - 1 + out_j - in_j
-        loss_b, amp_b = (t[shift, n[in_j]] * t[shift, m[in_j]] for t in (loss, amp))
-        return (amp_b @ loss_b).astype(complex)
-
-    return _PairBlocks.build(cutoff, True, block_of)
+    # all blocks at once, zero-padded to cutoff x cutoff: block d holds the
+    # (ket, bra) states (n0 + j, m0 + j), n0 - m0 = d, for j < cutoff - |d|,
+    # and K_t rho K_t+ moves entry j to i = j + t, weighted K_t[n + t, n] K_t[m + t, m];
+    # from j = cutoff - |d| on, n0 + j or m0 + j reaches the zero column
+    diff = np.arange(1 - cutoff, cutoff)[:, None]
+    row = (cutoff - 1 + levels[:, None] - levels) * (cutoff + 1)
+    ket = row + np.minimum(np.maximum(diff, 0) + levels, cutoff)[:, None, :]
+    bra = row + np.minimum(np.maximum(-diff, 0) + levels, cutoff)[:, None, :]
+    prod = (amp.take(ket) * amp.take(bra)) @ (loss.take(ket) * loss.take(bra))
+    blocks = tuple(p[:s, :s].astype(complex) for p, s in zip(prod, cutoff - np.abs(diff[:, 0])))
+    for block in blocks:
+        block.setflags(write=False)
+    perm, bounds = _block_layout(cutoff, True)
+    return _PairBlocks(np.divmod(perm, cutoff), bounds, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +331,31 @@ def _apply_single(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
 def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.ndarray:
     rest = tuple(a for a in range(tensor.ndim) if a not in (ax1, ax2))
     moved = np.transpose(tensor, (ax1, ax2) + rest)
-    index = np.divmod(op.perm, tensor.shape[ax1])
-    flat = moved[index].reshape(op.perm.size, -1)
+    flat = moved[op.index].reshape(op.index[0].size, -1)
     width = max(1, (_SERIAL_MNK - 1) // tensor.shape[ax1] ** 2)  # blocks are at most c x c
     for start in range(0, flat.shape[1], width):
         panel = flat[:, start:start + width]
         for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
             panel[lo:hi] = block @ panel[lo:hi]
     out = np.empty_like(moved)
-    out[index] = flat.reshape(op.perm.shape + moved.shape[2:])
+    out[op.index] = flat.reshape(op.index[0].shape + moved.shape[2:])
     return np.transpose(out, np.argsort((ax1, ax2) + rest))
 
 
 class _FockWorkspace:
     """Evolving state; pure vector until the first channel element."""
 
-    def __init__(self, num_modes: int, cutoff: int):
+    def __init__(self, num_modes: int, cutoff: int, rho: np.ndarray | None = None):
+        """Vacuum, or the density matrix ``rho``."""
         self.num_modes = num_modes
         self.cutoff = cutoff
-        vec = np.zeros((cutoff,) * num_modes, dtype=complex)
-        vec[(0,) * num_modes] = 1.0
-        self.vec: np.ndarray | None = vec
+        self.vec: np.ndarray | None = None
         self.rho: np.ndarray | None = None
+        if rho is None:
+            self.vec = np.zeros((cutoff,) * num_modes, dtype=complex)
+            self.vec[(0,) * num_modes] = 1.0
+        else:
+            self.rho = rho.reshape((cutoff,) * (2 * num_modes))
 
     def _densify(self) -> None:
         if self.vec is not None:
@@ -379,6 +407,14 @@ def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
         raise TypeError(f"unknown element {elem!r}")
 
 
+def _replay(ws: _FockWorkspace, circuit: GaussianCircuit) -> FockDensity:
+    if circuit.num_modes != ws.num_modes:
+        raise ValueError(f"circuit has {circuit.num_modes} modes, the state {ws.num_modes}")
+    for elem in circuit.elements:
+        _apply_element(ws, elem)
+    return FockDensity(ws.num_modes, ws.cutoff, ws.density())
+
+
 def replay_fock(
     circuit: GaussianCircuit,
     cutoff: int,
@@ -392,16 +428,20 @@ def replay_fock(
     With ``strict=True`` a :class:`TruncationError` is raised when the
     result fails the tail/boundary convergence checks.
     """
-    ws = _FockWorkspace(circuit.num_modes, cutoff)
-    for elem in circuit.elements:
-        _apply_element(ws, elem)
-    rho = FockDensity(circuit.num_modes, cutoff, ws.density())
+    rho = _replay(_FockWorkspace(circuit.num_modes, cutoff), circuit)
     if strict and not rho.converged(tail_tol, boundary_tol):
         raise TruncationError(
             f"cutoff {cutoff} too small: tail_mass={rho.tail_mass:.3e}, "
             f"boundary_mass={rho.boundary_mass():.3e}"
         )
     return rho
+
+
+def evolve_fock(rho: FockDensity, circuit: GaussianCircuit) -> FockDensity:
+    """Continue a replay: apply ``circuit`` to the density ``rho``, with no
+    convergence check (the elements conserve or lose probability, so the
+    tail of ``rho`` carries over)."""
+    return _replay(_FockWorkspace(rho.num_modes, rho.cutoff, rho.matrix), circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +499,31 @@ def _dark_kernel(dark_p1: float, floor: float = 1e-16) -> np.ndarray:
     return np.array(probs)
 
 
+def noise_kernel(det) -> np.ndarray:
+    """Distribution of the spurious counts one detector adds: geometric
+    dark counts, plus two counts with probability ``det.pump_p2``."""
+    dark = _dark_kernel(float(det.dark_p1))
+    pump = float(det.pump_p2)
+    kernel = np.zeros(len(dark) + 2)
+    kernel[: len(dark)] += dark * (1.0 - pump)
+    if pump > 0.0:
+        kernel[2:] += dark * pump
+    return kernel
+
+
+def noisy_occupations(rho: FockDensity, det) -> np.ndarray:
+    """Observed count probabilities, one axis per detector: the occupations
+    convolved with each detector's :func:`noise_kernel` in turn.  Axes run
+    past the signal cutoff by the kernel's length less one."""
+    kernel = noise_kernel(det)
+    cut = rho.cutoff
+    conv = sum(k * np.eye(cut + kernel.size - 1, cut, -s) for s, k in enumerate(kernel))
+    grid = rho.occupations()
+    for axis in range(rho.num_modes):
+        grid = _apply_single(grid, conv, axis)
+    return grid
+
+
 def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     """Observed distribution after per-detector dark counts and pump leak.
 
@@ -467,21 +532,7 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     event) attributes.  Noise is convolved classically and independently
     per detector; outcomes may exceed the signal cutoff.
     """
-    dark = _dark_kernel(float(det.dark_p1))
-    pump = float(det.pump_p2)
-    kernel = np.zeros(len(dark) + 2)
-    kernel[: len(dark)] += dark * (1.0 - pump)
-    if pump > 0.0:
-        kernel[2:] += dark * pump
-    if kernel[0] >= 1.0:
-        return photon_distribution(rho)
-    cut = rho.cutoff
-    # separable: convolve each detector's axis with the kernel in turn
-    conv = sum(k * np.eye(cut + kernel.size - 1, cut, -s) for s, k in enumerate(kernel))
-    grid = rho.occupations()
-    for axis in range(rho.num_modes):
-        grid = _apply_single(grid, conv, axis)
-    return _table(grid, cut, 1e-16)
+    return _table(noisy_occupations(rho, det), rho.cutoff, 1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +581,14 @@ def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:
     sympl, nu = williamson(state.cov)
     o1, rs, o2 = bloch_messiah(sympl)
     nbars = np.clip(nu - 0.5, 0.0, None)
-    ws = _FockWorkspace(state.num_modes, cutoff)
+    core = None
     if np.max(nbars) > 1e-12:
         diags = [_thermal_diag(float(nb), cutoff) for nb in nbars]
         joint = diags[0]
         for d in diags[1:]:
             joint = np.outer(joint, d).reshape(-1)
-        ws.vec = None
-        ws.rho = np.diag(joint.astype(complex)).reshape(
-            (cutoff,) * (2 * state.num_modes)
-        )
+        core = np.diag(joint.astype(complex))
+    ws = _FockWorkspace(state.num_modes, cutoff, core)
     _apply_passive(ws, unitary_from_orthosymplectic(o2))
     for mode, r in enumerate(rs):
         if abs(r) > 1e-14:

@@ -27,7 +27,11 @@ __all__ = [
     "MonteCarloResult",
     "monte_carlo_fidelity",
     "DEFAULT_BOUNDS",
+    "SIMPLEX_STEP",
 ]
+
+#: first-simplex step of :func:`nelder_mead`, as a share of each bound range
+SIMPLEX_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ def nelder_mead(
 
     simplex = [start]
     for i in range(n):
-        step = 0.05 * (hi[i] - lo[i]) if math.isfinite(hi[i] - lo[i]) else 0.1
+        step = SIMPLEX_STEP * (hi[i] - lo[i]) if math.isfinite(hi[i] - lo[i]) else 0.1
         step = step if step > 0 else 0.1
         vertex = start.copy()
         vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step

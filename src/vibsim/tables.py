@@ -87,12 +87,3 @@ class CountHistogram:
         """Relative frequencies as a probability table."""
         probs = {k: c / self.total_shots for k, c in self.counts.items() if c}
         return FCTable(probs, cutoff, 0.0)
-
-    def pooled(self, cutoff: int) -> "CountHistogram":
-        """Pool outcomes with any occupation >= cutoff into the sink."""
-        pooled: dict[Outcome, int] = {}
-        sink = sink_outcome(self.num_modes)
-        for key, c in self.counts.items():
-            target = sink if (is_sink(key) or max(key) >= cutoff) else key
-            pooled[target] = pooled.get(target, 0) + c
-        return CountHistogram(pooled, self.total_shots, self.metadata)

@@ -6,6 +6,7 @@ import pytest
 from vibsim.calibrate import (
     HistogramFormatError,
     PumpFit,
+    _moment_start,
     fit_pump_curve,
     fit_source,
     hom_to_delta,
@@ -31,25 +32,41 @@ def synthetic_histograms(r, eta, shots, seed, cutoff=12):
     return h
 
 
+def exact_histograms(r, eta, cutoff, det=DET):
+    """The exact model distributions of both settings as 10^9-shot "data"."""
+    shots = 10**9
+    hists = []
+    for t, name in ((1.0, "100:0"), (0.0, "0:100")):
+        table = predicted_distribution(r, eta, t, det, cutoff).with_sink()
+        counts = {k: round(p * shots) for k, p in table.entries.items() if p > 1e-12}
+        hists.append(CountHistogram(counts, sum(counts.values()), {"bs_setting": name}))
+    return hists
+
+
+def assert_round_trip(r, eta, seed):
+    hist_t, hist_r = synthetic_histograms(r, eta, 1_000_000, seed=seed)
+    fit = fit_source(hist_t, hist_r, DET)
+    assert fit.converged
+    assert fit.r == pytest.approx(r, abs=0.01)
+    assert fit.eta[0] == pytest.approx(eta[0], abs=0.02)
+    assert fit.eta[1] == pytest.approx(eta[1], abs=0.02)
+
+
 class TestFitSource:
     def test_round_trip(self):
-        truth = (0.3, (0.45, 0.40))
-        hist_t, hist_r = synthetic_histograms(truth[0], truth[1], 1_000_000, seed=17)
-        fit = fit_source(hist_t, hist_r, DET)
-        assert fit.converged
-        assert fit.r == pytest.approx(truth[0], abs=0.01)
-        assert fit.eta[0] == pytest.approx(truth[1][0], abs=0.02)
-        assert fit.eta[1] == pytest.approx(truth[1][1], abs=0.02)
+        assert_round_trip(0.3, (0.45, 0.40), seed=17)
+
+    # pairs on which the fit, started at (0.3, 0.5, 0.5), reported convergence
+    # at r = 0.2605 and r = 0.430, well above the summed TVD of the truth
+    @pytest.mark.parametrize(
+        "r, eta, seed", [(0.302, (0.316, 0.36), 1086), (0.483, (0.342, 0.315), 1284)]
+    )
+    def test_round_trip_formerly_stalled(self, r, eta, seed):
+        assert_round_trip(r, eta, seed)
 
     def test_perfect_statistics_zero_residual(self):
         r, eta, cutoff = 0.25, (0.5, 0.6), 10
-        # feed the exact model distribution back as "data"
-        shots = 10**9
-        hists = []
-        for t, name in ((1.0, "100:0"), (0.0, "0:100")):
-            table = predicted_distribution(r, eta, t, DET, cutoff).with_sink()
-            counts = {k: round(p * shots) for k, p in table.entries.items() if p > 1e-12}
-            hists.append(CountHistogram(counts, sum(counts.values()), {"bs_setting": name}))
+        hists = exact_histograms(r, eta, cutoff)
         fit = fit_source(hists[0], hists[1], DET, cutoff=cutoff, tol=1e-11, max_iter=4000)
         assert fit.residual_tvd < 1e-7
         assert fit.r == pytest.approx(r, abs=1e-5)
@@ -67,6 +84,43 @@ class TestFitSource:
             hist_t, hist_r = synthetic_histograms(0.3, (0.5, 0.5), 200_000, seed=100 + 3 * seed)
             recovered.append(fit_source(hist_t, hist_r, DET).r)
         assert abs(np.mean(recovered) - 0.3) < 0.003
+
+
+class TestMomentStart:
+    @pytest.mark.parametrize(
+        "r, eta, det",
+        [
+            (0.25, (0.5, 0.6), DET),
+            (0.6, (0.35, 0.7), DET),
+            (0.45, (0.9, 0.3), DetectorModel(0.004, 0.002)),
+            (0.4, (0.5, 0.5), DetectorModel(0.0, 0.0)),
+        ],
+    )
+    def test_exact_statistics(self, r, eta, det):
+        hist_t, _ = exact_histograms(r, eta, 20, det)
+        start = _moment_start(hist_t, det)
+        assert start == pytest.approx([r, *eta], abs=0.01)
+
+    def test_sink_rows_left_out(self):
+        # 2 % of the shots in the sink, which holds no count vector; read as
+        # (-1, -1) it would lower both means by 0.02 and the fallback would win
+        hist_t, _ = exact_histograms(0.25, (0.5, 0.6), 20)
+        sink = hist_t.total_shots // 50
+        counts = dict(hist_t.counts)
+        counts[(-1, -1)] = counts.get((-1, -1), 0) + sink
+        hist = CountHistogram(counts, hist_t.total_shots + sink)
+        assert _moment_start(hist, DET) == pytest.approx([0.25, 0.5, 0.6], abs=0.01)
+
+    def test_vacuum_counts_fall_back(self):
+        hist = CountHistogram({(0, 0): 1000}, 1000)
+        assert _moment_start(hist, DET) == pytest.approx([0.3, 0.5, 0.5])
+
+    def test_start_clamped_inside_bounds(self):
+        # an excess covariance of 1e-4 on means of 0.1 asks for sinh(r)^2 = 100
+        # and eta = 0.001; the start stays one simplex step inside the bounds
+        hist = CountHistogram({(0, 0): 8201, (1, 0): 799, (0, 1): 799, (1, 1): 201}, 10_000)
+        start = _moment_start(hist, DetectorModel(0.0, 0.0))
+        assert start == pytest.approx([1.425, 0.05, 0.05])
 
 
 class TestPumpLaw:

@@ -251,6 +251,15 @@ class TestTomography:
         assert fit["eta"][1] == pytest.approx(0.40, abs=0.02)
         assert fit["converged"] is True
 
+    def test_vacuum_counts_exit_cleanly(self, tmp_path, capsys):
+        for name in ("trans.csv", "refl.csv"):
+            write_histogram_csv(CountHistogram({(0, 0): 1000}, 1000), tmp_path / name)
+        path = write_config(tmp_path)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography",
+                     str(tmp_path / "trans.csv"), str(tmp_path / "refl.csv")])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_malformed_csv_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("m1,m2,count\n0,0,5\nnot,a,row\n")

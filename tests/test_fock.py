@@ -83,7 +83,8 @@ def _ladder_pair(cutoff):
 
 def _dense(op, cutoff):
     out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
-    out[np.ix_(op.perm, op.perm)] = la.block_diag(*op.blocks)
+    perm = op.index[0] * cutoff + op.index[1]
+    out[np.ix_(perm, perm)] = la.block_diag(*op.blocks)
     return out
 
 

@@ -21,6 +21,7 @@ from vibsim.gaussian import (
     total_mean_photon,
     vacuum,
 )
+from vibsim.fock import fidelity_fock, replay_fock
 from helpers import random_circuit
 
 
@@ -144,6 +145,24 @@ class TestFidelity:
         for _ in range(8):
             state = replay(random_circuit(rng))
             assert fidelity(state, state) == pytest.approx(1.0, abs=1e-9)
+
+    def test_perturbed_self_fidelity(self):
+        # same states as above, several of them mixed with a pure mode
+        rng = np.random.default_rng(15)
+        for _ in range(8):
+            state = replay(random_circuit(rng))
+            nudged = GaussianState(state.mean + 1e-9, state.cov + 1e-9 * np.eye(len(state.cov)))
+            assert fidelity(state, nudged) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("loss2", [(0.6, 1.0), (0.6, 0.8)])
+    def test_pure_mode_pair_matches_fock(self, loss2):
+        # loss on one arm of a two-mode squeezer leaves one symplectic
+        # eigenvalue at 1/2, the singular case of the mixed-state formula
+        c1 = GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.7)])
+        c2 = GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.35), Displace(1, 0.2),
+                                 Loss(0, loss2[0]), Loss(1, loss2[1])])
+        expected = fidelity_fock(replay_fock(c1, 16), replay_fock(c2, 16))
+        assert fidelity(replay(c1), replay(c2)) == pytest.approx(expected, abs=1e-6)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(16)
