@@ -70,7 +70,8 @@ def predicted_distribution(
 def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of a two-mode histogram, one row each, and their frequencies."""
     if hist.num_modes != 2:
-        raise ValueError("source tomography needs two-mode histograms")
+        # the mode count is set by the header of a histogram file
+        raise HistogramFormatError("source tomography needs two-mode histograms", 1)
     outcomes = np.array(list(hist.counts), dtype=np.int64)
     return outcomes, np.array(list(hist.counts.values()), dtype=float) / hist.total_shots
 
@@ -259,33 +260,42 @@ def write_histogram_csv(hist: CountHistogram, path) -> None:
 def read_histogram_csv(path) -> CountHistogram:
     path = Path(path)
     counts: dict[tuple[int, ...], int] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        reader = csv.reader(path.read_text().splitlines())
+    except UnicodeDecodeError:
+        raise HistogramFormatError("not UTF-8 text", 1) from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise HistogramFormatError("empty file", 1) from None
+    if len(header) < 2 or header[-1].strip() != "count":
+        raise HistogramFormatError("header must be m1,..,mM,count", 1)
+    modes = len(header) - 1
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != modes + 1:
+            raise HistogramFormatError(f"expected {modes + 1} fields", lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HistogramFormatError("empty file", 1) from None
-        if len(header) < 2 or header[-1].strip() != "count":
-            raise HistogramFormatError("header must be m1,..,mM,count", 1)
-        modes = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != modes + 1:
-                raise HistogramFormatError(f"expected {modes + 1} fields", lineno)
-            try:
-                outcome = tuple(int(v) for v in row[:-1])
-                count = int(row[-1])
-            except ValueError:
-                raise HistogramFormatError("non-integer field", lineno) from None
-            if count < 0:
-                raise HistogramFormatError("negative count", lineno)
-            counts[outcome] = counts.get(outcome, 0) + count
+            outcome = tuple(int(v) for v in row[:-1])
+            count = int(row[-1])
+        except ValueError:
+            raise HistogramFormatError("non-integer field", lineno) from None
+        if count < 0:
+            raise HistogramFormatError("negative count", lineno)
+        counts[outcome] = counts.get(outcome, 0) + count
     if not counts:
         raise HistogramFormatError("no data rows", 2)
     metadata = {}
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
+        try:
+            metadata = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise HistogramFormatError(f"{sidecar.name}: {exc.msg}", exc.lineno) from None
+        except UnicodeDecodeError:
+            raise HistogramFormatError(f"{sidecar.name}: not UTF-8 text", 1) from None
+        if not isinstance(metadata, dict):
+            raise HistogramFormatError(f"{sidecar.name}: expected a JSON object", 1)
         metadata.pop("shots", None)
     return CountHistogram(counts, sum(counts.values()), metadata)

@@ -8,9 +8,11 @@ Exit codes: 0 success, 2 input error, 3 convergence or physicality failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .experiment import (
     observed_distribution,
 )
 from .gaussian import BeamSplitter, PhysicalityError
-from .optimize import loss_sweep, monte_carlo_fidelity, optimize_experiment
+from .optimize import DEFAULT_BOUNDS, loss_sweep, monte_carlo_fidelity, optimize_experiment
 from .tables import FCTable, is_sink
 from .vibronic import OpticalTarget, VibronicTransition, doktorov_decompose, fc_factors, spectrum
 
@@ -76,6 +78,8 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
                 raise ConfigError("bs_angle applies to two-mode targets only")
             interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
         disp = tuple(complex(d[0], d[1]) for d in obj.get("displacement", []))
+        if not all(cmath.isfinite(a) for a in disp):
+            raise ConfigError("target displacement values must be finite")
         target = OpticalTarget(squeeze, interferometer, disp)
         freqs = obj.get("excited_freqs_cm1")
         return target, tuple(freqs) if freqs else None
@@ -122,7 +126,8 @@ def load_config(path: Path) -> dict:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON or text that is not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     try:
         return _parse_config(raw)
@@ -130,7 +135,7 @@ def load_config(path: Path) -> dict:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing field {exc} in {path}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # wrong types and out-of-range values, from parsing or a model constructor
         raise ConfigError(f"invalid config {path}: {exc}") from None
 
@@ -279,9 +284,20 @@ def experiment_section(model: ExperimentModel) -> dict:
     }
 
 
+def _check_start(what: str, value: float, name: str) -> None:
+    """Reject an optimiser start outside ``DEFAULT_BOUNDS[name]``."""
+    lo, hi = DEFAULT_BOUNDS[name]
+    if not lo <= value <= hi:
+        raise ConfigError(
+            f"the optimiser starts from {what} = {value}, outside its bound [{lo}, {hi}]"
+        )
+
+
 def cmd_optimize(cfg: dict, out_dir: Path) -> int:
     target: OpticalTarget = cfg["target"]
     template: ExperimentModel = cfg["experiment"]
+    for name, value in asdict(template.source).items():
+        _check_start(f"the experiment's {name}", value, name)
     best, f_star = optimize_experiment(template, target)
     mc = monte_carlo_fidelity(
         best, target, cfg["uncertainties"], n=cfg["monte_carlo_samples"], seed=cfg["seed"]
@@ -319,6 +335,9 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, grid: list[float]) -> int:
     target: OpticalTarget = cfg["target"]
     if any(not 0.0 <= g < 1.0 for g in grid):
         raise ConfigError("loss grid values must lie in [0, 1)")
+    for i, r in enumerate(target.squeeze):
+        # the SMSV fits start from the target's squeezing
+        _check_start(f"|target squeeze[{i}]|", abs(r), f"r{i + 1}")
     detector = cfg["experiment"].detector if "experiment" in cfg else DetectorModel()
     delta = cfg["experiment"].distinguishability if "experiment" in cfg else 0.06
     threshold = metrics.closest_classical(target).classical_fidelity
@@ -391,12 +410,15 @@ def main(argv=None) -> int:
             return cmd_ideal(cfg, out_dir)
         if args.command == "simulate":
             _require(cfg, "target", "experiment")
+            _require_two_modes(cfg)
             return cmd_simulate(cfg, out_dir)
         if args.command == "optimize":
             _require(cfg, "target", "experiment")
+            _require_two_modes(cfg)
             return cmd_optimize(cfg, out_dir)
         if args.command == "sweep-loss":
             _require(cfg, "target")
+            _require_two_modes(cfg)
             return cmd_sweep_loss(cfg, out_dir, _parse_grid(args.grid))
         if args.command == "tomography":
             return cmd_tomography(cfg, out_dir, Path(args.transmissive), Path(args.reflective))
@@ -413,6 +435,14 @@ def _require(cfg: dict, *sections: str) -> None:
     for section in sections:
         if section not in cfg:
             raise ConfigError(f"this command needs a '{section}' section in the config")
+
+
+def _require_two_modes(cfg: dict) -> None:
+    modes = cfg["target"].num_modes
+    if modes != 2:
+        raise ConfigError(
+            f"this command models a two-mode experiment; the target has {modes} modes"
+        )
 
 
 if __name__ == "__main__":

@@ -53,8 +53,8 @@ class SMSVPair:
     r2: float
 
     def __post_init__(self) -> None:
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("squeezing magnitudes must be >= 0")
+        if not (0.0 <= self.r1 < math.inf and 0.0 <= self.r2 < math.inf):
+            raise ValueError("squeezing magnitudes must be finite and >= 0")
 
     def elements(self) -> list[Element]:
         return [Squeeze(0, -self.r1), Squeeze(1, self.r2)]
@@ -70,8 +70,8 @@ class TMSV:
     r: float
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("squeezing magnitude must be >= 0")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError("squeezing magnitude must be finite and >= 0")
 
     def elements(self) -> list[Element]:
         return [TwoModeSqueeze(0, 1, self.r)]

@@ -42,8 +42,11 @@ __all__ = [
 #: tolerance below 1/2 at which a symplectic eigenvalue is deemed unphysical
 PHYSICALITY_TOL = 1e-9
 
-#: symplectic eigenvalues within this distance of 1/2 are treated as pure
-_PURITY_TOL = 1e-9
+#: symplectic eigenvalues within this distance of 1/2 are treated as pure.
+#: Fidelities move by about the square root of that distance, so the switch
+#: between the pure and the mixed formula jumps by about 1e-6; the rounding
+#: of pure states squeezed up to r ~ 1.5 stays below it.
+_PURITY_TOL = 1e-12
 
 
 class PhysicalityError(ValueError):
@@ -166,19 +169,23 @@ class GaussianCircuit:
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Symplectic form Omega = [[0, I], [-I, 0]] in xxpp ordering."""
     eye = np.eye(num_modes)
-    zero = np.zeros((num_modes, num_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = np.zeros((2 * num_modes, 2 * num_modes))
+    omega[:num_modes, num_modes:] = eye
+    omega[num_modes:, :num_modes] = -eye
+    return omega
 
 
 class GaussianState:
     """Mean vector and covariance matrix of ``num_modes`` optical modes.
 
     The covariance matrix is symmetrized on construction and checked for
-    physicality (all symplectic eigenvalues >= 1/2 within tolerance).
-    Instances are immutable.
+    physicality (all symplectic eigenvalues >= 1/2 within tolerance).  The
+    eigenvalues that check computes are kept for
+    :func:`symplectic_eigenvalues`; a state built with ``validate=False``
+    computes them on first use.  Instances are immutable.
     """
 
-    __slots__ = ("num_modes", "mean", "cov")
+    __slots__ = ("num_modes", "mean", "cov", "_nu")
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, *, validate: bool = True):
         mean = np.asarray(mean, dtype=float).reshape(-1).copy()
@@ -194,8 +201,10 @@ class GaussianState:
         if asym > 1e-8:
             raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.2e})")
         cov = 0.5 * (cov + cov.T)
+        nu = None
         if validate:
-            nu_min = float(np.min(_symplectic_eigenvalues(cov)))
+            nu = _symplectic_eigenvalues(cov)
+            nu_min = float(nu.min())
             if nu_min < 0.5 - PHYSICALITY_TOL:
                 raise PhysicalityError(
                     f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
@@ -205,9 +214,14 @@ class GaussianState:
         object.__setattr__(self, "num_modes", num_modes)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_nu", nu)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("GaussianState is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which __setattr__ leaves open
+        return GaussianState, (self.mean, self.cov)
 
     def __repr__(self) -> str:
         return f"GaussianState(num_modes={self.num_modes})"
@@ -257,7 +271,11 @@ def element_symplectic(elem: Element, num_modes: int) -> tuple[np.ndarray, np.nd
     handled separately in :func:`apply`.
     """
     _validate_element(elem, num_modes)
-    n = num_modes
+    return _symplectic(elem, num_modes)
+
+
+def _symplectic(elem: Element, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`element_symplectic` of an element already validated for ``n`` modes."""
     s = np.eye(2 * n)
     d = np.zeros(2 * n)
     if isinstance(elem, Squeeze):
@@ -286,35 +304,50 @@ def element_symplectic(elem: Element, num_modes: int) -> tuple[np.ndarray, np.nd
     return s, d
 
 
+def _step(
+    mean: np.ndarray, cov: np.ndarray, elem: Element, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One validated element on (mean, cov) arrays, the covariance
+    symmetrized as :class:`GaussianState` does; no physicality check."""
+    if isinstance(elem, _UNITARY_KINDS):
+        s, d = _symplectic(elem, n)
+        mean, cov = s @ mean + d, s @ cov @ s.T
+    else:
+        # Loss / ThermalMix: contract the mode and add diagonal noise.
+        if isinstance(elem, Loss):
+            g = math.sqrt(elem.transmission)
+            extra = 0.5 * (1.0 - elem.transmission)
+        else:
+            g = math.sqrt(1.0 - elem.reflectivity)
+            extra = elem.reflectivity * (elem.mean_photons + 0.5)
+        ix, ip = elem.mode, elem.mode + n
+        scale = np.ones(2 * n)
+        scale[[ix, ip]] = g
+        cov = cov * np.outer(scale, scale)
+        cov[ix, ix] += extra
+        cov[ip, ip] += extra
+        mean = mean * scale
+    return mean, 0.5 * (cov + cov.T)
+
+
 def apply(state: GaussianState, elem: Element) -> GaussianState:
     """Apply one circuit element to a state."""
     _validate_element(elem, state.num_modes)
-    n = state.num_modes
-    if isinstance(elem, _UNITARY_KINDS):
-        s, d = element_symplectic(elem, n)
-        return GaussianState(s @ state.mean + d, s @ state.cov @ s.T)
-    # Loss / ThermalMix: contract the mode and add diagonal noise.
-    if isinstance(elem, Loss):
-        g = math.sqrt(elem.transmission)
-        extra = 0.5 * (1.0 - elem.transmission)
-    else:
-        g = math.sqrt(1.0 - elem.reflectivity)
-        extra = elem.reflectivity * (elem.mean_photons + 0.5)
-    ix, ip = state.mode_indices(elem.mode)
-    scale = np.ones(2 * n)
-    scale[[ix, ip]] = g
-    cov = state.cov * np.outer(scale, scale)
-    cov[ix, ix] += extra
-    cov[ip, ip] += extra
-    return GaussianState(state.mean * scale, cov)
+    return GaussianState(*_step(state.mean, state.cov, elem, state.num_modes))
 
 
 def replay(circuit: GaussianCircuit) -> GaussianState:
-    """Fold the circuit over the vacuum."""
-    state = vacuum(circuit.num_modes)
+    """Fold the circuit over the vacuum.
+
+    The elements were validated when the circuit was built, and only the
+    final state is checked for physicality: every element maps physical
+    states to physical states.
+    """
+    n = circuit.num_modes
+    mean, cov = np.zeros(2 * n), 0.5 * np.eye(2 * n)
     for elem in circuit.elements:
-        state = apply(state, elem)
-    return state
+        mean, cov = _step(mean, cov, elem, n)
+    return GaussianState(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +371,19 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     num_modes = cov.shape[0] // 2
     omega = symplectic_form(num_modes)
     eigs = np.linalg.eigvals(1j * omega @ cov)
-    return np.sort(np.abs(eigs))[::2]
+    nu = np.sort(np.abs(eigs))[::2]
+    nu.setflags(write=False)
+    return nu
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
-    """Williamson symplectic eigenvalues, ascending (vacuum -> 1/2 each)."""
-    return _symplectic_eigenvalues(state.cov)
+    """Williamson symplectic eigenvalues, ascending (vacuum -> 1/2 each),
+    as a read-only array kept on the state."""
+    nu = state._nu
+    if nu is None:
+        nu = _symplectic_eigenvalues(state.cov)
+        object.__setattr__(state, "_nu", nu)
+    return nu
 
 
 # ---------------------------------------------------------------------------

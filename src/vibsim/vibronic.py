@@ -72,6 +72,8 @@ class VibronicTransition:
         disp = np.zeros(m) if disp is None else np.asarray(disp, dtype=float).reshape(-1)
         if disp.size != m:
             raise ValueError("displacement must match the mode count")
+        if not all(np.all(np.isfinite(v)) for v in (u, gf, ef, disp)):
+            raise ValueError("transition parameters must be finite")
         defect = np.max(np.abs(u.T @ u - np.eye(m)))
         if defect > 1e-3:
             raise ValueError(f"duschinsky matrix is not orthogonal (defect {defect:.2e})")
@@ -131,7 +133,13 @@ class OpticalTarget:
         return GaussianCircuit(self.num_modes, elements)
 
     def state(self) -> GaussianState:
-        return replay(self.circuit())
+        """The replayed recipe, computed once per instance (kept outside the
+        dataclass fields, so equality and hashing ignore it)."""
+        state = self.__dict__.get("_state")
+        if state is None:
+            state = replay(self.circuit())
+            object.__setattr__(self, "_state", state)
+        return state
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ def read_csv_rows(path):
 #: config fields that are missing, of a wrong type or out of range
 MALFORMED = {
     "cutoff-string": {"cutoff": "abc"},
+    "inf-cutoff": {"cutoff": math.inf},
     "negative-sigma-r": {"uncertainties": {"sigma_r": -0.01}},
     "string-bs-angle": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2], "bs_angle": "wide"}},
     "dark-p1-above-one": {"experiment": {**paper_experiment_section(), "detector": {"dark_p1": 2}}},
@@ -49,6 +50,20 @@ MALFORMED = {
         "ground_freqs_cm1": [100.0, -200.0], "excited_freqs_cm1": [120.0, 180.0]}},
     "nan-squeeze": {"target": {"kind": "optical", "squeeze": [math.nan, 0.2], "bs_angle": 0.3}},
     "missing-squeeze": {"target": {"kind": "optical"}},
+    "nan-tmsv-r": {"experiment": paper_experiment_section(r=math.nan)},
+    "inf-tmsv-r": {"experiment": paper_experiment_section(r=math.inf)},
+    "nan-smsv-r2": {"experiment": {**paper_experiment_section(),
+                                   "source": {"kind": "smsv_pair", "r1": 0.3, "r2": math.nan}}},
+    "inf-smsv-r1": {"experiment": {**paper_experiment_section(),
+                                   "source": {"kind": "smsv_pair", "r1": math.inf, "r2": 0.1}}},
+    "nan-displacement": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2], "bs_angle": 0.3,
+                                    "displacement": [[math.nan, 0.0], [0.0, 0.0]]}},
+    "inf-displacement": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2], "bs_angle": 0.3,
+                                    "displacement": [[0.0, 0.0], [0.0, -math.inf]]}},
+    "nan-transition-displacement": {"target": {
+        "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
+        "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0],
+        "displacement": [math.nan, 0.0]}},
 }
 
 
@@ -61,6 +76,11 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path), "ideal"]) == 2
+
+    def test_non_utf8_config(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"]) == 2
 
     def test_bad_version(self, tmp_path):
         path = write_config(tmp_path)
@@ -76,6 +96,29 @@ class TestConfigValidation:
         path = write_config(tmp_path, **{"experiment": paper_experiment_section(), **overrides})
         assert main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_optimize_start_outside_bounds_exits_2(self, tmp_path, capsys):
+        from vibsim.optimize import DEFAULT_BOUNDS
+
+        path = write_config(tmp_path, experiment=paper_experiment_section(r=2.5))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"]) == 2
+        assert f"[{DEFAULT_BOUNDS['r'][0]}, {DEFAULT_BOUNDS['r'][1]}]" in capsys.readouterr().err
+        # the same experiment is a valid input to simulate (which finds the
+        # cutoff too small for this squeezing)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "simulate"]) == 3
+
+    def test_sweep_start_outside_bounds_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, target={"kind": "optical", "squeeze": [-2.5, 0.2]})
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "sweep-loss",
+                     "--grid", "0.1,0.2"]) == 2
+        assert "squeeze[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "sweep-loss"])
+    def test_three_mode_target_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, experiment=paper_experiment_section(),
+                            target={"kind": "optical", "squeeze": [-0.5, 0.2, 0.1]})
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), command]) == 2
+        assert "3 modes" in capsys.readouterr().err
 
 
 class TestIdeal:
@@ -270,3 +313,35 @@ class TestTomography:
                      str(bad), str(good)])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"m1,m2,count\n0,0,5\n\xff\xfe,1,2\n")
+        path = write_config(tmp_path)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography",
+                     str(bad), str(bad)])
+        assert code == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_three_mode_histogram_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        write_histogram_csv(CountHistogram({(0, 0, 0): 8, (1, 0, 1): 2}, 10), bad)
+        good = tmp_path / "good.csv"
+        write_histogram_csv(CountHistogram({(0, 0): 10}, 10), good)
+        path = write_config(tmp_path)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography",
+                     str(bad), str(good)])
+        assert code == 2
+        assert "two-mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [b"{not json", b"[1, 2]", b"\xff{}"],
+                             ids=["not-json", "not-object", "not-utf8"])
+    def test_malformed_sidecar_exit_code(self, tmp_path, capsys, sidecar):
+        for name in ("trans.csv", "refl.csv"):
+            write_histogram_csv(CountHistogram({(0, 0): 9, (1, 1): 1}, 10), tmp_path / name)
+        (tmp_path / "refl.json").write_bytes(sidecar)
+        path = write_config(tmp_path)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography",
+                     str(tmp_path / "trans.csv"), str(tmp_path / "refl.csv")])
+        assert code == 2
+        assert "refl.json" in capsys.readouterr().err

@@ -18,9 +18,11 @@ from vibsim.gaussian import (
     mean_photon,
     replay,
     symplectic_eigenvalues,
+    symplectic_form,
     total_mean_photon,
     vacuum,
 )
+from vibsim import gaussian
 from vibsim.fock import fidelity_fock, replay_fock
 from helpers import random_circuit
 
@@ -102,6 +104,60 @@ class TestReplay:
             assert mean_photon(state, mode) == pytest.approx(math.sinh(r) ** 2, abs=1e-12)
 
 
+def apply_fold(circuit):
+    """Reference replay: the public :func:`apply`, element by element."""
+    state = vacuum(circuit.num_modes)
+    for elem in circuit.elements:
+        state = apply(state, elem)
+    return state
+
+
+def fresh_symplectic_eigenvalues(cov):
+    eigs = np.linalg.eigvals(1j * symplectic_form(len(cov) // 2) @ cov)
+    return np.sort(np.abs(eigs))[::2]
+
+
+class TestReplayFold:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_replay_equals_apply_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(rng, int(rng.integers(1, 4)), max_elements=8)
+        state, reference = replay(circuit), apply_fold(circuit)
+        assert np.array_equal(state.mean, reference.mean)
+        assert np.array_equal(state.cov, reference.cov)
+
+    def test_symplectic_form_layout(self):
+        n = 3
+        eye, zero = np.eye(n), np.zeros((n, n))
+        assert np.array_equal(symplectic_form(n), np.block([[zero, eye], [-eye, zero]]))
+
+
+class TestStoredEigenvalues:
+    def test_validated_state_keeps_its_eigenvalues(self):
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            state = replay(random_circuit(rng))
+            nu = symplectic_eigenvalues(state)
+            assert symplectic_eigenvalues(state) is nu
+            assert np.array_equal(nu, fresh_symplectic_eigenvalues(state.cov))
+
+    def test_unvalidated_state_computes_once(self):
+        state = replay(random_circuit(np.random.default_rng(22)))
+        lazy = GaussianState(state.mean, state.cov, validate=False)
+        nu = symplectic_eigenvalues(lazy)
+        assert symplectic_eigenvalues(lazy) is nu
+        assert np.array_equal(nu, fresh_symplectic_eigenvalues(state.cov))
+        assert np.array_equal(symplectic_eigenvalues(vacuum(2)), [0.5, 0.5])
+
+    def test_read_only(self):
+        state = replay(random_circuit(np.random.default_rng(23)))
+        nu = symplectic_eigenvalues(state)
+        with pytest.raises(ValueError):
+            nu[0] = 0.0
+        with pytest.raises(AttributeError):
+            state._nu = None
+
+
 class TestInvariants:
     def test_unitary_preserves_symplectic_spectrum(self):
         rng = np.random.default_rng(11)
@@ -163,6 +219,37 @@ class TestFidelity:
                                  Loss(0, loss2[0]), Loss(1, loss2[1])])
         expected = fidelity_fock(replay_fock(c1, 16), replay_fock(c2, 16))
         assert fidelity(replay(c1), replay(c2)) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_continuous_across_purity_switch(self, seed):
+        # scaling a pure covariance by 1 + 2 eps puts every symplectic
+        # eigenvalue at 1/2 + eps: below the switch the overlap formula
+        # applies, above it the mixed-state formula; the fidelity itself
+        # moves by about sqrt(eps) between the two
+        rng = np.random.default_rng(seed)
+        mixed = replay(random_circuit(rng).extended(ThermalMix(0, 0.2, 0.3)))
+        pure = replay(random_circuit(rng, channels=False))
+        tol = gaussian._PURITY_TOL
+        near = [GaussianState(pure.mean, (1.0 + 2.0 * eps) * pure.cov)
+                for eps in (tol / 2, 2 * tol)]
+        below, above = (symplectic_eigenvalues(s)[-1] for s in near)
+        assert below < 0.5 + tol < above
+        assert fidelity(mixed, near[0]) == pytest.approx(fidelity(mixed, near[1]), abs=1e-6)
+
+    def test_mixed_pairs_match_fock(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 6:
+            circuits = [random_circuit(rng).extended(ThermalMix(m, 0.15, 0.2))
+                        for m in rng.integers(0, 2, size=2)]
+            states = [replay(c) for c in circuits]
+            rhos = [replay_fock(c, 18, strict=False) for c in circuits]
+            if max(rho.tail_mass for rho in rhos) >= 1e-3:
+                continue
+            assert min(symplectic_eigenvalues(s)[-1] for s in states) > 0.5 + 1e-6
+            expected = fidelity_fock(*rhos)
+            assert fidelity(*states) == pytest.approx(expected, abs=1e-6)
+            checked += 1
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(16)

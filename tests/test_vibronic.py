@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +96,35 @@ class TestDecompose:
         u = np.array([[0.9, 0.436], [-0.436, 0.9]])  # column norms 1.00005
         with pytest.warns(UserWarning):
             VibronicTransition(u, [100.0, 100.0], [100.0, 100.0])
+
+    def test_non_finite_displacement_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            VibronicTransition(np.eye(2), [100.0, 200.0], [100.0, 200.0], [math.nan, 0.0])
+
+
+class TestTargetState:
+    def test_state_is_memoized(self):
+        target = doktorov_decompose(random_transition(np.random.default_rng(41)))
+        state = target.state()
+        assert target.state() is state
+        fresh = replay(target.circuit())
+        assert np.array_equal(state.mean, fresh.mean)
+        assert np.array_equal(state.cov, fresh.cov)
+
+    def test_memo_leaves_equality_and_hash(self):
+        target = tropolone_target()
+        twin = OpticalTarget(target.squeeze, target.interferometer, target.displacement,
+                             target.provenance)
+        target.state()
+        assert target == twin
+        assert hash(target) == hash(twin)
+
+    def test_pickle_and_copy_after_memo(self):
+        target = tropolone_target()
+        state = target.state()
+        for twin in (pickle.loads(pickle.dumps(target)), copy.deepcopy(target)):
+            assert twin == target
+            assert np.array_equal(twin.state().cov, state.cov)
 
 
 class TestFCFactors:
