@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,11 @@ from .experiment import (
     DetectorModel,
     ExperimentModel,
     ParameterUncertainty,
-    SMSVPair,
-    TMSV,
+    check_keys,
+    experiment_section,
     model_fidelity,
     observed_distribution,
+    parse_experiment,
 )
 from .gaussian import BeamSplitter, PhysicalityError
 from .optimize import DEFAULT_BOUNDS, loss_sweep, monte_carlo_fidelity, optimize_experiment
@@ -49,19 +50,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(obj: dict, where: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing field(s) in {where}: {', '.join(sorted(missing))}")
-
-
 def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
-    _check_keys(obj, "target", {"kind"}, {
+    check_keys(obj, "target", {"kind"}, {
         "squeeze", "bs_angle", "displacement", "excited_freqs_cm1",
         "duschinsky", "ground_freqs_cm1",
     })
@@ -77,12 +67,16 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
             if len(squeeze) != 2:
                 raise ConfigError("bs_angle applies to two-mode targets only")
             interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
-        disp = tuple(complex(d[0], d[1]) for d in obj.get("displacement", []))
+        pairs = obj.get("displacement", [])
+        if any(len(d) != 2 for d in pairs):
+            raise ConfigError("target displacement entries must be [re, im] pairs")
+        disp = tuple(complex(d[0], d[1]) for d in pairs)
         if not all(cmath.isfinite(a) for a in disp):
             raise ConfigError("target displacement values must be finite")
-        target = OpticalTarget(squeeze, interferometer, disp)
-        freqs = obj.get("excited_freqs_cm1")
-        return target, tuple(freqs) if freqs else None
+        freqs = tuple(float(f) for f in obj.get("excited_freqs_cm1") or ())
+        if freqs and len(freqs) != len(squeeze):
+            raise ConfigError("excited_freqs_cm1 needs one frequency per mode")
+        return OpticalTarget(squeeze, interferometer, disp), freqs or None
     if kind == "transition":
         disp = obj.get("displacement")
         transition = VibronicTransition(
@@ -93,32 +87,6 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
         )
         return doktorov_decompose(transition), tuple(obj["excited_freqs_cm1"])
     raise ConfigError(f"unknown target kind {kind!r}")
-
-
-def _parse_experiment(obj: dict) -> ExperimentModel:
-    _check_keys(obj, "experiment", {"source", "bs_transmission"}, {
-        "loss_pre", "loss_post", "distinguishability", "detector",
-    })
-    src = obj["source"]
-    _check_keys(src, "experiment.source", {"kind"}, {"r", "r1", "r2"})
-    if src["kind"] == "tmsv":
-        source = TMSV(float(src["r"]))
-    elif src["kind"] == "smsv_pair":
-        source = SMSVPair(float(src["r1"]), float(src["r2"]))
-    else:
-        raise ConfigError(f"unknown source kind {src['kind']!r}")
-    det_obj = obj.get("detector", {})
-    _check_keys(det_obj, "experiment.detector", set(), {
-        "dark_p1", "pump_p2", "noise_fidelity_factor",
-    })
-    return ExperimentModel(
-        source=source,
-        bs_transmission=float(obj["bs_transmission"]),
-        loss_pre=tuple(obj.get("loss_pre", (1.0, 1.0))),
-        loss_post=tuple(obj.get("loss_post", (1.0, 1.0))),
-        distinguishability=float(obj.get("distinguishability", 0.0)),
-        detector=DetectorModel(**det_obj),
-    )
 
 
 def load_config(path: Path) -> dict:
@@ -141,7 +109,7 @@ def load_config(path: Path) -> dict:
 
 
 def _parse_config(raw: dict) -> dict:
-    _check_keys(raw, "config", {"version"}, {
+    check_keys(raw, "config", {"version"}, {
         "target", "experiment", "uncertainties", "cutoff", "shots", "seed",
         "eps_g", "monte_carlo_samples",
     })
@@ -156,14 +124,18 @@ def _parse_config(raw: dict) -> dict:
     }
     if cfg["cutoff"] < 2:
         raise ConfigError("cutoff must be at least 2")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
+    if not 0.0 <= cfg["eps_g"] < math.inf:
+        raise ConfigError("eps_g must be finite and >= 0")
+    if cfg["monte_carlo_samples"] < 2:
+        raise ConfigError("monte_carlo_samples must be at least 2")
     if "target" in raw:
         cfg["target"], cfg["excited_freqs"] = _parse_target(raw["target"])
     if "experiment" in raw:
-        cfg["experiment"] = _parse_experiment(raw["experiment"])
+        cfg["experiment"] = parse_experiment(raw["experiment"])
     unc_obj = raw.get("uncertainties", {})
-    _check_keys(unc_obj, "uncertainties", set(), {
-        "sigma_loss", "sigma_r", "sigma_delta", "sigma_t",
-    })
+    check_keys(unc_obj, "uncertainties", set(), {f.name for f in fields(ParameterUncertainty)})
     cfg["uncertainties"] = ParameterUncertainty(**unc_obj)
     return cfg
 
@@ -264,26 +236,6 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def experiment_section(model: ExperimentModel) -> dict:
-    """Config-format section describing a model (inverse of parsing)."""
-    if isinstance(model.source, TMSV):
-        source = {"kind": "tmsv", "r": model.source.r}
-    else:
-        source = {"kind": "smsv_pair", "r1": model.source.r1, "r2": model.source.r2}
-    return {
-        "source": source,
-        "bs_transmission": model.bs_transmission,
-        "loss_pre": list(model.loss_pre),
-        "loss_post": list(model.loss_post),
-        "distinguishability": model.distinguishability,
-        "detector": {
-            "dark_p1": model.detector.dark_p1,
-            "pump_p2": model.detector.pump_p2,
-            "noise_fidelity_factor": model.detector.noise_fidelity_factor,
-        },
-    }
-
-
 def _check_start(what: str, value: float, name: str) -> None:
     """Reject an optimiser start outside ``DEFAULT_BOUNDS[name]``."""
     lo, hi = DEFAULT_BOUNDS[name]
@@ -309,12 +261,8 @@ def cmd_optimize(cfg: dict, out_dir: Path) -> int:
         "f_mc_std": mc.std,
         "clamp_events": mc.clamp_events,
         "experiment": experiment_section(best),
+        **{f"{name}_star": value for name, value in asdict(best.source).items()},
     }
-    if isinstance(best.source, TMSV):
-        payload["r_star"] = best.source.r
-    else:
-        payload["r1_star"] = best.source.r1
-        payload["r2_star"] = best.source.r2
     _write_json(out_dir / "optimize_result.json", payload)
     return EXIT_OK
 
@@ -402,6 +350,8 @@ def main(argv=None) -> int:
                 raise ConfigError("cutoff must be at least 2")
             cfg["cutoff"] = args.cutoff
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("seed must be >= 0")
             cfg["seed"] = args.seed
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,13 +9,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
-from .gaussian import BeamSplitter, symplectic_form
+from .gaussian import BeamSplitter, passive_symplectic, symplectic_form
 
 __all__ = [
     "williamson",
     "bloch_messiah",
     "unitary_from_orthosymplectic",
     "orthosymplectic_from_unitary",
+    "givens_reduction",
     "givens_rotations",
 ]
 
@@ -156,8 +157,41 @@ def unitary_from_orthosymplectic(o: np.ndarray) -> np.ndarray:
     return w
 
 
-def orthosymplectic_from_unitary(w: np.ndarray) -> np.ndarray:
-    return np.block([[w.real, -w.imag], [w.imag, w.real]])
+#: inverse of :func:`unitary_from_orthosymplectic`
+orthosymplectic_from_unitary = passive_symplectic
+
+
+def givens_reduction(u: np.ndarray) -> tuple[list[tuple[int, int, float, np.ndarray]], np.ndarray]:
+    """Reduce a unitary to ``diag(d) = G_k ... G_1 u`` with two-mode
+    rotations that zero the lower triangle column by column (Reck et al.,
+    Phys. Rev. Lett. 73, 58 (1994)); returns ``[(i, j, theta, g)]`` and ``d``.
+
+    A real ``u`` keeps real arithmetic: ``theta = arctan2(b, a)``,
+    ``g = [[cos, sin], [-sin, cos]]``.  For a complex one the phases of
+    ``a`` and ``b`` move into ``g`` and ``theta = arctan2(|b|, |a|)``.
+    """
+    work = np.array(u)
+    n = work.shape[0]
+    is_complex = np.iscomplexobj(work)
+    rotations = []
+    for col in range(n - 1):
+        for row in range(col + 1, n):
+            a, b = work[col, col], work[row, col]
+            if abs(b) < 1e-14:
+                continue
+            if is_complex:
+                pa, pb = np.exp(1j * np.angle(a)), np.exp(1j * np.angle(b))
+                theta = np.arctan2(abs(b), abs(a))
+            else:
+                pa = pb = 1.0
+                theta = np.arctan2(b, a)
+            c, s = np.cos(theta), np.sin(theta)
+            g = np.array([[c * np.conj(pa), s * np.conj(pb)], [-s * pb, c * pa]])
+            full = np.eye(n, dtype=work.dtype)
+            full[np.ix_([col, row], [col, row])] = g
+            work = full @ work
+            rotations.append((col, row, theta, g))
+    return rotations, np.diag(work)
 
 
 def givens_rotations(rot: np.ndarray) -> list[BeamSplitter]:
@@ -167,28 +201,13 @@ def givens_rotations(rot: np.ndarray) -> list[BeamSplitter]:
     operators, realize ``a -> rot @ a``.
     """
     rot = np.asarray(rot, dtype=float)
-    n = rot.shape[0]
     if abs(np.linalg.det(rot) - 1.0) > 1e-8:
         raise ValueError("expected a rotation (orthogonal, det +1)")
-    work = rot.copy()
-    inverse_ops: list[BeamSplitter] = []
-    # zero the strict lower triangle with plane rotations
-    for col in range(n - 1):
-        for row in range(col + 1, n):
-            a, b = work[col, col], work[row, col]
-            if abs(b) < 1e-14:
-                continue
-            theta = np.arctan2(b, a)
-            # rotation G acting on modes (col, row): W = [[c, s], [-s, c]]
-            c, s = np.cos(theta), np.sin(theta)
-            g = np.eye(n)
-            g[np.ix_([col, row], [col, row])] = np.array([[c, s], [-s, c]])
-            work = g @ work
-            inverse_ops.append(BeamSplitter(col, row, theta))
-    # work is now diag(+-1) with det +1; fold sign pairs into pi rotations
-    signs = np.sign(np.diag(work))
-    neg = [i for i, s in enumerate(signs) if s < 0]
-    elements = [BeamSplitter(bs.mode1, bs.mode2, -bs.theta) for bs in reversed(inverse_ops)]
+    rotations, diagonal = givens_reduction(rot)
+    # a beam splitter of angle theta has W = [[c, s], [-s, c]]: undo the
+    # rotations in reverse, after pi rotations folding the diagonal's sign pairs
+    neg = [i for i, d in enumerate(diagonal) if d < 0]
+    elements = [BeamSplitter(i, j, -theta) for i, j, theta, _ in reversed(rotations)]
     for i, j in zip(neg[0::2], neg[1::2]):
         elements.insert(0, BeamSplitter(i, j, np.pi))
     return elements

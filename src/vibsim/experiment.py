@@ -12,7 +12,7 @@ factor for the noise modes the detectors are sensitive to).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import fock
 from .gaussian import (
@@ -33,6 +33,7 @@ from .vibronic import OpticalTarget
 __all__ = [
     "SMSVPair",
     "TMSV",
+    "SOURCE_KINDS",
     "DetectorModel",
     "ParameterUncertainty",
     "ExperimentModel",
@@ -40,6 +41,9 @@ __all__ = [
     "effective_state",
     "model_fidelity",
     "observed_distribution",
+    "check_keys",
+    "parse_experiment",
+    "experiment_section",
 ]
 
 
@@ -79,6 +83,13 @@ class TMSV:
     def mode_photons(self) -> tuple[float, float]:
         n = math.sinh(self.r) ** 2
         return (n, n)
+
+
+#: config ``kind`` of each source class.  A class's dataclass fields are
+#: its parameter names, in the order the Monte Carlo draws them.
+SOURCE_KINDS = {"tmsv": TMSV, "smsv_pair": SMSVPair}
+#: every source parameter name, of whichever kind
+_SOURCE_PARAMETERS = {f.name for cls in SOURCE_KINDS.values() for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -130,9 +141,9 @@ class ParameterUncertainty:
     sigma_t: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("sigma_loss", "sigma_r", "sigma_delta", "sigma_t"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,25 +173,21 @@ class ExperimentModel:
                 raise ValueError("transmissions and probabilities must lie in [0, 1]")
 
     def with_values(self, **updates) -> "ExperimentModel":
-        """Copy with replaced fields; ``r``, ``r1``, ``r2`` address the
-        source and ``t_bs`` the beam-splitter transmission."""
-        model = self
-        if "r" in updates:
-            if not isinstance(model.source, TMSV):
-                raise ValueError("'r' addresses a TMSV source")
-            model = replace(model, source=TMSV(updates.pop("r")))
-        if "r1" in updates or "r2" in updates:
-            if not isinstance(model.source, SMSVPair):
-                raise ValueError("'r1'/'r2' address an SMSV pair source")
-            src = SMSVPair(
-                updates.pop("r1", model.source.r1), updates.pop("r2", model.source.r2)
+        """Copy with replaced fields; the source's field names (its
+        parameters) address the source and ``t_bs`` the beam-splitter
+        transmission."""
+        own = {f.name: updates.pop(f.name) for f in fields(self.source) if f.name in updates}
+        stray = _SOURCE_PARAMETERS.intersection(updates)
+        if stray:
+            raise ValueError(
+                f"not a parameter of a {type(self.source).__name__} source: "
+                + ", ".join(sorted(stray))
             )
-            model = replace(model, source=src)
+        if own:
+            updates["source"] = replace(self.source, **own)
         if "t_bs" in updates:
-            model = replace(model, bs_transmission=updates.pop("t_bs"))
-        if updates:
-            model = replace(model, **updates)
-        return model
+            updates["bs_transmission"] = updates.pop("t_bs")
+        return replace(self, **updates) if updates else self
 
 
 def build_circuit(model: ExperimentModel) -> GaussianCircuit:
@@ -218,3 +225,55 @@ def observed_distribution(model: ExperimentModel, cutoff: int, **replay_kwargs) 
     """Photon-number statistics the detectors would record."""
     rho = fock.replay_fock(build_circuit(model), cutoff, **replay_kwargs)
     return fock.attach_detector_noise(rho, model.detector)
+
+
+def check_keys(obj: dict, where: str, required: set[str], optional: set[str]) -> None:
+    """Reject a config section that is not an object, or whose fields are
+    unknown or missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise ValueError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = required - set(obj)
+    if missing:
+        raise ValueError(f"missing field(s) in {where}: {', '.join(sorted(missing))}")
+
+
+def parse_experiment(obj: dict) -> ExperimentModel:
+    """Model of an ``experiment`` config section; the inverse of
+    :func:`experiment_section`."""
+    check_keys(obj, "experiment", {"source", "bs_transmission"}, {
+        "loss_pre", "loss_post", "distinguishability", "detector",
+    })
+    src = obj["source"]
+    check_keys(src, "experiment.source", {"kind"}, _SOURCE_PARAMETERS)
+    kind = src["kind"]
+    if not isinstance(kind, str) or kind not in SOURCE_KINDS:
+        raise ValueError(f"unknown source kind {kind!r}")
+    cls = SOURCE_KINDS[kind]
+    check_keys(src, f"the {kind} source", {"kind"}, {f.name for f in fields(cls)})
+    det_obj = obj.get("detector", {})
+    check_keys(det_obj, "experiment.detector", set(), {f.name for f in fields(DetectorModel)})
+    return ExperimentModel(
+        source=cls(**{f.name: float(src[f.name]) for f in fields(cls)}),
+        bs_transmission=float(obj["bs_transmission"]),
+        loss_pre=tuple(obj.get("loss_pre", (1.0, 1.0))),
+        loss_post=tuple(obj.get("loss_post", (1.0, 1.0))),
+        distinguishability=float(obj.get("distinguishability", 0.0)),
+        detector=DetectorModel(**det_obj),
+    )
+
+
+def experiment_section(model: ExperimentModel) -> dict:
+    """``experiment`` config section of a model; the inverse of
+    :func:`parse_experiment`."""
+    kind = next(k for k, cls in SOURCE_KINDS.items() if type(model.source) is cls)
+    return {
+        "source": {"kind": kind, **asdict(model.source)},
+        "bs_transmission": model.bs_transmission,
+        "loss_pre": list(model.loss_pre),
+        "loss_post": list(model.loss_post),
+        "distinguishability": model.distinguishability,
+        "detector": asdict(model.detector),
+    }

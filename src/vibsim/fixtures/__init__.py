@@ -5,8 +5,10 @@ by the golden tests."""
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
+from ..experiment import ExperimentModel, ParameterUncertainty, parse_experiment
 from ..gaussian import BeamSplitter
 from ..tables import FCTable
 from ..vibronic import OpticalTarget
@@ -33,7 +35,7 @@ _EXPERIMENT = _load("characterized_experiment.json")
 _TABLES = _load("reference_tables.json")
 
 #: intensity transmission of the ideal tropolone beam splitter
-IDEAL_BS_TRANSMISSION = float(__import__("math").cos(_TROPOLONE["bs_angle"]) ** 2)
+IDEAL_BS_TRANSMISSION = float(math.cos(_TROPOLONE["bs_angle"]) ** 2)
 
 
 def tropolone_target() -> OpticalTarget:
@@ -49,27 +51,15 @@ def tropolone_excited_freqs() -> tuple[float, float]:
     return tuple(_TROPOLONE["excited_freqs_cm1"])
 
 
-def characterized_model():
+def characterized_model() -> ExperimentModel:
     """Characterized experiment model (imperfections fixed, controllables at
     their configured starting values)."""
-    from ..experiment import DetectorModel, ExperimentModel, SMSVPair, TMSV
-
-    src = _EXPERIMENT["source"]
-    source = TMSV(src["r"]) if src["kind"] == "tmsv" else SMSVPair(src["r1"], src["r2"])
-    det = DetectorModel(**_EXPERIMENT["detector"])
-    return ExperimentModel(
-        source=source,
-        bs_transmission=_EXPERIMENT["bs_transmission"],
-        loss_pre=tuple(_EXPERIMENT["loss_pre"]),
-        loss_post=tuple(_EXPERIMENT["loss_post"]),
-        distinguishability=_EXPERIMENT["distinguishability"],
-        detector=det,
-    )
+    # the file holds an experiment section beside three fields of its own
+    own = ("version", "description", "uncertainties")
+    return parse_experiment({k: v for k, v in _EXPERIMENT.items() if k not in own})
 
 
-def parameter_uncertainty():
-    from ..experiment import ParameterUncertainty
-
+def parameter_uncertainty() -> ParameterUncertainty:
     return ParameterUncertainty(**_EXPERIMENT["uncertainties"])
 
 

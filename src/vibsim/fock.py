@@ -32,7 +32,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as la
 
-from .decompositions import bloch_messiah, unitary_from_orthosymplectic, williamson
+from .decompositions import (
+    bloch_messiah,
+    givens_reduction,
+    unitary_from_orthosymplectic,
+    williamson,
+)
 from .gaussian import (
     BeamSplitter,
     Displace,
@@ -550,26 +555,13 @@ def _apply_passive(ws: _FockWorkspace, w: np.ndarray) -> None:
     if num_modes == 2:
         ws.apply_unitary(_passive_operator(w, ws.cutoff), (0, 1))
         return
-    # general case: QR-style reduction into two-mode mixes
-    work = w.copy()
-    ops: list[tuple[np.ndarray, tuple[int, int]]] = []
-    for col in range(num_modes):
-        for row in range(col + 1, num_modes):
-            a, b = work[col, col], work[row, col]
-            norm = math.hypot(abs(a), abs(b))
-            if abs(b) < 1e-14:
-                continue
-            g = np.array([[np.conj(a), np.conj(b)], [-b, a]]) / norm
-            full = np.eye(num_modes, dtype=complex)
-            full[np.ix_([col, row], [col, row])] = g
-            work = full @ work
-            ops.append((np.linalg.inv(g), (col, row)))
-    phases = np.angle(np.diag(work))
-    for mode in range(num_modes):
-        op = np.diag(np.exp(1j * phases[mode] * np.arange(ws.cutoff)))
+    # diag(d) = G_k ... G_1 w: the phases of d first, then each G undone
+    rotations, diagonal = givens_reduction(w)
+    for mode, phase in enumerate(np.angle(diagonal)):
+        op = np.diag(np.exp(1j * phase * np.arange(ws.cutoff)))
         ws.apply_unitary(op, (mode,))
-    for g, (i, j) in reversed(ops):
-        ws.apply_unitary(_passive_operator(g, ws.cutoff), (i, j))
+    for i, j, _, g in reversed(rotations):
+        ws.apply_unitary(_passive_operator(g.conj().T, ws.cutoff), (i, j))
 
 
 def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:

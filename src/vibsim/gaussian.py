@@ -205,7 +205,7 @@ class GaussianState:
         if validate:
             nu = _symplectic_eigenvalues(cov)
             nu_min = float(nu.min())
-            if nu_min < 0.5 - PHYSICALITY_TOL:
+            if _unphysical(nu_min, cov):
                 raise PhysicalityError(
                     f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
                 )
@@ -376,6 +376,15 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return nu
 
 
+def _unphysical(nu_min: float, cov: np.ndarray) -> bool:
+    """Whether ``nu_min`` is below 1/2 by more than PHYSICALITY_TOL and by
+    more than 4 eps·max|V|², the scale of the rounding of ``eigvals`` on
+    1j·Ω·V (past 1e-9 for pure states squeezed beyond r ~ 5)."""
+    return nu_min < 0.5 - PHYSICALITY_TOL and (
+        nu_min < 0.5 - 4.0 * np.finfo(float).eps * float(np.max(np.abs(cov))) ** 2
+    )
+
+
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """Williamson symplectic eigenvalues, ascending (vacuum -> 1/2 each),
     as a read-only array kept on the state."""
@@ -412,8 +421,8 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     if s1.num_modes != s2.num_modes:
         raise ValueError("states must have the same number of modes")
     nus = [symplectic_eigenvalues(s) for s in (s1, s2)]
-    for nu in nus:
-        if nu[0] < 0.5 - PHYSICALITY_TOL:
+    for s, nu in zip((s1, s2), nus):
+        if _unphysical(nu[0], s.cov):
             raise PhysicalityError(f"fidelity input is unphysical (nu_min = {float(nu[0])!r})")
     if min(nu[-1] for nu in nus) < 0.5 + _PURITY_TOL:
         # F^2 = Tr(rho1 rho2) whenever at least one state is pure.

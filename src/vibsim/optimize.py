@@ -4,7 +4,7 @@ propagation of parameter uncertainty."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,26 +136,6 @@ DEFAULT_BOUNDS = {
 }
 
 
-def _free_parameters(model: ExperimentModel, free) -> list[str]:
-    if free is not None:
-        return list(free)
-    if isinstance(model.source, TMSV):
-        return ["r", "t_bs"]
-    return ["r1", "r2", "t_bs"]
-
-
-def _get_parameter(model: ExperimentModel, name: str) -> float:
-    if name == "r":
-        return model.source.r
-    if name == "r1":
-        return model.source.r1
-    if name == "r2":
-        return model.source.r2
-    if name == "t_bs":
-        return model.bs_transmission
-    raise ValueError(f"unknown controllable {name!r}")
-
-
 def optimize_experiment(
     template: ExperimentModel,
     target: OpticalTarget,
@@ -170,7 +150,8 @@ def optimize_experiment(
     splitter transmission).  One deterministic restart from a perturbed
     start guards against a poor initial simplex.
     """
-    names = _free_parameters(template, free)
+    controllables = {**asdict(template.source), "t_bs": template.bs_transmission}
+    names = list(controllables) if free is None else list(free)
     if not names:
         raise ValueError("need at least one free parameter")
     bounds = [DEFAULT_BOUNDS[n] for n in names]
@@ -179,7 +160,7 @@ def optimize_experiment(
         model = template.with_values(**dict(zip(names, x)))
         return model_fidelity(model, target)
 
-    start = np.array([_get_parameter(template, n) for n in names])
+    start = np.array([controllables[n] for n in names])
     best = nelder_mead(objective, start, bounds, tol=tol, max_iter=max_iter)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -207,9 +188,10 @@ def loss_sweep(
     (``f_tmsv_dist``).
     """
     squeeze = (abs(target.squeeze[0]), abs(target.squeeze[1]))
-    ideal = DetectorModel(0.0, 0.0, 1.0)
     models = {
-        "f_smsv": ExperimentModel(SMSVPair(*squeeze), IDEAL_BS_TRANSMISSION, detector=ideal),
+        "f_smsv": ExperimentModel(
+            SMSVPair(*squeeze), IDEAL_BS_TRANSMISSION, detector=detector.ideal()
+        ),
         "f_tmsv": ExperimentModel(TMSV(0.5), 0.5, detector=detector),
         "f_tmsv_dist": ExperimentModel(
             TMSV(0.5), 0.5, distinguishability=distinguishability, detector=detector
@@ -263,13 +245,9 @@ def monte_carlo_fidelity(
             clamps += 1
         return clamped
 
+    source = asdict(model.source)
     for i in range(n):
-        updates: dict[str, float] = {}
-        if isinstance(model.source, TMSV):
-            updates["r"] = draw(model.source.r, unc.sigma_r, 0.0, math.inf)
-        else:
-            updates["r1"] = draw(model.source.r1, unc.sigma_r, 0.0, math.inf)
-            updates["r2"] = draw(model.source.r2, unc.sigma_r, 0.0, math.inf)
+        updates = {name: draw(value, unc.sigma_r, 0.0, math.inf) for name, value in source.items()}
         updates["t_bs"] = draw(model.bs_transmission, unc.sigma_t, 0.0, 1.0)
         updates["loss_pre"] = tuple(
             draw(eta, unc.sigma_loss, 0.0, 1.0) if eta < 1.0 else eta

@@ -109,6 +109,8 @@ class OpticalTarget:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "squeeze", tuple(float(r) for r in self.squeeze))
+        if not self.squeeze:
+            raise ValueError("a target needs at least one mode")
         object.__setattr__(self, "interferometer", tuple(self.interferometer))
         disp = tuple(complex(a) for a in self.displacement) or (0j,) * len(self.squeeze)
         object.__setattr__(self, "displacement", disp)

@@ -54,12 +54,25 @@ MALFORMED = {
     "inf-tmsv-r": {"experiment": paper_experiment_section(r=math.inf)},
     "nan-smsv-r2": {"experiment": {**paper_experiment_section(),
                                    "source": {"kind": "smsv_pair", "r1": 0.3, "r2": math.nan}}},
+    "tmsv-with-r1": {"experiment": {**paper_experiment_section(),
+                                    "source": {"kind": "tmsv", "r": 0.3, "r1": 0.2}}},
     "inf-smsv-r1": {"experiment": {**paper_experiment_section(),
                                    "source": {"kind": "smsv_pair", "r1": math.inf, "r2": 0.1}}},
     "nan-displacement": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2], "bs_angle": 0.3,
                                     "displacement": [[math.nan, 0.0], [0.0, 0.0]]}},
     "inf-displacement": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2], "bs_angle": 0.3,
                                     "displacement": [[0.0, 0.0], [0.0, -math.inf]]}},
+    "displacement-not-a-pair": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
+                                           "displacement": [[0.1], [0.0, 0.0]]}},
+    "short-excited-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
+                                       "excited_freqs_cm1": [176.0]}},
+    "string-excited-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
+                                        "excited_freqs_cm1": ["a", "b"]}},
+    "one-monte-carlo-sample": {"monte_carlo_samples": 1},
+    "negative-seed": {"seed": -1},
+    "negative-eps-g": {"eps_g": -0.001},
+    "nan-eps-g": {"eps_g": math.nan},
+    "nan-sigma-r": {"uncertainties": {"sigma_r": math.nan}},
     "nan-transition-displacement": {"target": {
         "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
         "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0],
@@ -96,6 +109,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, **{"experiment": paper_experiment_section(), **overrides})
         assert main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_empty_squeeze_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, target={"kind": "optical", "squeeze": []})
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"]) == 2
+        assert "at least one mode" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path):
+        path = write_config(tmp_path, experiment=paper_experiment_section())
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "--seed", "-3",
+                     "simulate"]) == 2
 
     def test_optimize_start_outside_bounds_exits_2(self, tmp_path, capsys):
         from vibsim.optimize import DEFAULT_BOUNDS
@@ -345,3 +368,80 @@ class TestTomography:
                      str(tmp_path / "trans.csv"), str(tmp_path / "refl.csv")])
         assert code == 2
         assert "refl.json" in capsys.readouterr().err
+
+
+#: the README's example config, with few Monte Carlo samples and shots and a
+#: small cutoff, so that no mutation of it allocates a large Fock space
+README_CONFIG = {
+    "version": 1,
+    "target": {"kind": "tropolone"},
+    "experiment": {
+        "source": {"kind": "tmsv", "r": 0.5},
+        "bs_transmission": 0.5,
+        "loss_pre": [0.4, 0.4],
+        "distinguishability": 0.06,
+        "detector": {"dark_p1": 0.002, "pump_p2": 0.001, "noise_fidelity_factor": 0.9958},
+    },
+    "uncertainties": {"sigma_loss": 0.02, "sigma_r": 0.01, "sigma_delta": 0.02, "sigma_t": 0.01},
+    "cutoff": 12,
+    "shots": 2000,
+    "seed": 7,
+    "eps_g": 0.001,
+    "monte_carlo_samples": 3,
+}
+DROP = object()
+
+
+def config_paths(node, path=()):
+    """Paths of every field and list entry below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from config_paths(child, path + (key,))
+
+
+def mutations(value) -> list:
+    """A wrong type, null, NaN, +-inf, a negative number, an empty or
+    truncated list, or the field dropped (``DROP``)."""
+    out = [None, math.nan, math.inf, -math.inf, DROP, 1 if isinstance(value, str) else "x"]
+    if isinstance(value, (int, float)):
+        out.append(-(abs(value) or 1))
+    if isinstance(value, list):
+        out += [[], value[:-1]]
+    return out
+
+
+def mutated(config: dict, path: tuple, value) -> dict:
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
+
+
+class TestConfigMutations:
+    def test_exit_codes_hold(self, tmp_path, capsys):
+        seen = set()
+        for path in config_paths(README_CONFIG):
+            leaf = README_CONFIG
+            for key in path:
+                leaf = leaf[key]
+            for value in mutations(leaf):
+                cfg_path = tmp_path / "config.json"
+                cfg_path.write_text(json.dumps(mutated(README_CONFIG, path, value)))
+                for command in ("ideal", "simulate", "optimize"):
+                    code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / command),
+                                 command])
+                    assert code in (0, 2, 3), (path, value, command)
+                    assert "Traceback" not in capsys.readouterr().err
+                    seen.add(code)
+        assert {0, 2} <= seen

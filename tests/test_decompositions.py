@@ -3,6 +3,7 @@ import pytest
 
 from vibsim.decompositions import (
     bloch_messiah,
+    givens_reduction,
     givens_rotations,
     orthosymplectic_from_unitary,
     unitary_from_orthosymplectic,
@@ -106,6 +107,22 @@ def test_givens_rotations_reconstruct(dim):
         w = (s[:dim, :dim] + 1j * s[dim:, :dim]) @ w
     assert np.max(np.abs(w.real - q)) < 1e-10
     assert np.max(np.abs(w.imag)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_givens_reduction_reconstructs_complex_unitaries(dim):
+    rng = np.random.default_rng(10 + dim)
+    for _ in range(20):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u, _ = np.linalg.qr(a)
+        rotations, diagonal = givens_reduction(u)
+        assert np.max(np.abs(np.abs(diagonal) - 1.0)) < 1e-12
+        w = np.diag(diagonal)
+        for i, j, _, g in reversed(rotations):
+            full = np.eye(dim, dtype=complex)
+            full[np.ix_([i, j], [i, j])] = g.conj().T
+            w = full @ w
+        assert np.max(np.abs(w - u)) < 1e-12
 
 
 def test_givens_rejects_reflection():

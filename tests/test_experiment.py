@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from vibsim.experiment import (
     TMSV,
     build_circuit,
     effective_state,
+    experiment_section,
     model_fidelity,
     observed_distribution,
+    parse_experiment,
 )
-from vibsim.fixtures import IDEAL_BS_TRANSMISSION, tropolone_target
+from vibsim.fixtures import IDEAL_BS_TRANSMISSION, characterized_model, tropolone_target
 from vibsim.gaussian import fidelity, mean_photon, replay, vacuum
 from vibsim.metrics import tvd
 from vibsim.vibronic import fc_factors
@@ -125,3 +129,39 @@ class TestObservedDistribution:
         assert model.with_values(t_bs=0.3).bs_transmission == 0.3
         with pytest.raises(ValueError):
             model.with_values(r1=0.2)
+        pair = ExperimentModel(source=SMSVPair(0.3, 0.2), bs_transmission=0.5)
+        assert pair.with_values(r2=0.1, t_bs=0.4) == ExperimentModel(SMSVPair(0.3, 0.1), 0.4)
+        with pytest.raises(ValueError):
+            pair.with_values(r=0.2)
+
+
+class TestConfigSection:
+    @pytest.mark.parametrize("source", [TMSV(0.41), SMSVPair(0.72, 0.19)], ids=["tmsv", "smsv"])
+    def test_section_and_parser_are_inverses(self, source):
+        model = ExperimentModel(source, 0.37, loss_pre=(0.6, 0.8), loss_post=(0.9, 1.0),
+                                distinguishability=0.04, detector=DetectorModel(0.003, 0.0, 0.99))
+        section = experiment_section(model)
+        assert parse_experiment(section) == model
+        assert experiment_section(parse_experiment(section)) == section
+        assert json.loads(json.dumps(section)) == section
+
+    def test_characterized_model_matches_its_json(self):
+        data = json.loads(
+            resources.files("vibsim.fixtures").joinpath("characterized_experiment.json").read_text()
+        )
+        section = experiment_section(characterized_model())
+        assert section == {k: data[k] for k in section}
+        assert characterized_model() == ExperimentModel(
+            TMSV(0.5), 0.5, (0.4, 0.4), (1.0, 1.0), 0.06, DetectorModel(0.002, 0.001, 0.9958)
+        )
+
+    @pytest.mark.parametrize("section, message", [
+        ({"source": {"kind": "laser"}, "bs_transmission": 0.5}, "unknown source kind"),
+        ({"source": {"kind": "tmsv", "r": 0.1, "x": 1}, "bs_transmission": 0.5}, "unknown field"),
+        ({"source": {"kind": "tmsv", "r": 0.1}}, "missing field"),
+        ({"source": {"kind": "tmsv", "r": 0.1}, "bs_transmission": 0.5, "detector": []},
+         "must be an object"),
+    ])
+    def test_parser_rejects(self, section, message):
+        with pytest.raises(ValueError, match=message):
+            parse_experiment(section)

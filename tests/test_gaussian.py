@@ -104,6 +104,32 @@ class TestReplay:
             assert mean_photon(state, mode) == pytest.approx(math.sinh(r) ** 2, abs=1e-12)
 
 
+class TestPhysicalityTolerance:
+    @pytest.mark.parametrize("r", [5.0, 6.0, 8.0])
+    def test_strongly_squeezed_pure_state_passes(self, r):
+        state = replay(GaussianCircuit(2, [Squeeze(0, r, 0.3), BeamSplitter(0, 1, 0.7, 0.2)]))
+        assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    def test_mixed_below_half_still_raises(self, r):
+        s = np.eye(4)
+        for elem in (Squeeze(0, r, 0.3), BeamSplitter(0, 1, 0.7, 0.2)):
+            s = gaussian.element_symplectic(elem, 2)[0] @ s
+        cov = s @ (0.45 * np.eye(4)) @ s.T
+        with pytest.raises(PhysicalityError):
+            GaussianState(np.zeros(4), cov)
+        with pytest.raises(PhysicalityError):
+            fidelity(GaussianState(np.zeros(4), cov, validate=False), vacuum(2))
+
+    def test_absolute_up_to_scale_1000(self):
+        tol = gaussian.PHYSICALITY_TOL
+        for scale in (0.5, 16.0, 1000.0, -1000.0):
+            cov = scale * np.eye(4)
+            assert gaussian._unphysical(0.5 - 1.01 * tol, cov)
+            assert not gaussian._unphysical(0.5 - 0.99 * tol, cov)
+        assert not gaussian._unphysical(0.5 - 1.01 * tol, 2000.0 * np.eye(4))
+
+
 def apply_fold(circuit):
     """Reference replay: the public :func:`apply`, element by element."""
     state = vacuum(circuit.num_modes)
