@@ -14,9 +14,9 @@ import numpy as np
 
 from . import fock
 from .experiment import DetectorModel
-from .gaussian import BeamSplitter, GaussianCircuit, Loss, TwoModeSqueeze
+from .gaussian import BeamSplitter
 from .optimize import SIMPLEX_STEP, nelder_mead
-from .tables import CountHistogram, FCTable
+from .tables import CountHistogram, FCTable, is_sink
 
 __all__ = [
     "TomographyFit",
@@ -40,18 +40,25 @@ class TomographyFit:
     iterations: int
 
 
-def _lossy_source(r: float, eta: tuple[float, float], cutoff: int) -> fock.FockDensity:
-    """Truncated density of a two-mode squeezed source after per-arm loss."""
-    elements = [TwoModeSqueeze(0, 1, r)] + [Loss(m, e) for m, e in enumerate(eta) if e < 1.0]
-    return fock.replay_fock(GaussianCircuit(2, elements), cutoff, strict=False)
+def _splitter(bs_transmission: float, cutoff: int) -> np.ndarray:
+    """|U|^2 of the beam splitter set to ``bs_transmission``, on flat pair occupations."""
+    u = fock.element_matrix(BeamSplitter(0, 1, math.acos(math.sqrt(bs_transmission))), cutoff)
+    return u.real**2 + u.imag**2
 
 
-def _at_setting(source: fock.FockDensity, bs_transmission: float) -> fock.FockDensity:
-    """The source after the beam splitter set to ``bs_transmission``."""
-    theta = math.acos(math.sqrt(bs_transmission))
-    if theta == 0.0:
-        return source
-    return fock.evolve_fock(source, GaussianCircuit(2, [BeamSplitter(0, 1, theta)]))
+def _count_grids(r: float, eta, splitters: list, det: DetectorModel, cutoff: int) -> list:
+    """Count grids of a lossy two-mode squeezed source behind each of the
+    ``splitters`` (:func:`_splitter`), measured by noisy detectors.
+
+    The source holds |n, n> and loss only lowers n1 and n2, so the lossy
+    density has no coherence between two states of the same n1 + n2,
+    which a beam splitter conserves: it maps occupations through |U|^2, as
+    loss does through binomial thinning, and no density is needed.
+    """
+    psi = fock._tmsv_amplitudes(r, cutoff)
+    thin_1, thin_2 = (fock._loss_kraus(e, cutoff) ** 2 for e in eta)
+    source = ((thin_1 * (psi.real**2 + psi.imag**2)) @ thin_2.T).reshape(-1)
+    return [fock._noisy((w @ source).reshape(cutoff, cutoff), det) for w in splitters]
 
 
 def predicted_distribution(
@@ -63,8 +70,8 @@ def predicted_distribution(
 ) -> FCTable:
     """Photon statistics of a lossy two-mode squeezed source measured by
     noisy detectors, for one beam-splitter setting."""
-    rho = _at_setting(_lossy_source(r, eta, cutoff), bs_transmission)
-    return fock.attach_detector_noise(rho, det)
+    (grid,) = _count_grids(r, eta, [_splitter(bs_transmission, cutoff)], det, cutoff)
+    return fock._table(grid, cutoff, 1e-16)
 
 
 def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +114,9 @@ def _moment_start(hist: CountHistogram, det: DetectorModel) -> np.ndarray:
     A two-mode squeezed vacuum holds s = sinh(r)^2 photons per arm with
     covariance s^2 + s; binomial loss scales the means by eta_i and the
     covariance by eta_1 eta_2, and independent detector noise adds its mean
-    mu to each arm and nothing to the covariance.  Hence the estimate in
-    :func:`fit_source`, or (0.3, 0.5, 0.5) without a positive excess
+    mu to each arm and nothing to the covariance.  Hence, with
+    n_i = <m_i> - mu, s = n_1 n_2 / (Cov(m_1, m_2) - n_1 n_2) and
+    eta_i = n_i / s, or (0.3, 0.5, 0.5) without a positive excess
     covariance.  Sink rows (the unlisted mass, whose counts are unknown)
     are left out.  The start is clamped one first-simplex step inside the
     bounds, which keeps it off the flat r = 0 and eta = 0 edges, where
@@ -154,41 +162,25 @@ def fit_source(
     candidate for the model-mismatch error term).
 
     Without an explicit ``start`` the simplex starts from the moment
-    estimate of the transmissive counts: with n_i = <m_i> - mu, mu the
-    mean count the detector noise adds,
-    s = sinh(r)^2 = n_1 n_2 / (Cov(m_1, m_2) - n_1 n_2) and eta_i = n_i / s
-    (see :func:`_moment_start`).  Each candidate replays the lossy source
-    once; the reflective setting adds the beam splitter to that density.
+    estimate of the transmissive counts (:func:`_moment_start`).  Each
+    candidate's count grids come from occupations (:func:`_count_grids`).
     """
     observed = [_observed(hist, cutoff) for hist in (hist_100_0, hist_0_100)]
     if start is None:
         start = _moment_start(hist_100_0, det)
+    splitters = [_splitter(t, cutoff) for t in (1.0, 0.0)]
 
     def residuals(x) -> tuple[float, float]:
         r, e1, e2 = x
-        source = _lossy_source(r, (e1, e2), cutoff)
-        return tuple(
-            _pooled_tvd(_pooled(fock.noisy_occupations(_at_setting(source, t), det), cutoff), obs)
-            for t, obs in zip((1.0, 0.0), observed)
-        )
+        grids = _count_grids(r, (e1, e2), splitters, det, cutoff)
+        return tuple(_pooled_tvd(_pooled(g, cutoff), obs) for g, obs in zip(grids, observed))
 
-    result = nelder_mead(
-        lambda x: -sum(residuals(x)),
-        np.asarray(start, dtype=float),
-        bounds=_BOUNDS.tolist(),
-        tol=tol,
-        max_iter=max_iter,
-    )
+    result = nelder_mead(lambda x: -sum(residuals(x)), np.asarray(start, dtype=float),
+                         _BOUNDS.tolist(), tol=tol, max_iter=max_iter)
     r, e1, e2 = (float(v) for v in result.x)
     res_t, res_r = residuals(result.x)
-    at_bounds = r >= 1.5 - 1e-9 or min(e1, e2) <= 1e-9
-    return TomographyFit(
-        r,
-        (e1, e2),
-        max(res_t, res_r),
-        bool(result.converged and not at_bounds),
-        result.iterations,
-    )
+    converged = result.converged and not (r >= 1.5 - 1e-9 or min(e1, e2) <= 1e-9)
+    return TomographyFit(r, (e1, e2), max(res_t, res_r), bool(converged), result.iterations)
 
 
 def pump_to_r(power: float, k: float) -> float:
@@ -261,7 +253,7 @@ def read_histogram_csv(path) -> CountHistogram:
     path = Path(path)
     counts: dict[tuple[int, ...], int] = {}
     try:
-        reader = csv.reader(path.read_text().splitlines())
+        reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
     except UnicodeDecodeError:
         raise HistogramFormatError("not UTF-8 text", 1) from None
     try:
@@ -277,20 +269,23 @@ def read_histogram_csv(path) -> CountHistogram:
         if len(row) != modes + 1:
             raise HistogramFormatError(f"expected {modes + 1} fields", lineno)
         try:
-            outcome = tuple(int(v) for v in row[:-1])
-            count = int(row[-1])
+            fields = [int(v) for v in row]
         except ValueError:
             raise HistogramFormatError("non-integer field", lineno) from None
+        if any(abs(v) >= 2**63 for v in fields):  # the fit holds outcomes as int64
+            raise HistogramFormatError("field beyond the 64-bit integer range", lineno)
+        outcome, count = tuple(fields[:-1]), fields[-1]
         if count < 0:
             raise HistogramFormatError("negative count", lineno)
         counts[outcome] = counts.get(outcome, 0) + count
-    if not counts:
-        raise HistogramFormatError("no data rows", 2)
+    if not any(c for outcome, c in counts.items() if not is_sink(outcome)):
+        # no rows, or every shot in the sink (-1,..,-1) or another negative outcome
+        raise HistogramFormatError(f"{path.name}: no counts on a listed outcome", 2)
     metadata = {}
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
         try:
-            metadata = json.loads(sidecar.read_text())
+            metadata = json.loads(sidecar.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise HistogramFormatError(f"{sidecar.name}: {exc.msg}", exc.lineno) from None
         except UnicodeDecodeError:

@@ -56,7 +56,6 @@ __all__ = [
     "FockDensity",
     "element_matrix",
     "replay_fock",
-    "evolve_fock",
     "photon_distribution",
     "fidelity_fock",
     "noise_kernel",
@@ -215,6 +214,25 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     raise TypeError(f"{type(elem).__name__} has no unitary matrix")
 
 
+def _binomial_roots(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, n, sqrt(C(n + k, k))) over the k, n with n + k < cutoff."""
+    levels = np.arange(cutoff)
+    steps = np.arange(1, cutoff)[:, None]
+    # binom[k, n] = C(n + k, k) = prod_{i <= k} (n + i) / i
+    binom = np.vstack([np.ones(cutoff), np.cumprod((levels + steps) / steps, axis=0)])
+    k, n = np.nonzero(np.add.outer(levels, levels) < cutoff)
+    return k, n, np.sqrt(binom[k, n])
+
+
+def _loss_kraus(eta: float, cutoff: int) -> np.ndarray:
+    """Loss amplitudes K[n, n + k] = sqrt(C(n + k, k) eta^n (1-eta)^k); their
+    squares are the binomial thinning of the occupations."""
+    k, n, root = _binomial_roots(cutoff)
+    out = np.zeros((cutoff, cutoff))
+    out[n, n + k] = root * np.sqrt(eta**n * (1.0 - eta) ** k)
+    return out
+
+
 @lru_cache(maxsize=128)
 def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     """Loss of ``transmission`` eta, then a quantum-limited amplifier of ``gain``
@@ -225,15 +243,11 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     K_t[n + t, n] = table[cutoff - 1 + t, n] for a shift t = -k or k; the
     tables' extra column n = cutoff stays zero.
     """
-    eta, th, ch = transmission, math.tanh(math.acosh(math.sqrt(gain))), math.sqrt(gain)
+    th, ch = math.tanh(math.acosh(math.sqrt(gain))), math.sqrt(gain)
     levels = np.arange(cutoff)
-    steps = np.arange(1, cutoff)[:, None]
-    # binom[k, n] = C(n + k, k) = prod_{i <= k} (n + i) / i
-    binom = np.vstack([np.ones(cutoff), np.cumprod((levels + steps) / steps, axis=0)])
-    k, n = np.nonzero(np.add.outer(levels, levels) < cutoff)
-    root = np.sqrt(binom[k, n])
+    k, n, root = _binomial_roots(cutoff)
     loss, amp = np.zeros((2, 2 * cutoff - 1, cutoff + 1))
-    loss[cutoff - 1 - k, n + k] = root * np.sqrt(eta**n * (1.0 - eta) ** k)
+    loss[cutoff - 1 - k, n + k] = _loss_kraus(transmission, cutoff)[n, n + k]
     amp[cutoff - 1 + k, n] = root * th**k / ch ** (n + 1)
 
     # all blocks at once, zero-padded to cutoff x cutoff: block d holds the
@@ -250,6 +264,12 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
         block.setflags(write=False)
     perm, bounds = _block_layout(cutoff, True)
     return _PairBlocks(np.divmod(perm, cutoff), bounds, blocks)
+
+
+def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
+    """psi_n of the truncated two-mode squeezed vacuum sum_n psi_n |n, n>: the
+    vacuum column of the n1 - n2 = 0 block of :func:`_pair_blocks`."""
+    return _expm_tridiagonal(np.zeros(cutoff), -1j * complex(r) * np.arange(1.0, cutoff))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +432,6 @@ def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
         raise TypeError(f"unknown element {elem!r}")
 
 
-def _replay(ws: _FockWorkspace, circuit: GaussianCircuit) -> FockDensity:
-    if circuit.num_modes != ws.num_modes:
-        raise ValueError(f"circuit has {circuit.num_modes} modes, the state {ws.num_modes}")
-    for elem in circuit.elements:
-        _apply_element(ws, elem)
-    return FockDensity(ws.num_modes, ws.cutoff, ws.density())
-
-
 def replay_fock(
     circuit: GaussianCircuit,
     cutoff: int,
@@ -433,20 +445,16 @@ def replay_fock(
     With ``strict=True`` a :class:`TruncationError` is raised when the
     result fails the tail/boundary convergence checks.
     """
-    rho = _replay(_FockWorkspace(circuit.num_modes, cutoff), circuit)
+    ws = _FockWorkspace(circuit.num_modes, cutoff)
+    for elem in circuit.elements:
+        _apply_element(ws, elem)
+    rho = FockDensity(circuit.num_modes, cutoff, ws.density())
     if strict and not rho.converged(tail_tol, boundary_tol):
         raise TruncationError(
             f"cutoff {cutoff} too small: tail_mass={rho.tail_mass:.3e}, "
             f"boundary_mass={rho.boundary_mass():.3e}"
         )
     return rho
-
-
-def evolve_fock(rho: FockDensity, circuit: GaussianCircuit) -> FockDensity:
-    """Continue a replay: apply ``circuit`` to the density ``rho``, with no
-    convergence check (the elements conserve or lose probability, so the
-    tail of ``rho`` carries over)."""
-    return _replay(_FockWorkspace(rho.num_modes, rho.cutoff, rho.matrix), circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -492,41 +500,38 @@ def mean_photon_fock(rho: FockDensity, mode: int) -> float:
     return float(np.arange(rho.cutoff) @ marg)
 
 
-def _dark_kernel(dark_p1: float, floor: float = 1e-16) -> np.ndarray:
-    """Registered dark counts: geometric with P(>=1 count) = dark_p1."""
-    if dark_p1 <= 0.0:
-        return np.array([1.0])
-    probs = [1.0 - dark_p1]
-    k = 1
-    while (1.0 - dark_p1) * dark_p1**k > floor:
-        probs.append((1.0 - dark_p1) * dark_p1**k)
-        k += 1
-    return np.array(probs)
-
-
 def noise_kernel(det) -> np.ndarray:
-    """Distribution of the spurious counts one detector adds: geometric
-    dark counts, plus two counts with probability ``det.pump_p2``."""
-    dark = _dark_kernel(float(det.dark_p1))
-    pump = float(det.pump_p2)
+    """Distribution of the spurious counts one detector adds: geometric dark
+    counts with P(>= 1 count) = ``det.dark_p1``, down to probability 1e-16,
+    plus two counts with probability ``det.pump_p2``."""
+    p, pump = float(det.dark_p1), float(det.pump_p2)
+    dark = [1.0 - p]
+    while p > 0.0 and (1.0 - p) * p ** len(dark) > 1e-16:
+        dark.append((1.0 - p) * p ** len(dark))
     kernel = np.zeros(len(dark) + 2)
-    kernel[: len(dark)] += dark * (1.0 - pump)
+    kernel[: len(dark)] += np.array(dark) * (1.0 - pump)
     if pump > 0.0:
-        kernel[2:] += dark * pump
+        kernel[2:] += np.array(dark) * pump
     return kernel
+
+
+def _noisy(grid: np.ndarray, det) -> np.ndarray:
+    """:func:`noisy_occupations` of the occupation ``grid``."""
+    kernel = noise_kernel(det)
+    cut = grid.shape[0]
+    shift, level = np.indices((kernel.size, cut))
+    conv = np.zeros((cut + kernel.size - 1, cut))
+    conv[shift + level, level] = kernel[:, None]
+    for axis in range(grid.ndim):
+        grid = _apply_single(grid, conv, axis)
+    return grid
 
 
 def noisy_occupations(rho: FockDensity, det) -> np.ndarray:
     """Observed count probabilities, one axis per detector: the occupations
     convolved with each detector's :func:`noise_kernel` in turn.  Axes run
     past the signal cutoff by the kernel's length less one."""
-    kernel = noise_kernel(det)
-    cut = rho.cutoff
-    conv = sum(k * np.eye(cut + kernel.size - 1, cut, -s) for s, k in enumerate(kernel))
-    grid = rho.occupations()
-    for axis in range(rho.num_modes):
-        grid = _apply_single(grid, conv, axis)
-    return grid
+    return _noisy(rho.occupations(), det)
 
 
 def attach_detector_noise(rho: FockDensity, det) -> FCTable:

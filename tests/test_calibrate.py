@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from vibsim import fock
 from vibsim.calibrate import (
     HistogramFormatError,
     PumpFit,
@@ -16,6 +18,7 @@ from vibsim.calibrate import (
     write_histogram_csv,
 )
 from vibsim.experiment import DetectorModel
+from vibsim.gaussian import BeamSplitter, GaussianCircuit, Loss, TwoModeSqueeze
 from vibsim.sampler import sample
 from vibsim.tables import CountHistogram
 
@@ -50,6 +53,27 @@ def assert_round_trip(r, eta, seed):
     assert fit.r == pytest.approx(r, abs=0.01)
     assert fit.eta[0] == pytest.approx(eta[0], abs=0.02)
     assert fit.eta[1] == pytest.approx(eta[1], abs=0.02)
+
+
+class TestPredictedDistribution:
+    """The count grids come from occupations alone; the Fock replay of the
+    whole circuit, density and all, is the oracle."""
+
+    @pytest.mark.parametrize("cutoff", [6, 12, 20])
+    def test_matches_density_replay(self, cutoff):
+        detectors = [DetectorModel(0.0, 0.0), DetectorModel(0.004, 0.0), DetectorModel(0.0, 0.002)]
+        etas = [(0.0, 0.6), (1.0, 0.45), (0.45, 1.0), (1.0, 1.0), (0.3, 0.8)]
+        for r, eta, t in itertools.product([0.0, 0.3, 0.7, 1.2], etas, [1.0, 0.0, 0.3, 0.7]):
+            theta = math.acos(math.sqrt(t))
+            circuit = GaussianCircuit(2, [TwoModeSqueeze(0, 1, r), Loss(0, eta[0]),
+                                          Loss(1, eta[1]), BeamSplitter(0, 1, theta)])
+            rho = fock.replay_fock(circuit, cutoff, strict=False)
+            for det in detectors:
+                oracle = fock.noisy_occupations(rho, det)
+                table = predicted_distribution(r, eta, t, det, cutoff)
+                grid = np.zeros_like(oracle)
+                grid[tuple(np.array(list(table.entries)).T)] = list(table.entries.values())
+                assert np.abs(grid - oracle).max() < 1e-14, (r, eta, t, det)
 
 
 class TestFitSource:
@@ -195,6 +219,30 @@ class TestHistogramIO:
         with pytest.raises(HistogramFormatError) as err:
             read_histogram_csv(path)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("0,0,0\n1,0,0\n", 2, "bad.csv: no counts on a listed outcome"),
+            ("-1,-1,100\n", 2, "bad.csv: no counts on a listed outcome"),
+            ("-1,-1,60\n-2,0,40\n0,1,0\n", 2, "bad.csv: no counts on a listed outcome"),
+            ("0,0,5\n99999999999999999999,0,100\n", 3, "64-bit"),
+            ("0,0,5\n0,0,9223372036854775808\n", 3, "64-bit"),
+        ],
+        ids=["all-zero", "sink-only", "negative-only", "outcome-overflow", "count-overflow"],
+    )
+    def test_nothing_to_fit_or_out_of_range(self, tmp_path, rows, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("m1,m2,count\n" + rows)
+        with pytest.raises(HistogramFormatError) as err:
+            read_histogram_csv(path)
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    def test_sink_rows_beside_listed_counts_kept(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("m1,m2,count\n0,0,7\n-1,-1,3\n")
+        assert read_histogram_csv(path).counts == {(0, 0): 7, (-1, -1): 3}
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -357,6 +357,29 @@ class TestTomography:
         assert code == 2
         assert "two-mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0,0\n1,1,0\n", "line 2: bad.csv: no counts on a listed outcome"),
+            ("0,0,5\n99999999999999999999,0,100\n", "line 3: field beyond"),
+            ("-1,-1,1000\n", "line 2: bad.csv: no counts on a listed outcome"),
+        ],
+        ids=["all-zero", "int64-overflow", "sink-only"],
+    )
+    def test_histogram_without_data_exit_code(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("m1,m2,count\n" + rows)
+        good = tmp_path / "good.csv"
+        write_histogram_csv(CountHistogram({(0, 0): 9, (1, 1): 1}, 10), good)
+        path = write_config(tmp_path)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography",
+                     str(good), str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "tomography_fit.json").exists()
+
     @pytest.mark.parametrize("sidecar", [b"{not json", b"[1, 2]", b"\xff{}"],
                              ids=["not-json", "not-object", "not-utf8"])
     def test_malformed_sidecar_exit_code(self, tmp_path, capsys, sidecar):
@@ -444,4 +467,71 @@ class TestConfigMutations:
                     assert code in (0, 2, 3), (path, value, command)
                     assert "Traceback" not in capsys.readouterr().err
                     seen.add(code)
+        assert {0, 2} <= seen
+
+
+def histogram_mutations(text: str) -> dict[str, tuple[str, bytes | None]]:
+    """Mutations of a histogram CSV ``text`` with no sidecar, keyed by name:
+    the new CSV text and the sidecar bytes (None for no sidecar)."""
+    header, first, *rest = text.splitlines()
+    out = {
+        f"header-{name}": "\n".join([new, first, *rest])
+        for name, new in [("dropped-column", "m1,count"), ("extra-column", "m1,m2,m3,count"),
+                          ("renamed-count", "m1,m2,counts"), ("renamed-mode", "x,m2,count")]
+    }
+    out.update({
+        "header-only": header,
+        "empty-file": "",
+        "bom": "\ufeff" + text,
+        "blank-rows": "\n".join([header, "", first, "", *rest]),
+        "short-row": "\n".join([header, first.rsplit(",", 1)[0], *rest]),
+        "long-row": "\n".join([header, first + ",1", *rest]),
+        "sink-only": f"{header}\n-1,-1,1000",
+        "negative-only": f"{header}\n-1,-1,600\n-3,2,400",
+        "all-zero": "\n".join([header] + [row.rsplit(",", 1)[0] + ",0" for row in (first, *rest)]),
+        "sink-beside-rows": f"{text}\n-1,-1,50",
+    })
+    fields = first.split(",")
+    for i, name in enumerate(["m1", "m2", "count"]):
+        for kind, value in [("empty", ""), ("non-integer", "1.5"), ("word", "x"),
+                            ("negative", "-2"), ("zero", "0"), ("int64-max", str(2**63 - 1)),
+                            ("int64-overflow", str(2**63)),
+                            ("int64-underflow", str(-2**63 - 1))]:
+            row = ",".join(fields[:i] + [value] + fields[i + 1:])
+            out[f"{name}-{kind}"] = "\n".join([header, row, *rest])
+    mutated = {name: (csv_text + "\n", None) for name, csv_text in out.items()}
+    for name, sidecar in [("sidecar-not-object", b"[1, 2]"), ("sidecar-not-utf8", b"\xff{}"),
+                          ("sidecar-malformed", b"{not json"), ("sidecar-bom", b"\xef\xbb\xbf{}")]:
+        mutated[name] = (text, sidecar)
+    return mutated
+
+
+class TestHistogramMutations:
+    def test_exit_codes_hold(self, tmp_path, capsys):
+        from vibsim.calibrate import predicted_distribution
+        from vibsim.sampler import sample
+
+        det = DetectorModel()
+        texts = {}
+        for name, t in (("trans", 1.0), ("refl", 0.0)):
+            table = predicted_distribution(0.3, (0.45, 0.40), t, det, 8)
+            hist = sample(table, 5000, seed=3 + int(t))
+            write_histogram_csv(hist, tmp_path / f"{name}.csv")
+            (tmp_path / f"{name}.json").unlink()
+            texts[name] = (tmp_path / f"{name}.csv").read_text()
+        path = write_config(tmp_path, cutoff=8)
+        seen = set()
+        for target in texts:
+            for label, (csv_text, sidecar) in histogram_mutations(texts[target]).items():
+                work = tmp_path / label / target
+                work.mkdir(parents=True)
+                for name, text in texts.items():
+                    (work / f"{name}.csv").write_text(csv_text if name == target else text)
+                if sidecar is not None:
+                    (work / f"{target}.json").write_bytes(sidecar)
+                code = main(["--config", str(path), "--out-dir", str(work), "tomography",
+                             str(work / "trans.csv"), str(work / "refl.csv")])
+                assert code in (0, 2, 3), (target, label)
+                assert "Traceback" not in capsys.readouterr().err
+                seen.add(code)
         assert {0, 2} <= seen
