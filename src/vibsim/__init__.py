@@ -26,6 +26,7 @@ from .gaussian import (
 )
 from .fock import (
     FockDensity,
+    FockMemoryError,
     TruncationError,
     attach_detector_noise,
     element_matrix,

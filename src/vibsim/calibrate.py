@@ -127,7 +127,8 @@ def _moment_start(hist: CountHistogram, det: DetectorModel) -> np.ndarray:
     outcomes, probs = outcomes[listed], probs[listed]
     kernel = fock.noise_kernel(det)
     means = probs @ outcomes
-    cov = probs @ (outcomes[:, 0] * outcomes[:, 1]) - means[0] * means[1]
+    # in float64: int64 products wrap once both counts of a row pass about 3e9
+    cov = probs @ (outcomes[:, 0] * outcomes[:, 1].astype(float)) - means[0] * means[1]
     n1, n2 = means - np.arange(kernel.size) @ kernel
     excess = cov - n1 * n2
     if n1 > 0.0 and n2 > 0.0 and excess > 0.0:

@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         if args.command == "tomography":
             return cmd_tomography(cfg, out_dir, Path(args.transmissive), Path(args.reflective))
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, HistogramFormatError, OSError) as exc:
+    except (ConfigError, HistogramFormatError, OSError, fock.FockMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (fock.TruncationError, PhysicalityError) as exc:

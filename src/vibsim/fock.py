@@ -7,6 +7,10 @@ truncated space; loss is an exact Kraus sum and thermal admixture is a
 pure-loss/amplifier composition, both of which stay inside the truncated
 space up to genuine tail mass.
 
+A state is held as a factor X of its density rho = X X+, on which unitaries
+act from one side: a pure state as its ket, a mixed Gaussian state in synthesis
+as the purification diag(sqrt(p)) of its thermal core.  A channel densifies it.
+
 Every two-mode operator conserves a photon number: beam splitters and
 other passive mixings conserve the total n1 + n2, the two-mode squeezer
 the difference n1 - n2.  They are built and applied as one small unitary
@@ -25,6 +29,7 @@ small enough that BLAS runs each product on the calling thread.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,6 +58,7 @@ from .tables import FCTable
 
 __all__ = [
     "TruncationError",
+    "FockMemoryError",
     "FockDensity",
     "element_matrix",
     "replay_fock",
@@ -68,6 +74,10 @@ __all__ = [
 
 class TruncationError(RuntimeError):
     """Raised when a truncated computation has not converged."""
+
+
+class FockMemoryError(MemoryError):
+    """Raised, before allocating, for a state too large for physical memory."""
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +289,43 @@ def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Density matrix of ``num_modes`` modes truncated at ``cutoff``.
-
-    ``tail_mass = 1 - trace`` is the probability that has left the
-    truncated space (zero for purely unitary circuits).
-    """
+    """Density operator of ``num_modes`` modes truncated at ``cutoff``, held
+    as a ``factor`` X of shape (cutoff**num_modes, k) with rho = X X+: a ket
+    (k = 1) or a purification.  A channel's result keeps its density ``rho``.
+    ``tail_mass = 1 - trace`` is the probability that has left the truncated
+    space (zero for purely unitary circuits)."""
 
     num_modes: int
     cutoff: int
-    matrix: np.ndarray
+    factor: np.ndarray | None = None
+    rho: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         dim = self.cutoff**self.num_modes
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match {dim}")
-        # one buffer serves |mat - mat+| and (mat + mat+) / 2
-        adj = mat.conj().T
-        herm = mat - adj
-        if np.abs(herm, out=herm).real.max() > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        mat = np.multiply(np.add(mat, adj, out=herm), 0.5, out=herm)
-        tr = float(mat.trace().real)
+        data = self.rho if self.factor is None else self.factor
+        shape = np.shape(data)
+        if len(shape) != 2 or shape[0] != dim or (self.factor is None and shape[1] != dim):
+            raise ValueError(f"shape {shape} does not match {dim}")
+        data.setflags(write=False)
+        # |X_ij|^2 as X X+ forms its diagonal: a ket's occupations are its density's
+        terms = data.diagonal()[:, None] if self.factor is None else data * data.conj()
+        tr = float(terms.sum().real)
         if not -1e-10 < tr < 1.0 + 1e-9:
             raise ValueError(f"trace {tr} is not a probability")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_occupations", np.clip(terms.real.sum(axis=1), 0.0, None))
+        object.__setattr__(self, "_trace", tr)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The density matrix, Hermitian-symmetrised; built on each call."""
+        x, mat = self.factor, self.rho
+        if x is not None:
+            mat = np.outer(x, x.conj()) if x.shape[1] == 1 else x @ x.conj().T
+        return (mat + mat.conj().T) * 0.5
 
     @property
     def trace(self) -> float:
-        return float(self.matrix.trace().real)
+        return self._trace
 
     @property
     def tail_mass(self) -> float:
@@ -316,8 +333,7 @@ class FockDensity:
 
     def occupations(self) -> np.ndarray:
         """Diagonal probabilities reshaped to one axis per mode."""
-        diag = np.clip(self.matrix.diagonal().real, 0.0, None)
-        return diag.reshape((self.cutoff,) * self.num_modes)
+        return self._occupations.reshape((self.cutoff,) * self.num_modes)
 
     def boundary_mass(self, band: int = 2) -> float:
         """Probability of any mode occupying the top ``band`` levels,
@@ -367,23 +383,49 @@ def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.n
     return np.transpose(out, np.argsort((ax1, ax2) + rest))
 
 
-class _FockWorkspace:
-    """Evolving state; pure vector until the first channel element."""
+#: state-sized arrays alive at once in :func:`_apply_pair`: input, panels, output
+_WORKING_COPIES = 3
 
-    def __init__(self, num_modes: int, cutoff: int, rho: np.ndarray | None = None):
-        """Vacuum, or the density matrix ``rho``."""
+
+def _state_bytes(num_modes: int, cutoff: int, dense: bool) -> float:
+    """Bytes of the working copies of a ket, or of a density or a purification,
+    and of a block operator's build (a channel's peaks at 5 cutoff**3 entries)."""
+    entries = _WORKING_COPIES * cutoff ** (num_modes * (2 if dense else 1)) + 8 * cutoff**3
+    return 16.0 * entries if entries < 1e300 else math.inf
+
+
+def _check_memory(num_modes: int, cutoff: int, dense: bool) -> None:
+    """Refuse, before allocating, a state that would not fit in physical memory."""
+    need = _state_bytes(num_modes, cutoff, dense)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise FockMemoryError(
+            f"cutoff {cutoff} on {num_modes} modes needs about {need:.3g} bytes of "
+            f"working memory, more than the {have:.3g} bytes of physical memory"
+        )
+
+
+class _FockWorkspace:
+    """Evolving state: a factor of its density until the first channel, then
+    the density.  The factor is the vacuum ket, or the purification
+    diag(sqrt(weights)) of a diagonal density with a trailing column axis
+    that unitaries leave alone."""
+
+    def __init__(self, num_modes: int, cutoff: int, weights: np.ndarray | None = None):
+        _check_memory(num_modes, cutoff, weights is not None)
         self.num_modes = num_modes
         self.cutoff = cutoff
-        self.vec: np.ndarray | None = None
         self.rho: np.ndarray | None = None
-        if rho is None:
-            self.vec = np.zeros((cutoff,) * num_modes, dtype=complex)
+        if weights is None:
+            self.vec: np.ndarray | None = np.zeros((cutoff,) * num_modes, dtype=complex)
             self.vec[(0,) * num_modes] = 1.0
         else:
-            self.rho = rho.reshape((cutoff,) * (2 * num_modes))
+            root = np.sqrt(weights).astype(complex)
+            self.vec = np.diag(root).reshape((cutoff,) * num_modes + (-1,))
 
     def _densify(self) -> None:
         if self.vec is not None:
+            _check_memory(self.num_modes, self.cutoff, True)
             flat = self.vec.reshape(-1)
             self.rho = np.outer(flat, flat.conj()).reshape(
                 (self.cutoff,) * (2 * self.num_modes)
@@ -406,11 +448,11 @@ class _FockWorkspace:
         assert self.rho is not None
         self.rho = _apply_pair(self.rho, op, mode, self.num_modes + mode)
 
-    def density(self) -> np.ndarray:
-        self._densify()
-        assert self.rho is not None
+    def result(self) -> FockDensity:
         dim = self.cutoff**self.num_modes
-        return self.rho.reshape(dim, dim)
+        if self.vec is not None:
+            return FockDensity(self.num_modes, self.cutoff, factor=self.vec.reshape(dim, -1))
+        return FockDensity(self.num_modes, self.cutoff, rho=self.rho.reshape(dim, dim))
 
 
 def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
@@ -448,7 +490,7 @@ def replay_fock(
     ws = _FockWorkspace(circuit.num_modes, cutoff)
     for elem in circuit.elements:
         _apply_element(ws, elem)
-    rho = FockDensity(circuit.num_modes, cutoff, ws.density())
+    rho = ws.result()
     if strict and not rho.converged(tail_tol, boundary_tol):
         raise TruncationError(
             f"cutoff {cutoff} too small: tail_mass={rho.tail_mass:.3e}, "
@@ -483,7 +525,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 def fidelity_fock(rho1: FockDensity, rho2: FockDensity) -> float:
     """Uhlmann fidelity of two truncated densities (nuclear norm of
     ``sqrt(rho1) sqrt(rho2)``)."""
-    if rho1.matrix.shape != rho2.matrix.shape:
+    if (rho1.num_modes, rho1.cutoff) != (rho2.num_modes, rho2.cutoff):
         raise ValueError("density matrices must share a shape")
     for rho in (rho1, rho2):
         if rho.tail_mass > 1e-3:
@@ -550,11 +592,6 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
 # ---------------------------------------------------------------------------
 
 
-def _thermal_diag(nbar: float, cutoff: int) -> np.ndarray:
-    ratio = nbar / (1.0 + nbar)
-    return ratio ** np.arange(cutoff) / (1.0 + nbar)
-
-
 def _apply_passive(ws: _FockWorkspace, w: np.ndarray) -> None:
     num_modes = w.shape[0]
     if num_modes == 2:
@@ -573,19 +610,20 @@ def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:
     """Synthesize the truncated Fock density of a Gaussian state.
 
     Route: Williamson normal form (thermal core), Bloch-Messiah of the
-    symplectic part (passive / squeeze / passive), then displacement.
+    symplectic part (passive / squeeze / passive), then displacement.  A
+    mixed state starts from the purification of its thermal core, so every
+    unitary acts on one side only.
     """
     sympl, nu = williamson(state.cov)
     o1, rs, o2 = bloch_messiah(sympl)
     nbars = np.clip(nu - 0.5, 0.0, None)
-    core = None
+    weights = None
     if np.max(nbars) > 1e-12:
-        diags = [_thermal_diag(float(nb), cutoff) for nb in nbars]
-        joint = diags[0]
-        for d in diags[1:]:
-            joint = np.outer(joint, d).reshape(-1)
-        core = np.diag(joint.astype(complex))
-    ws = _FockWorkspace(state.num_modes, cutoff, core)
+        weights = np.ones(1)
+        for nb in nbars:
+            thermal = (nb / (1.0 + nb)) ** np.arange(cutoff) / (1.0 + nb)
+            weights = np.outer(weights, thermal).reshape(-1)
+    ws = _FockWorkspace(state.num_modes, cutoff, weights)
     _apply_passive(ws, unitary_from_orthosymplectic(o2))
     for mode, r in enumerate(rs):
         if abs(r) > 1e-14:
@@ -597,4 +635,4 @@ def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:
         alpha = (state.mean[mode] + 1j * state.mean[mode + n]) / math.sqrt(2.0)
         if abs(alpha) > 1e-14:
             ws.apply_unitary(element_matrix(Displace(mode, complex(alpha)), cutoff), (mode,))
-    return FockDensity(state.num_modes, cutoff, ws.density())
+    return ws.result()

@@ -1,13 +1,16 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from vibsim import fock
 from vibsim.calibrate import (
+    SIMPLEX_STEP,
     HistogramFormatError,
     PumpFit,
+    _BOUNDS,
     _moment_start,
     fit_pump_curve,
     fit_source,
@@ -138,6 +141,24 @@ class TestMomentStart:
     def test_vacuum_counts_fall_back(self):
         hist = CountHistogram({(0, 0): 1000}, 1000)
         assert _moment_start(hist, DET) == pytest.approx([0.3, 0.5, 0.5])
+
+    def test_huge_counts_keep_the_covariance_sign(self):
+        # 4e9 * 4e9 wraps in int64; in exact integers the excess covariance
+        # is positive, and the start comes from it, not from the fallback
+        counts = {(0, 0): 600, (1, 0): 150, (0, 1): 150, (1, 1): 99, (4_000_000_000,) * 2: 1}
+        total = sum(counts.values())
+        moments = [sum(Fraction(c * f(m), total) for m, c in counts.items())
+                   for f in (lambda m: m[0], lambda m: m[1], lambda m: m[0] * m[1])]
+        n1, n2, cross = moments
+        excess = cross - 2 * n1 * n2
+        assert excess > 0
+        s = n1 * n2 / excess
+        exact = [math.asinh(math.sqrt(s)), float(n1 / s), float(n2 / s)]
+        lo, hi = _BOUNDS.T
+        margin = SIMPLEX_STEP * (hi - lo)
+        start = _moment_start(CountHistogram(counts, total), DetectorModel(0.0, 0.0))
+        assert start == pytest.approx(np.clip(exact, lo + margin, hi - margin))
+        assert start != pytest.approx([0.3, 0.5, 0.5])
 
     def test_start_clamped_inside_bounds(self):
         # an excess covariance of 1e-4 on means of 0.1 asks for sinh(r)^2 = 100

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -203,6 +204,40 @@ class TestIdeal:
         first = (tmp_path / "ideal_table.csv").read_bytes()
         main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"])
         assert (tmp_path / "ideal_table.csv").read_bytes() == first
+
+
+#: a displaced three-mode Duschinsky transition, converged from cutoff 20
+THREE_MODE_TRANSITION = {
+    "kind": "transition",
+    "duschinsky": [[0.6, -0.48, -0.64], [0.8, 0.36, 0.48], [0.0, -0.8, 0.6]],
+    "ground_freqs_cm1": [500.0, 700.0, 900.0],
+    "excited_freqs_cm1": [420.0, 650.0, 1000.0],
+    "displacement": [0.5, -0.3, 0.2],
+}
+
+
+class TestFockMemory:
+    @pytest.mark.parametrize("cutoff", [20, 50])
+    def test_three_mode_ideal_stays_a_ket(self, tmp_path, cutoff):
+        # at cutoff 50 the ket takes 2 MB and a density would take about
+        # 250 GB, which the memory guard refuses with exit 2
+        path = write_config(tmp_path, cutoff=cutoff, target=THREE_MODE_TRANSITION)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"]) == 0
+        summary = json.loads((tmp_path / "ideal_summary.json").read_text())
+        assert summary["converged"] is True
+
+    @pytest.mark.parametrize("command", ["ideal", "simulate"])
+    def test_cutoff_beyond_memory_exits_2(self, tmp_path, capsys, command):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        # two modes: the ket alone needs a thousand times the physical memory
+        cutoff = math.isqrt(1000 * have // 16) + 1
+        path = write_config(tmp_path, experiment=paper_experiment_section())
+        code = main(["--config", str(path), "--out-dir", str(tmp_path),
+                     "--cutoff", str(cutoff), command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cutoff {cutoff}" in err and "bytes of physical memory" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,7 +100,7 @@ def _apply_to_density(rho, elem, num_modes, cutoff):
     ws = fock._FockWorkspace(num_modes, cutoff)
     ws.vec, ws.rho = None, rho.reshape((cutoff,) * (2 * num_modes))
     fock._apply_element(ws, elem)
-    return ws.density()
+    return ws.rho.reshape(rho.shape)
 
 
 def _kraus_sum(rho, kraus, mode, cutoff):
@@ -337,3 +339,110 @@ class TestGaussianConversion:
         direct = photon_distribution(replay_fock(circuit, 10, strict=False))
         synth = photon_distribution(gaussian_to_fock(replay(circuit), 10))
         assert tvd(direct, synth) < 1e-5
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _pure_circuit(rng, num_modes, displaced):
+    elements = [Squeeze(m, rng.uniform(-0.5, 0.5), rng.uniform(0, 6.2)) for m in range(num_modes)]
+    for m in range(num_modes - 1):
+        elements += [BeamSplitter(m, m + 1, rng.uniform(-1.5, 1.5), rng.uniform(0, 6.2)),
+                     TwoModeSqueeze(m, m + 1, rng.uniform(0, 0.2))]
+    if displaced:
+        elements += [Displace(m, complex(*rng.uniform(-0.5, 0.5, 2))) for m in range(num_modes)]
+    return GaussianCircuit(num_modes, elements)
+
+
+class _TwoSidedWorkspace(fock._FockWorkspace):
+    """Starts a mixed synthesis from the density diag(weights), so that every
+    unitary acts on both of its sides."""
+
+    def __init__(self, num_modes, cutoff, weights=None):
+        super().__init__(num_modes, cutoff)
+        if weights is not None:
+            self.vec = None
+            self.rho = np.diag(weights.astype(complex)).reshape((cutoff,) * (2 * num_modes))
+
+
+class TestFactorStorage:
+    @pytest.mark.parametrize("num_modes, cutoff", [
+        (1, 6), (1, 17), (1, 30), (2, 6), (2, 12), (2, 20), (2, 30), (3, 6), (3, 9), (3, 11),
+    ])
+    @pytest.mark.parametrize("displaced", [False, True])
+    def test_ket_matches_its_density_bit_for_bit(self, num_modes, cutoff, displaced):
+        rng = np.random.default_rng([num_modes, cutoff, displaced])
+        rho = replay_fock(_pure_circuit(rng, num_modes, displaced), cutoff, strict=False)
+        assert rho.factor.shape == (cutoff**num_modes, 1)
+        psi = rho.factor[:, 0]
+        outer = np.outer(psi, psi.conj())
+        dense = FockDensity(num_modes, cutoff, rho=(outer + outer.conj().T) * 0.5)
+        assert _bits(rho.occupations()) == _bits(dense.occupations())
+        assert rho.trace.hex() == dense.trace.hex()
+        assert rho.boundary_mass().hex() == dense.boundary_mass().hex()
+        assert _bits(rho.matrix) == _bits(dense.matrix)
+
+    @pytest.mark.parametrize("circuit", [
+        GaussianCircuit(1, [ThermalMix(0, 1.0, 0.8)]),
+        GaussianCircuit(2, [Squeeze(0, 0.4), Squeeze(1, -0.2, 0.3), ThermalMix(0, 0.3, 0.5),
+                            ThermalMix(1, 0.2, 0.4), BeamSplitter(0, 1, 0.6, 0.2)]),
+        GaussianCircuit(2, [Squeeze(0, 0.3), TwoModeSqueeze(0, 1, 0.2), ThermalMix(1, 0.4, 0.3),
+                            Displace(0, 0.3 - 0.2j), Displace(1, -0.1 + 0.25j)]),
+        GaussianCircuit(3, [Squeeze(0, 0.25), BeamSplitter(0, 1, 0.5, 0.7), ThermalMix(1, 0.3, 0.3),
+                            BeamSplitter(1, 2, -0.4), Displace(2, 0.2 + 0.1j)]),
+    ], ids=["thermal", "squeezed-thermal", "displaced", "three-mode"])
+    def test_purification_matches_two_sided_density(self, circuit, monkeypatch):
+        cutoff = 8 if circuit.num_modes == 3 else 16
+        state = replay(circuit)
+        purified = gaussian_to_fock(state, cutoff)
+        assert purified.factor.shape == (cutoff**circuit.num_modes,) * 2
+        monkeypatch.setattr(fock, "_FockWorkspace", _TwoSidedWorkspace)
+        dense = gaussian_to_fock(state, cutoff)
+        assert dense.factor is None
+        assert np.max(np.abs(purified.occupations() - dense.occupations())) < 1e-15
+        assert abs(purified.trace - dense.trace) < 1e-15
+        assert abs(purified.boundary_mass() - dense.boundary_mass()) < 1e-15
+        assert np.max(np.abs(purified.matrix - dense.matrix)) < 1e-15
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="shape"):
+            FockDensity(2, 4, factor=np.ones((15, 1), dtype=complex))
+        with pytest.raises(ValueError, match="shape"):
+            FockDensity(1, 4, rho=np.eye(4)[:, :3])
+        with pytest.raises(ValueError, match="trace"):
+            FockDensity(1, 4, factor=np.ones((4, 1), dtype=complex))
+
+
+class TestMemoryGuard:
+    def test_estimate(self):
+        copies = fock._WORKING_COPIES
+        assert fock._state_bytes(3, 10, dense=False) == 16 * (10**3 * copies + 8 * 10**3)
+        assert fock._state_bytes(3, 10, dense=True) == 16 * (10**6 * copies + 8 * 10**3)
+        assert fock._state_bytes(2, 10**200, dense=True) == math.inf
+
+    def test_over_physical_memory_raises_before_allocating(self):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        # two modes: a ket a thousand times the physical memory, and a ket
+        # that fits but whose density does not
+        ket_cutoff = math.isqrt(1000 * have // 16) + 1
+        rho_cutoff = math.ceil((have / (16 * fock._WORKING_COPIES)) ** 0.25) + 1
+        assert fock._state_bytes(2, ket_cutoff, dense=False) >= 1000 * have
+        assert fock._state_bytes(2, rho_cutoff, dense=False) < have
+        assert fock._state_bytes(2, rho_cutoff, dense=True) > have
+        fock._check_memory(2, 30, dense=True)
+        with pytest.raises(fock.FockMemoryError, match=re.escape(f"{float(have):.3g} bytes")):
+            fock._check_memory(2, ket_cutoff, dense=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock.FockMemoryError):
+                replay_fock(GaussianCircuit(2, [Squeeze(0, 0.3)]), ket_cutoff)
+            with pytest.raises(fock.FockMemoryError):
+                replay_fock(GaussianCircuit(2, [Squeeze(0, 0.3), Loss(0, 0.5)]), rho_cutoff)
+            with pytest.raises(fock.FockMemoryError):
+                gaussian_to_fock(replay(GaussianCircuit(2, [ThermalMix(0, 0.5, 0.2)])), rho_cutoff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the ket and the channel's build, not the density
+        assert peak < fock._state_bytes(2, rho_cutoff, dense=False)
