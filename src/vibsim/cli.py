@@ -66,7 +66,10 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
         if "bs_angle" in obj:
             if len(squeeze) != 2:
                 raise ConfigError("bs_angle applies to two-mode targets only")
-            interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
+            angle = float(obj["bs_angle"])
+            if not math.isfinite(angle):
+                raise ConfigError("target bs_angle must be finite")
+            interferometer = (BeamSplitter(0, 1, angle),)
         pairs = obj.get("displacement", [])
         if any(len(d) != 2 for d in pairs):
             raise ConfigError("target displacement entries must be [re, im] pairs")
@@ -74,6 +77,8 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
         if not all(cmath.isfinite(a) for a in disp):
             raise ConfigError("target displacement values must be finite")
         freqs = tuple(float(f) for f in obj.get("excited_freqs_cm1") or ())
+        if not all(math.isfinite(f) for f in freqs):
+            raise ConfigError("target excited_freqs_cm1 must be finite")
         if freqs and len(freqs) != len(squeeze):
             raise ConfigError("excited_freqs_cm1 needs one frequency per mode")
         return OpticalTarget(squeeze, interferometer, disp), freqs or None

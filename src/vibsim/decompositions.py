@@ -7,7 +7,6 @@ All matrices are real and use the xxpp quadrature ordering of
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from .gaussian import BeamSplitter, passive_symplectic, symplectic_form
 
@@ -35,6 +34,8 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(S, nu)`` with ``cov = S @ D @ S.T`` where
     ``D = diag(nu_1..nu_M, nu_1..nu_M)`` and ``S`` symplectic.
     """
+    from scipy.linalg import schur, sqrtm
+
     cov = np.asarray(cov, dtype=float)
     n2 = cov.shape[0]
     if cov.shape != (n2, n2) or n2 % 2:
@@ -48,12 +49,12 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(num_modes):
         omega_xp[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = j2
 
-    root = la.sqrtm(vp).real
+    root = sqrtm(vp).real
     root_inv = np.linalg.inv(root)
     skew = root_inv @ omega_xp @ root_inv
     skew = 0.5 * (skew - skew.T)
     # real Schur form of a skew matrix: 2x2 blocks [[0, b], [-b, 0]]
-    t, q = la.schur(skew, output="real")
+    t, q = schur(skew, output="real")
     lam = np.empty(num_modes)
     for i in range(num_modes):
         b = t[2 * i, 2 * i + 1]

@@ -24,6 +24,8 @@ Every generator is tridiagonal within its blocks (the single-mode
 squeezer within each photon-number parity), so each block exponential is
 one real tridiagonal eigenproblem.  Blocks are applied to column panels
 small enough that BLAS runs each product on the calling thread.
+Importing the package loads numpy only; scipy loads with the first block
+build or Williamson/Bloch-Messiah call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as la
 
 from .decompositions import (
     bloch_messiah,
@@ -96,7 +97,9 @@ def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     if w.size == 1:
         v = np.ones((1, 1))
     else:
-        w, v, info = la.lapack.dstevd(w, np.abs(lower))
+        from scipy.linalg import lapack
+
+        w, v, info = lapack.dstevd(w, np.abs(lower))
         if info:
             raise np.linalg.LinAlgError(f"dstevd failed (info {info})")
     return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
@@ -194,7 +197,9 @@ def _passive_operator(w: np.ndarray, cutoff: int) -> _PairBlocks:
     """Fock unitary of a two-mode passive mixing a -> W a."""
     # principal logarithm from the Schur form, diagonal for a unitary W
     # (scipy's logm takes milliseconds on 2 x 2 and wakes BLAS threads)
-    t, z = la.schur(np.asarray(w, dtype=complex), output="complex")
+    from scipy.linalg import schur
+
+    t, z = schur(np.asarray(w, dtype=complex), output="complex")
     gen = (z * (1j * np.angle(np.diag(t)))) @ z.conj().T
     return _pair_blocks(
         complex(gen[0, 1]), float(gen[0, 0].imag), float(gen[1, 1].imag), False, cutoff
@@ -216,10 +221,11 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     if isinstance(elem, Displace):
         return _displace_matrix(complex(elem.alpha), cutoff)
     if isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
-        (m1, m2), _, blocks = _pair_operator(elem, cutoff)
+        (m1, m2), bounds, blocks = _pair_operator(elem, cutoff)
         perm = m1 * cutoff + m2
         out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
-        out[np.ix_(perm, perm)] = la.block_diag(*blocks)
+        for lo, hi, block in zip(bounds, bounds[1:], blocks):
+            out[np.ix_(perm[lo:hi], perm[lo:hi])] = block
         return out
     raise TypeError(f"{type(elem).__name__} has no unitary matrix")
 

@@ -14,6 +14,7 @@ States are immutable; every operation returns a new state.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -130,13 +131,19 @@ def _validate_element(elem: Element, num_modes: int) -> None:
         raise ValueError(f"element acts twice on the same mode: {elem}")
     if isinstance(elem, (Squeeze, TwoModeSqueeze)) and not math.isfinite(elem.r):
         raise ValueError(f"non-finite squeezing parameter in {elem}")
+    if isinstance(elem, BeamSplitter) and not math.isfinite(elem.theta):
+        raise ValueError(f"non-finite mixing angle in {elem}")
+    if isinstance(elem, (Squeeze, BeamSplitter)) and not math.isfinite(elem.phase):
+        raise ValueError(f"non-finite phase in {elem}")
+    if isinstance(elem, Displace) and not cmath.isfinite(elem.alpha):
+        raise ValueError(f"non-finite displacement in {elem}")
     if isinstance(elem, Loss) and not 0.0 <= elem.transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {elem.transmission}")
     if isinstance(elem, ThermalMix):
         if not 0.0 <= elem.reflectivity <= 1.0:
             raise ValueError(f"reflectivity must lie in [0, 1], got {elem.reflectivity}")
-        if elem.mean_photons < 0:
-            raise ValueError(f"mean_photons must be >= 0, got {elem.mean_photons}")
+        if not 0 <= elem.mean_photons < math.inf:
+            raise ValueError(f"mean_photons must be finite and >= 0, got {elem.mean_photons}")
 
 
 @dataclass(frozen=True)
@@ -250,14 +257,6 @@ def vacuum(num_modes: int) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
-def _embed_passive(w: np.ndarray, modes: tuple[int, ...], num_modes: int) -> np.ndarray:
-    """Expand a small complex mode-mixing matrix to the full mode space."""
-    full = np.eye(num_modes, dtype=complex)
-    idx = np.array(modes)
-    full[np.ix_(idx, idx)] = w
-    return full
-
-
 def passive_symplectic(w: np.ndarray) -> np.ndarray:
     """Symplectic matrix (xxpp) of the passive transformation a -> W a."""
     re, im = w.real, w.imag
@@ -281,21 +280,25 @@ def _symplectic(elem: Element, n: int) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(elem, Squeeze):
         ch, sh = math.cosh(elem.r), math.sinh(elem.r)
         c, sn = math.cos(elem.phase), math.sin(elem.phase)
-        block = np.array([[ch - sh * c, -sh * sn], [-sh * sn, ch + sh * c]])
         ix, ip = elem.mode, elem.mode + n
-        s[np.ix_([ix, ip], [ix, ip])] = block
+        s[ix, ix], s[ip, ip] = ch - sh * c, ch + sh * c
+        s[ix, ip] = s[ip, ix] = -sh * sn
     elif isinstance(elem, BeamSplitter):
         ct, st = math.cos(elem.theta), math.sin(elem.theta)
         ph = np.exp(1j * elem.phase)
         w = np.array([[ct, st * ph], [-st * np.conj(ph), ct]])
-        s = passive_symplectic(_embed_passive(w, (elem.mode1, elem.mode2), n))
+        # as passive_symplectic of W embedded in the identity: -Im is -0.0 off the pair
+        s[:n, n:] = -0.0
+        for i, row in zip((elem.mode1, elem.mode2), w.tolist()):
+            for j, wij in zip((elem.mode1, elem.mode2), row):
+                s[i, j] = s[i + n, j + n] = wij.real
+                s[i, j + n], s[i + n, j] = -wij.imag, wij.imag
     elif isinstance(elem, TwoModeSqueeze):
         ch, sh = math.cosh(elem.r), math.sinh(elem.r)
         i, j = elem.mode1, elem.mode2
-        xs = np.array([[ch, sh], [sh, ch]])
-        ps = np.array([[ch, -sh], [-sh, ch]])
-        s[np.ix_([i, j], [i, j])] = xs
-        s[np.ix_([i + n, j + n], [i + n, j + n])] = ps
+        s[i, i] = s[j, j] = s[i + n, i + n] = s[j + n, j + n] = ch
+        s[i, j] = s[j, i] = sh
+        s[i + n, j + n] = s[j + n, i + n] = -sh
     elif isinstance(elem, Displace):
         d[elem.mode] = math.sqrt(2.0) * elem.alpha.real
         d[elem.mode + n] = math.sqrt(2.0) * elem.alpha.imag

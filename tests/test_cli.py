@@ -50,6 +50,10 @@ MALFORMED = {
         "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
         "ground_freqs_cm1": [100.0, -200.0], "excited_freqs_cm1": [120.0, 180.0]}},
     "nan-squeeze": {"target": {"kind": "optical", "squeeze": [math.nan, 0.2], "bs_angle": 0.3}},
+    "nan-bs-angle": {"target": {"kind": "optical", "squeeze": [-0.72, 0.19], "bs_angle": math.nan}},
+    "inf-bs-angle": {"target": {"kind": "optical", "squeeze": [-0.72, 0.19], "bs_angle": math.inf}},
+    "nan-excited-freq": {"target": {"kind": "optical", "squeeze": [-0.72, 0.19],
+                                    "excited_freqs_cm1": [math.nan, 110.0]}},
     "missing-squeeze": {"target": {"kind": "optical"}},
     "nan-tmsv-r": {"experiment": paper_experiment_section(r=math.nan)},
     "inf-tmsv-r": {"experiment": paper_experiment_section(r=math.inf)},
@@ -447,6 +451,21 @@ README_CONFIG = {
     "eps_g": 0.001,
     "monte_carlo_samples": 3,
 }
+#: the leaves the README config lacks: an optical target with every optional
+#: field, and an SMSV-pair source with post-splitter loss
+OPTICAL_CONFIG = {
+    **README_CONFIG,
+    "target": {"kind": "optical", "squeeze": [-0.72, 0.19], "bs_angle": 0.3295,
+               "displacement": [[0.1, -0.2], [0.0, 0.15]], "excited_freqs_cm1": [176, 110]},
+    "experiment": {
+        "source": {"kind": "smsv_pair", "r1": 0.7, "r2": 0.2},
+        "bs_transmission": 0.9,
+        "loss_pre": [0.4, 0.4],
+        "loss_post": [0.9, 0.85],
+        "distinguishability": 0.06,
+        "detector": {"dark_p1": 0.002, "pump_p2": 0.001, "noise_fidelity_factor": 0.9958},
+    },
+}
 DROP = object()
 
 
@@ -486,23 +505,32 @@ def mutated(config: dict, path: tuple, value) -> dict:
     return config
 
 
+def exit_codes_under_mutation(base: dict, tmp_path, capsys) -> set[int]:
+    """Run ideal, simulate and optimize on every mutation of every leaf of
+    ``base``; each must exit 0, 2 or 3 without a traceback."""
+    seen = set()
+    for path in config_paths(base):
+        leaf = base
+        for key in path:
+            leaf = leaf[key]
+        for value in mutations(leaf):
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(mutated(base, path, value)))
+            for command in ("ideal", "simulate", "optimize"):
+                code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / command),
+                             command])
+                assert code in (0, 2, 3), (path, value, command)
+                assert "Traceback" not in capsys.readouterr().err
+                seen.add(code)
+    return seen
+
+
 class TestConfigMutations:
     def test_exit_codes_hold(self, tmp_path, capsys):
-        seen = set()
-        for path in config_paths(README_CONFIG):
-            leaf = README_CONFIG
-            for key in path:
-                leaf = leaf[key]
-            for value in mutations(leaf):
-                cfg_path = tmp_path / "config.json"
-                cfg_path.write_text(json.dumps(mutated(README_CONFIG, path, value)))
-                for command in ("ideal", "simulate", "optimize"):
-                    code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / command),
-                                 command])
-                    assert code in (0, 2, 3), (path, value, command)
-                    assert "Traceback" not in capsys.readouterr().err
-                    seen.add(code)
-        assert {0, 2} <= seen
+        assert {0, 2} <= exit_codes_under_mutation(README_CONFIG, tmp_path, capsys)
+
+    def test_exit_codes_hold_on_optical_smsv_config(self, tmp_path, capsys):
+        assert {0, 2} <= exit_codes_under_mutation(OPTICAL_CONFIG, tmp_path, capsys)
 
 
 def histogram_mutations(text: str) -> dict[str, tuple[str, bytes | None]]:

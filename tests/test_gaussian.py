@@ -85,6 +85,65 @@ class TestElements:
         with pytest.raises(ValueError):
             apply(vacuum(2), elem)
 
+    @pytest.mark.parametrize("elem", [
+        BeamSplitter(0, 1, math.nan),
+        BeamSplitter(0, 1, math.inf),
+        BeamSplitter(0, 1, 0.3, -math.inf),
+        Squeeze(0, 0.1, math.nan),
+        Displace(1, complex(math.nan, 0.0)),
+        ThermalMix(0, 0.5, math.nan),
+        ThermalMix(0, 0.5, math.inf),
+    ])
+    def test_non_finite_parameters_rejected_on_build(self, elem):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianCircuit(2, [elem])
+
+
+def explicit_symplectic(elem, n):
+    """(S, d) of a unitary element built the long way: the element's block
+    placed with ``np.ix_`` into the identity, and a beam splitter as
+    ``passive_symplectic`` of its mode-mixing matrix embedded in the identity."""
+    s, d = np.eye(2 * n), np.zeros(2 * n)
+    if isinstance(elem, Squeeze):
+        ch, sh = math.cosh(elem.r), math.sinh(elem.r)
+        c, sn = math.cos(elem.phase), math.sin(elem.phase)
+        idx = [elem.mode, elem.mode + n]
+        s[np.ix_(idx, idx)] = np.array([[ch - sh * c, -sh * sn], [-sh * sn, ch + sh * c]])
+    elif isinstance(elem, BeamSplitter):
+        ct, st = math.cos(elem.theta), math.sin(elem.theta)
+        ph = np.exp(1j * elem.phase)
+        w = np.eye(n, dtype=complex)
+        idx = [elem.mode1, elem.mode2]
+        w[np.ix_(idx, idx)] = np.array([[ct, st * ph], [-st * np.conj(ph), ct]])
+        s = gaussian.passive_symplectic(w)
+    elif isinstance(elem, TwoModeSqueeze):
+        ch, sh = math.cosh(elem.r), math.sinh(elem.r)
+        idx = np.array([elem.mode1, elem.mode2])
+        s[np.ix_(idx, idx)] = np.array([[ch, sh], [sh, ch]])
+        s[np.ix_(idx + n, idx + n)] = np.array([[ch, -sh], [-sh, ch]])
+    else:
+        d[elem.mode] = math.sqrt(2.0) * elem.alpha.real
+        d[elem.mode + n] = math.sqrt(2.0) * elem.alpha.imag
+    return s, d
+
+
+class TestElementSymplectic:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_explicit_construction_with_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        angles = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, *rng.uniform(-4, 4, 4)]
+        amounts = [0.0, -0.0, 0.5, *rng.normal(size=3)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        elems = [Squeeze(m, r, ph) for m in range(n) for r in amounts for ph in angles]
+        elems += [Displace(m, a) for m in range(n)
+                  for a in (0j, complex(-0.0, 0.5), complex(rng.normal(), rng.normal()))]
+        elems += [BeamSplitter(i, j, th, ph) for i, j in pairs for th in angles for ph in angles]
+        elems += [TwoModeSqueeze(i, j, r) for i, j in pairs for r in amounts]
+        for elem in elems:
+            for got, want in zip(gaussian.element_symplectic(elem, n), explicit_symplectic(elem, n)):
+                assert np.array_equal(got, want), elem
+                assert np.array_equal(np.signbit(got), np.signbit(want)), elem
+
 
 class TestReplay:
     def test_empty_circuit_is_vacuum(self):

@@ -1,4 +1,5 @@
-"""Every public name the package declares resolves.
+"""Every public name the package declares resolves, and importing the
+package or running a Gaussian-only command loads no scipy.
 
 Profiling tools find the functions to time through each module's
 ``__all__``, so a name moved or renamed without its entry would vanish
@@ -6,7 +7,11 @@ from their spans silently."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,55 @@ def test_package_reexports_resolve():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(vibsim, name) is getattr(source, alias.name)
+
+
+# The import-budget checks run in a fresh interpreter: this process has
+# imported scipy already.
+
+SRC = str(Path(vibsim.__file__).parents[1])
+
+
+def run_fresh(code: str, *args: str) -> str:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SCIPY_LOADED = "any(k == 'scipy' or k.startswith('scipy.') for k in sys.modules)"
+
+
+def readme_config() -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_import_loads_no_scipy():
+    assert run_fresh(f"import sys, vibsim, vibsim.cli; print({SCIPY_LOADED})") == "False\n"
+
+
+def test_gaussian_commands_load_no_scipy(tmp_path):
+    from vibsim.cli import main
+
+    config = tmp_path / "config.json"
+    config.write_text(readme_config())
+    code = f"""
+import json, sys
+from vibsim.cli import main
+config, out = sys.argv[1:]
+codes = [main(["--config", config, "--out-dir", out + "/optimize", "optimize"]),
+         main(["--config", config, "--out-dir", out + "/sweep", "sweep-loss", "--grid", "0:0.95:4"])]
+loaded = {SCIPY_LOADED}
+codes.append(main(["--config", config, "--out-dir", out + "/ideal", "ideal"]))
+print(json.dumps([codes, loaded]))
+"""
+    out = run_fresh(code, str(config), str(tmp_path / "fresh"))
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0, 0] and not loaded
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "here"), "ideal"]) == 0
+    fresh = sorted(p.name for p in (tmp_path / "fresh" / "ideal").iterdir())
+    assert fresh == sorted(p.name for p in (tmp_path / "here").iterdir()) and fresh
+    for name in fresh:
+        assert ((tmp_path / "fresh" / "ideal" / name).read_bytes()
+                == (tmp_path / "here" / name).read_bytes())
