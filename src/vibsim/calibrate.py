@@ -71,7 +71,7 @@ def predicted_distribution(
     """Photon statistics of a lossy two-mode squeezed source measured by
     noisy detectors, for one beam-splitter setting."""
     (grid,) = _count_grids(r, eta, [_splitter(bs_transmission, cutoff)], det, cutoff)
-    return fock._table(grid, cutoff, 1e-16)
+    return fock._table(grid, cutoff)
 
 
 def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:

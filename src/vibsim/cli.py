@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 input error, 3 convergence or physicality failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -59,23 +58,17 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
     if kind == "tropolone":
         return fixtures.tropolone_target(), fixtures.tropolone_excited_freqs()
     if kind == "optical":
+        # OpticalTarget checks each value, through the circuit it builds
         squeeze = tuple(float(r) for r in obj["squeeze"])
-        if not all(math.isfinite(r) for r in squeeze):
-            raise ConfigError("target squeeze values must be finite")
         interferometer = ()
         if "bs_angle" in obj:
             if len(squeeze) != 2:
                 raise ConfigError("bs_angle applies to two-mode targets only")
-            angle = float(obj["bs_angle"])
-            if not math.isfinite(angle):
-                raise ConfigError("target bs_angle must be finite")
-            interferometer = (BeamSplitter(0, 1, angle),)
+            interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
         pairs = obj.get("displacement", [])
         if any(len(d) != 2 for d in pairs):
             raise ConfigError("target displacement entries must be [re, im] pairs")
         disp = tuple(complex(d[0], d[1]) for d in pairs)
-        if not all(cmath.isfinite(a) for a in disp):
-            raise ConfigError("target displacement values must be finite")
         freqs = tuple(float(f) for f in obj.get("excited_freqs_cm1") or ())
         if not all(math.isfinite(f) for f in freqs):
             raise ConfigError("target excited_freqs_cm1 must be finite")
@@ -90,7 +83,7 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
             excited_freqs=np.array(obj["excited_freqs_cm1"], dtype=float),
             displacement=np.array(disp, dtype=float) if disp else None,
         )
-        return doktorov_decompose(transition), tuple(obj["excited_freqs_cm1"])
+        return doktorov_decompose(transition), tuple(transition.excited_freqs.tolist())
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
@@ -127,22 +120,41 @@ def _parse_config(raw: dict) -> dict:
         "eps_g": float(raw.get("eps_g", 0.0)),
         "monte_carlo_samples": int(raw.get("monte_carlo_samples", 100)),
     }
-    if cfg["cutoff"] < 2:
-        raise ConfigError("cutoff must be at least 2")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be >= 0")
+    _check_run(cfg)
     if not 0.0 <= cfg["eps_g"] < math.inf:
         raise ConfigError("eps_g must be finite and >= 0")
     if cfg["monte_carlo_samples"] < 2:
         raise ConfigError("monte_carlo_samples must be at least 2")
+    _check_array(cfg["monte_carlo_samples"], f"monte_carlo_samples = {cfg['monte_carlo_samples']}")
+    if cfg["shots"] >= 2**63:
+        # numpy's multinomial draws take a 64-bit signed count
+        raise ConfigError(f"shots = {cfg['shots']} lies beyond the 64-bit integer range")
     if "target" in raw:
         cfg["target"], cfg["excited_freqs"] = _parse_target(raw["target"])
     if "experiment" in raw:
         cfg["experiment"] = parse_experiment(raw["experiment"])
+    cfg["detector"] = cfg["experiment"].detector if "experiment" in cfg else DetectorModel()
     unc_obj = raw.get("uncertainties", {})
     check_keys(unc_obj, "uncertainties", set(), {f.name for f in fields(ParameterUncertainty)})
     cfg["uncertainties"] = ParameterUncertainty(**unc_obj)
     return cfg
+
+
+def _check_run(cfg: dict) -> None:
+    """Check the run fields that ``--cutoff`` and ``--seed`` override."""
+    if cfg["cutoff"] < 2:
+        raise ConfigError("cutoff must be at least 2")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
+
+
+def _check_array(count: int, what: str) -> None:
+    """Refuse, before allocating, ``count`` float64 values beyond physical memory."""
+    need, have = 8 * count, fock._physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"{what} needs {need:.3g} bytes, more than the {have:.3g} bytes of physical memory"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +187,7 @@ def _write_table_csv(path: Path, table: FCTable, freqs: tuple[float, ...] | None
 # ---------------------------------------------------------------------------
 
 
-def cmd_ideal(cfg: dict, out_dir: Path) -> int:
+def cmd_ideal(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
     cutoff = cfg["cutoff"]
     rho = fock.replay_fock(target.circuit(), cutoff, strict=False)
@@ -195,16 +207,14 @@ def cmd_ideal(cfg: dict, out_dir: Path) -> int:
             if i > 1e-9
         ]
     _write_table_csv(out_dir / "ideal_table.csv", table, freqs)
-    if not rho.converged():
+    if not summary["converged"]:
         summary["tail_mass"] = rho.tail_mass + rho.boundary_mass()
-        _write_json(out_dir / "ideal_summary.json", summary)
         print(f"cutoff {cutoff} has not converged; raise it", file=sys.stderr)
-        return EXIT_CONVERGENCE
     _write_json(out_dir / "ideal_summary.json", summary)
-    return EXIT_OK
+    return EXIT_OK if summary["converged"] else EXIT_CONVERGENCE
 
 
-def cmd_simulate(cfg: dict, out_dir: Path) -> int:
+def cmd_simulate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
     model: ExperimentModel = cfg["experiment"]
     cutoff, seed = cfg["cutoff"], cfg["seed"]
@@ -250,7 +260,7 @@ def _check_start(what: str, value: float, name: str) -> None:
         )
 
 
-def cmd_optimize(cfg: dict, out_dir: Path) -> int:
+def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
     template: ExperimentModel = cfg["experiment"]
     for name, value in asdict(template.source).items():
@@ -272,30 +282,31 @@ def cmd_optimize(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError("grid must be 'start:stop:count' or a comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2:
-            raise ConfigError("grid needs at least two points")
-        return list(np.linspace(start, stop, count))
-    return [float(v) for v in spec.split(",") if v.strip()]
+def _parse_grid(spec: str) -> np.ndarray:
+    try:
+        if ":" not in spec:
+            return np.array([float(v) for v in spec.split(",") if v.strip()])
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ConfigError("grid must be 'start:stop:count' or a comma list") from None
+    if count < 2:
+        raise ConfigError("grid needs at least two points")
+    _check_array(count, f"a grid of {count} points")
+    return np.linspace(start, stop, count)
 
 
-def cmd_sweep_loss(cfg: dict, out_dir: Path, grid: list[float]) -> int:
+def cmd_sweep_loss(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
-    if any(not 0.0 <= g < 1.0 for g in grid):
+    losses = np.sort(_parse_grid(args.grid))
+    if any(not 0.0 <= g < 1.0 for g in losses):
         raise ConfigError("loss grid values must lie in [0, 1)")
     for i, r in enumerate(target.squeeze):
         # the SMSV fits start from the target's squeezing
         _check_start(f"|target squeeze[{i}]|", abs(r), f"r{i + 1}")
-    detector = cfg["experiment"].detector if "experiment" in cfg else DetectorModel()
     delta = cfg["experiment"].distinguishability if "experiment" in cfg else 0.06
     threshold = metrics.closest_classical(target).classical_fidelity
-    losses = sorted(grid)
-    curves = loss_sweep(target, losses, detector, delta)
+    curves = loss_sweep(target, losses, cfg["detector"], delta)
     lines = ["loss,f_smsv,f_smsv_noisydet,f_tmsv,f_tmsv_dist,classical_threshold"]
     for row in zip(losses, *curves.values()):
         lines.append(",".join(_fmt(v) for v in (*row, threshold)))
@@ -303,11 +314,10 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, grid: list[float]) -> int:
     return EXIT_OK
 
 
-def cmd_tomography(cfg: dict, out_dir: Path, transmissive: Path, reflective: Path) -> int:
-    detector = cfg["experiment"].detector if "experiment" in cfg else DetectorModel()
-    hist_t = read_histogram_csv(transmissive)
-    hist_r = read_histogram_csv(reflective)
-    fit = fit_source(hist_t, hist_r, detector, cutoff=min(cfg["cutoff"], 14))
+def cmd_tomography(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
+    hist_t = read_histogram_csv(Path(args.transmissive))
+    hist_r = read_histogram_csv(Path(args.reflective))
+    fit = fit_source(hist_t, hist_r, cfg["detector"], cutoff=min(cfg["cutoff"], 14))
     payload = {
         "r": fit.r,
         "eta": list(fit.eta),
@@ -334,70 +344,51 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cutoff", type=int, help="override the config cutoff")
     parser.add_argument("--seed", type=int, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ideal", help="ideal Franck-Condon table and spectrum")
-    sub.add_parser("simulate", help="observed distribution and error budget")
-    sub.add_parser("optimize", help="best controllable parameters")
-    sweep = sub.add_parser("sweep-loss", help="fidelity-vs-loss curves")
+
+    def command(name, run, help, needs=(), two_modes=False):
+        """A subcommand: its function, the config sections it needs and
+        whether it models a two-mode experiment."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(run=run, needs=needs, two_modes=two_modes)
+        return cmd
+
+    both = ("target", "experiment")
+    command("ideal", cmd_ideal, "ideal Franck-Condon table and spectrum", ("target",))
+    command("simulate", cmd_simulate, "observed distribution and error budget", both, True)
+    command("optimize", cmd_optimize, "best controllable parameters", both, True)
+    sweep = command("sweep-loss", cmd_sweep_loss, "fidelity-vs-loss curves", ("target",), True)
     sweep.add_argument("--grid", default="0:0.95:20", help="'start:stop:count' or comma list")
-    tomo = sub.add_parser("tomography", help="fit source parameters from histograms")
+    tomo = command("tomography", cmd_tomography, "fit source parameters from histograms")
     tomo.add_argument("transmissive", help="histogram CSV at the 100:0 setting")
     tomo.add_argument("reflective", help="histogram CSV at the 0:100 setting")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(Path(args.config))
-        if args.cutoff is not None:
-            if args.cutoff < 2:
-                raise ConfigError("cutoff must be at least 2")
-            cfg["cutoff"] = args.cutoff
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be >= 0")
-            cfg["seed"] = args.seed
+        for name in ("cutoff", "seed"):
+            if getattr(args, name) is not None:
+                cfg[name] = getattr(args, name)
+        _check_run(cfg)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "ideal":
-            _require(cfg, "target")
-            return cmd_ideal(cfg, out_dir)
-        if args.command == "simulate":
-            _require(cfg, "target", "experiment")
-            _require_two_modes(cfg)
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "optimize":
-            _require(cfg, "target", "experiment")
-            _require_two_modes(cfg)
-            return cmd_optimize(cfg, out_dir)
-        if args.command == "sweep-loss":
-            _require(cfg, "target")
-            _require_two_modes(cfg)
-            return cmd_sweep_loss(cfg, out_dir, _parse_grid(args.grid))
-        if args.command == "tomography":
-            return cmd_tomography(cfg, out_dir, Path(args.transmissive), Path(args.reflective))
-        raise ConfigError(f"unknown command {args.command!r}")
+        for section in args.needs:
+            if section not in cfg:
+                raise ConfigError(f"this command needs a '{section}' section in the config")
+        if args.two_modes and cfg["target"].num_modes != 2:
+            raise ConfigError(
+                "this command models a two-mode experiment; "
+                f"the target has {cfg['target'].num_modes} modes"
+            )
+        return args.run(cfg, out_dir, args)
     except (ConfigError, HistogramFormatError, OSError, fock.FockMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (fock.TruncationError, PhysicalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-
-
-def _require(cfg: dict, *sections: str) -> None:
-    for section in sections:
-        if section not in cfg:
-            raise ConfigError(f"this command needs a '{section}' section in the config")
-
-
-def _require_two_modes(cfg: dict) -> None:
-    modes = cfg["target"].num_modes
-    if modes != 2:
-        raise ConfigError(
-            f"this command models a two-mode experiment; the target has {modes} modes"
-        )
 
 
 if __name__ == "__main__":

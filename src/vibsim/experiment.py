@@ -114,10 +114,10 @@ class DetectorModel:
         if not 0.0 < self.noise_fidelity_factor <= 1.0:
             raise ValueError("noise_fidelity_factor must lie in (0, 1]")
 
-    def computed_noise_fidelity(self, num_detectors: int = 2) -> float:
-        """Noise-mode fidelity recomputed from first principles: per
-        detector, sqrt of the joint no-noise probability of the dark mode
-        (thermal) and the pump-leak mode (weak coherent)."""
+    def computed_noise_fidelity(self) -> float:
+        """Noise-mode fidelity of the two detectors recomputed from first
+        principles: per detector, sqrt of the joint no-noise probability of
+        the dark mode (thermal) and the pump-leak mode (weak coherent)."""
         p0_dark = 1.0 - self.dark_p1
         # weak coherent state with single-photon component pump_p2
         n_pump = self.pump_p2
@@ -125,7 +125,7 @@ class DetectorModel:
             n_pump = self.pump_p2 * math.exp(n_pump)
         p0_pump = math.exp(-n_pump)
         per_detector = math.sqrt(p0_dark * p0_pump)
-        return per_detector**num_detectors
+        return per_detector**2
 
     def ideal(self) -> "DetectorModel":
         return DetectorModel(0.0, 0.0, 1.0)
@@ -221,9 +221,9 @@ def model_fidelity(model: ExperimentModel, target: OpticalTarget) -> float:
     return optical * model.detector.noise_fidelity_factor
 
 
-def observed_distribution(model: ExperimentModel, cutoff: int, **replay_kwargs) -> FCTable:
+def observed_distribution(model: ExperimentModel, cutoff: int) -> FCTable:
     """Photon-number statistics the detectors would record."""
-    rho = fock.replay_fock(build_circuit(model), cutoff, **replay_kwargs)
+    rho = fock.replay_fock(build_circuit(model), cutoff)
     return fock.attach_detector_noise(rho, model.detector)
 
 

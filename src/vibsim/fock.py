@@ -341,15 +341,16 @@ class FockDensity:
         """Diagonal probabilities reshaped to one axis per mode."""
         return self._occupations.reshape((self.cutoff,) * self.num_modes)
 
-    def boundary_mass(self, band: int = 2) -> float:
-        """Probability of any mode occupying the top ``band`` levels,
-        plus the trace deficit; a convergence diagnostic."""
+    def boundary_mass(self) -> float:
+        """Probability of any mode occupying the top two levels, plus the
+        trace deficit; a convergence diagnostic."""
         occ = self.occupations()
-        interior = occ[(slice(0, self.cutoff - band),) * self.num_modes]
+        interior = occ[(slice(0, self.cutoff - 2),) * self.num_modes]
         return float(1.0 - interior.sum())
 
-    def converged(self, tail_tol: float = 1e-6, boundary_tol: float = 1e-3) -> bool:
-        return self.tail_mass <= tail_tol and self.boundary_mass() <= boundary_tol
+    def converged(self) -> bool:
+        """Tail mass at most 1e-6 and boundary mass at most 1e-3."""
+        return self.tail_mass <= 1e-6 and self.boundary_mass() <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +401,14 @@ def _state_bytes(num_modes: int, cutoff: int, dense: bool) -> float:
     return 16.0 * entries if entries < 1e300 else math.inf
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: the bound of every guard before an allocation."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_memory(num_modes: int, cutoff: int, dense: bool) -> None:
     """Refuse, before allocating, a state that would not fit in physical memory."""
-    need = _state_bytes(num_modes, cutoff, dense)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need, have = _state_bytes(num_modes, cutoff, dense), _physical_memory()
     if need > have:
         raise FockMemoryError(
             f"cutoff {cutoff} on {num_modes} modes needs about {need:.3g} bytes of "
@@ -480,24 +485,17 @@ def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
         raise TypeError(f"unknown element {elem!r}")
 
 
-def replay_fock(
-    circuit: GaussianCircuit,
-    cutoff: int,
-    *,
-    strict: bool = True,
-    tail_tol: float = 1e-6,
-    boundary_tol: float = 1e-3,
-) -> FockDensity:
+def replay_fock(circuit: GaussianCircuit, cutoff: int, *, strict: bool = True) -> FockDensity:
     """Replay a circuit on the truncated Fock space, starting from vacuum.
 
     With ``strict=True`` a :class:`TruncationError` is raised when the
-    result fails the tail/boundary convergence checks.
+    result fails :meth:`FockDensity.converged`.
     """
     ws = _FockWorkspace(circuit.num_modes, cutoff)
     for elem in circuit.elements:
         _apply_element(ws, elem)
     rho = ws.result()
-    if strict and not rho.converged(tail_tol, boundary_tol):
+    if strict and not rho.converged():
         raise TruncationError(
             f"cutoff {cutoff} too small: tail_mass={rho.tail_mass:.3e}, "
             f"boundary_mass={rho.boundary_mass():.3e}"
@@ -510,16 +508,16 @@ def replay_fock(
 # ---------------------------------------------------------------------------
 
 
-def _table(probs: np.ndarray, cutoff: int, floor: float) -> FCTable:
-    """Probabilities above ``floor`` keyed by outcome; the rest is tail."""
-    keep = probs > floor
+def _table(probs: np.ndarray, cutoff: int) -> FCTable:
+    """Probabilities above 1e-16 keyed by outcome; the rest is tail."""
+    keep = probs > 1e-16
     entries = dict(zip(map(tuple, np.argwhere(keep).tolist()), probs[keep].tolist()))
     return FCTable(entries, cutoff, max(0.0, 1.0 - sum(entries.values())))
 
 
-def photon_distribution(rho: FockDensity, *, floor: float = 1e-16) -> FCTable:
+def photon_distribution(rho: FockDensity) -> FCTable:
     """Diagonal probabilities grouped by occupation tuple."""
-    return _table(rho.occupations(), rho.cutoff, floor)
+    return _table(rho.occupations(), rho.cutoff)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -590,7 +588,7 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     event) attributes.  Noise is convolved classically and independently
     per detector; outcomes may exceed the signal cutoff.
     """
-    return _table(noisy_occupations(rho, det), rho.cutoff, 1e-16)
+    return _table(noisy_occupations(rho, det), rho.cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,6 @@ class GaussianState:
     def __repr__(self) -> str:
         return f"GaussianState(num_modes={self.num_modes})"
 
-    def is_pure(self, tol: float = 1e-6) -> bool:
-        return bool(np.max(symplectic_eigenvalues(self)) < 0.5 + tol)
-
     def mode_indices(self, mode: int) -> tuple[int, int]:
         """Indices of (x, p) of ``mode`` inside mean/cov."""
         if not 0 <= mode < self.num_modes:

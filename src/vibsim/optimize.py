@@ -46,19 +46,9 @@ def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def nelder_mead(
-    objective,
-    start,
-    bounds,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    *,
-    alpha: float = 1.0,
-    gamma: float = 2.0,
-    rho: float = 0.5,
-    sigma: float = 0.5,
-) -> OptResult:
-    """Maximize ``objective`` with a bounded Nelder-Mead simplex.
+def nelder_mead(objective, start, bounds, tol: float = 1e-6, max_iter: int = 2000) -> OptResult:
+    """Maximize ``objective`` with a bounded Nelder-Mead simplex, with the
+    standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
 
     Candidate points are clamped into ``bounds`` before evaluation.
     Terminates when the simplex diameter drops below ``tol`` or after
@@ -100,26 +90,26 @@ def nelder_mead(
         iterations += 1
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
-        reflected = centroid + alpha * (centroid - worst)
+        reflected = centroid + (centroid - worst)
         fr = f(reflected)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            expanded = centroid + gamma * (centroid - worst)
+            expanded = centroid + 2.0 * (centroid - worst)
             fe = f(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        contracted = centroid + rho * (worst - centroid)
+        contracted = centroid + 0.5 * (worst - centroid)
         fc = f(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         best = simplex[0]
-        simplex = [best] + [best + sigma * (v - best) for v in simplex[1:]]
+        simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
         values = [values[0]] + [f(v) for v in simplex[1:]]
 
     ibest = int(np.argmin(values))
@@ -137,35 +127,27 @@ DEFAULT_BOUNDS = {
 
 
 def optimize_experiment(
-    template: ExperimentModel,
-    target: OpticalTarget,
-    free=None,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
+    template: ExperimentModel, target: OpticalTarget
 ) -> tuple[ExperimentModel, float]:
-    """Choose the controllable parameters maximizing the model fidelity.
-
-    ``free`` names the controllables (default: source squeezing plus beam
-    splitter transmission).  One deterministic restart from a perturbed
-    start guards against a poor initial simplex.
+    """Choose the controllable parameters (source squeezing and beam splitter
+    transmission) maximizing the model fidelity, to a simplex diameter of
+    1e-8.  One deterministic restart from a perturbed start guards against a
+    poor initial simplex.
     """
     controllables = {**asdict(template.source), "t_bs": template.bs_transmission}
-    names = list(controllables) if free is None else list(free)
-    if not names:
-        raise ValueError("need at least one free parameter")
+    names = list(controllables)
     bounds = [DEFAULT_BOUNDS[n] for n in names]
 
     def objective(x: np.ndarray) -> float:
         model = template.with_values(**dict(zip(names, x)))
         return model_fidelity(model, target)
 
-    start = np.array([controllables[n] for n in names])
-    best = nelder_mead(objective, start, bounds, tol=tol, max_iter=max_iter)
+    start = np.array(list(controllables.values()))
+    best = nelder_mead(objective, start, bounds, tol=1e-8)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     alt_start = _clamp(best.x + 0.07 * (hi - lo), lo, hi)
-    alt = nelder_mead(objective, alt_start, bounds, tol=tol, max_iter=max_iter)
+    alt = nelder_mead(objective, alt_start, bounds, tol=1e-8)
     if alt.value > best.value:
         best = alt
     model = template.with_values(**dict(zip(names, best.x)))

@@ -37,24 +37,19 @@ class FCEstimate:
     eps_stat: float
 
 
-def estimate_fc(
-    hist: CountHistogram,
-    n_bootstrap: int = 1000,
-    seed: int = 0,
-    percentile: float = 95.0,
-) -> FCEstimate:
+def estimate_fc(hist: CountHistogram, seed: int = 0) -> FCEstimate:
     """Relative frequencies plus a bootstrap bound on the sampling error.
 
-    ``eps_stat`` is the given percentile of the total variation distance
-    between bootstrap resamples and the point estimate.
+    ``eps_stat`` is the 95th percentile of the total variation distance
+    between 1000 bootstrap resamples and the point estimate.
     """
     n = hist.total_shots
     outcomes = sorted(hist.counts)
     counts = np.array([hist.counts[o] for o in outcomes], dtype=float)
     probs = counts / n
     rng = np.random.default_rng(seed)
-    resampled = rng.multinomial(n, probs, size=n_bootstrap) / n
+    resampled = rng.multinomial(n, probs, size=1000) / n
     tvds = 0.5 * np.abs(resampled - probs).sum(axis=1)
-    eps = float(np.percentile(tvds, percentile))
+    eps = float(np.percentile(tvds, 95.0))
     table = FCTable({o: float(p) for o, p in zip(outcomes, probs) if p > 0}, 0, 0.0)
     return FCEstimate(table, eps)

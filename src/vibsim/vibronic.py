@@ -99,7 +99,8 @@ class OpticalTarget:
 
     ``squeeze[i]`` is the signed squeezing of mode ``i`` (positive squeezes
     the x quadrature).  ``interferometer`` holds passive elements only, so
-    replaying the recipe on vacuum always yields a pure state.
+    replaying the recipe on vacuum always yields a pure state.  The recipe's
+    circuit is built, and so every value checked, on construction.
     """
 
     squeeze: tuple[float, ...]
@@ -119,24 +120,23 @@ class OpticalTarget:
         for elem in self.interferometer:
             if not isinstance(elem, BeamSplitter):
                 raise ValueError("interferometer may contain beam splitters only")
+        elements: list[Element] = [Squeeze(i, r) for i, r in enumerate(self.squeeze) if r != 0.0]
+        elements.extend(self.interferometer)
+        elements.extend(Displace(i, a) for i, a in enumerate(disp) if a != 0)
+        object.__setattr__(self, "_circuit", GaussianCircuit(self.num_modes, elements))
 
     @property
     def num_modes(self) -> int:
         return len(self.squeeze)
 
     def circuit(self) -> GaussianCircuit:
-        elements: list[Element] = [
-            Squeeze(i, r) for i, r in enumerate(self.squeeze) if r != 0.0
-        ]
-        elements.extend(self.interferometer)
-        elements.extend(
-            Displace(i, a) for i, a in enumerate(self.displacement) if a != 0
-        )
-        return GaussianCircuit(self.num_modes, elements)
+        """The recipe as a circuit, built on construction."""
+        return self._circuit
 
     def state(self) -> GaussianState:
-        """The replayed recipe, computed once per instance (kept outside the
-        dataclass fields, so equality and hashing ignore it)."""
+        """The replayed recipe, computed once per instance.  It and the
+        circuit are kept outside the dataclass fields, so equality and
+        hashing ignore them."""
         state = self.__dict__.get("_state")
         if state is None:
             state = replay(self.circuit())
@@ -150,8 +150,8 @@ class Spectrum:
 
     peaks: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
-    def intensity_at(self, freq: float, tol: float = MERGE_TOL) -> float:
-        return sum(i for f, i in self.peaks if abs(f - freq) <= tol)
+    def intensity_at(self, freq: float) -> float:
+        return sum(i for f, i in self.peaks if abs(f - freq) <= MERGE_TOL)
 
 
 def doktorov_decompose(transition: VibronicTransition) -> OpticalTarget:

@@ -74,6 +74,7 @@ MALFORMED = {
     "string-excited-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
                                         "excited_freqs_cm1": ["a", "b"]}},
     "one-monte-carlo-sample": {"monte_carlo_samples": 1},
+    "huge-monte-carlo-samples": {"monte_carlo_samples": 1e12},
     "negative-seed": {"seed": -1},
     "negative-eps-g": {"eps_g": -0.001},
     "nan-eps-g": {"eps_g": math.nan},
@@ -124,6 +125,42 @@ class TestConfigValidation:
         path = write_config(tmp_path, experiment=paper_experiment_section())
         assert main(["--config", str(path), "--out-dir", str(tmp_path), "--seed", "-3",
                      "simulate"]) == 2
+
+    def test_cutoff_override_below_two_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "--cutoff", "1",
+                     "ideal"]) == 2
+        assert "cutoff must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, argv",
+        [
+            ({}, ["sweep-loss", "--grid", "abc"]),
+            ({}, ["sweep-loss", "--grid", "0:0.9:x"]),
+            ({}, ["sweep-loss", "--grid", "0:0.9:1000000000000"]),
+            ({"shots": 2**63}, ["simulate"]),
+        ],
+        ids=["grid-word", "grid-count-word", "grid-beyond-memory", "shots-beyond-int64"],
+    )
+    def test_out_of_range_run_input_exits_2(self, tmp_path, capsys, overrides, argv):
+        path = write_config(tmp_path, cutoff=12, experiment=paper_experiment_section(),
+                            **overrides)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), *argv]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_transition_frequencies_as_numerals(self, tmp_path, capsys):
+        # numerals parse as the numbers they spell, as everywhere in the config
+        target = {"kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
+                  "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0]}
+        outputs = []
+        for freqs in ([120.0, 180.0], ["120", "180"]):
+            out = tmp_path / str(len(outputs))
+            path = write_config(tmp_path, cutoff=12, target={**target, "excited_freqs_cm1": freqs})
+            assert main(["--config", str(path), "--out-dir", str(out), "ideal"]) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            outputs.append([(out / name).read_bytes()
+                            for name in ("ideal_table.csv", "ideal_summary.json")])
+        assert outputs[0] == outputs[1]
 
     def test_optimize_start_outside_bounds_exits_2(self, tmp_path, capsys):
         from vibsim.optimize import DEFAULT_BOUNDS
