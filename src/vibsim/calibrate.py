@@ -71,7 +71,7 @@ def predicted_distribution(
     """Photon statistics of a lossy two-mode squeezed source measured by
     noisy detectors, for one beam-splitter setting."""
     (grid,) = _count_grids(r, eta, [_splitter(bs_transmission, cutoff)], det, cutoff)
-    return fock._table(grid, cutoff)
+    return fock._table(grid)
 
 
 def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +147,6 @@ def fit_source(
     det: DetectorModel,
     *,
     cutoff: int = 12,
-    start: tuple[float, float, float] | None = None,
     tol: float = 1e-7,
     max_iter: int = 1500,
 ) -> TomographyFit:
@@ -162,13 +161,11 @@ def fit_source(
     sink for the rest; the worse of the two residuals is reported (a
     candidate for the model-mismatch error term).
 
-    Without an explicit ``start`` the simplex starts from the moment
-    estimate of the transmissive counts (:func:`_moment_start`).  Each
-    candidate's count grids come from occupations (:func:`_count_grids`).
+    The simplex starts from the moment estimate of the transmissive counts
+    (:func:`_moment_start`).  Each candidate's count grids come from
+    occupations (:func:`_count_grids`).
     """
     observed = [_observed(hist, cutoff) for hist in (hist_100_0, hist_0_100)]
-    if start is None:
-        start = _moment_start(hist_100_0, det)
     splitters = [_splitter(t, cutoff) for t in (1.0, 0.0)]
 
     def residuals(x) -> tuple[float, float]:
@@ -176,7 +173,7 @@ def fit_source(
         grids = _count_grids(r, (e1, e2), splitters, det, cutoff)
         return tuple(_pooled_tvd(_pooled(g, cutoff), obs) for g, obs in zip(grids, observed))
 
-    result = nelder_mead(lambda x: -sum(residuals(x)), np.asarray(start, dtype=float),
+    result = nelder_mead(lambda x: -sum(residuals(x)), _moment_start(hist_100_0, det),
                          _BOUNDS.tolist(), tol=tol, max_iter=max_iter)
     r, e1, e2 = (float(v) for v in result.x)
     res_t, res_r = residuals(result.x)

@@ -285,7 +285,10 @@ def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         if ":" not in spec:
-            return np.array([float(v) for v in spec.split(",") if v.strip()])
+            points = [float(v) for v in spec.split(",") if v.strip()]
+            if not points:
+                raise ValueError("empty comma list")
+            return np.array(points)
         start, stop, count = spec.split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:

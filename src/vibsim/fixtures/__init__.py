@@ -18,9 +18,7 @@ __all__ = [
     "tropolone_excited_freqs",
     "characterized_model",
     "parameter_uncertainty",
-    "reference_tables",
     "reference_table",
-    "reference_shots",
     "IDEAL_BS_TRANSMISSION",
 ]
 
@@ -63,19 +61,7 @@ def parameter_uncertainty() -> ParameterUncertainty:
     return ParameterUncertainty(**_EXPERIMENT["uncertainties"])
 
 
-def reference_tables() -> dict:
-    """Raw reference-table data (columns, fidelities, errors, shot count)."""
-    return json.loads(json.dumps(_TABLES))  # deep copy
-
-
-def reference_table(column: str, cutoff: int = 20) -> FCTable:
+def reference_table(column: str) -> FCTable:
     """One column of the reference tables as a probability table."""
     outcomes = [tuple(o) for o in _TABLES["outcomes"]]
-    values = _TABLES[column]
-    entries = {o: float(v) for o, v in zip(outcomes, values)}
-    tail = max(0.0, 1.0 - sum(entries.values()))
-    return FCTable(entries, cutoff, tail)
-
-
-def reference_shots() -> int:
-    return int(_TABLES["shots"])
+    return FCTable({o: float(v) for o, v in zip(outcomes, _TABLES[column])})

@@ -508,16 +508,15 @@ def replay_fock(circuit: GaussianCircuit, cutoff: int, *, strict: bool = True) -
 # ---------------------------------------------------------------------------
 
 
-def _table(probs: np.ndarray, cutoff: int) -> FCTable:
+def _table(probs: np.ndarray) -> FCTable:
     """Probabilities above 1e-16 keyed by outcome; the rest is tail."""
     keep = probs > 1e-16
-    entries = dict(zip(map(tuple, np.argwhere(keep).tolist()), probs[keep].tolist()))
-    return FCTable(entries, cutoff, max(0.0, 1.0 - sum(entries.values())))
+    return FCTable(dict(zip(map(tuple, np.argwhere(keep).tolist()), probs[keep].tolist())))
 
 
 def photon_distribution(rho: FockDensity) -> FCTable:
     """Diagonal probabilities grouped by occupation tuple."""
-    return _table(rho.occupations(), rho.cutoff)
+    return _table(rho.occupations())
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -588,7 +587,7 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     event) attributes.  Noise is convolved classically and independently
     per detector; outcomes may exceed the signal cutoff.
     """
-    return _table(noisy_occupations(rho, det), rho.cutoff)
+    return _table(noisy_occupations(rho, det))
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,6 @@ class GaussianCircuit:
         for elem in self.elements:
             _validate_element(elem, self.num_modes)
 
-    def extended(self, *elements: Element) -> "GaussianCircuit":
-        return GaussianCircuit(self.num_modes, self.elements + tuple(elements))
-
 
 # ---------------------------------------------------------------------------
 # states
@@ -188,13 +185,12 @@ class GaussianState:
     The covariance matrix is symmetrized on construction and checked for
     physicality (all symplectic eigenvalues >= 1/2 within tolerance).  The
     eigenvalues that check computes are kept for
-    :func:`symplectic_eigenvalues`; a state built with ``validate=False``
-    computes them on first use.  Instances are immutable.
+    :func:`symplectic_eigenvalues`.  Instances are immutable.
     """
 
     __slots__ = ("num_modes", "mean", "cov", "_nu")
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, *, validate: bool = True):
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
         mean = np.asarray(mean, dtype=float).reshape(-1).copy()
         cov = np.asarray(cov, dtype=float).copy()
         if mean.size % 2 != 0:
@@ -208,14 +204,12 @@ class GaussianState:
         if asym > 1e-8:
             raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.2e})")
         cov = 0.5 * (cov + cov.T)
-        nu = None
-        if validate:
-            nu = _symplectic_eigenvalues(cov)
-            nu_min = float(nu.min())
-            if _unphysical(nu_min, cov):
-                raise PhysicalityError(
-                    f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
-                )
+        nu = _symplectic_eigenvalues(cov)
+        nu_min = float(nu.min())
+        if _unphysical(nu_min, cov):
+            raise PhysicalityError(
+                f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
+            )
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "num_modes", num_modes)
@@ -244,9 +238,7 @@ def vacuum(num_modes: int) -> GaussianState:
     """M-mode vacuum: zero mean, covariance I/2."""
     if num_modes < 1:
         raise ValueError("need at least one mode")
-    return GaussianState(
-        np.zeros(2 * num_modes), 0.5 * np.eye(2 * num_modes), validate=False
-    )
+    return GaussianState(np.zeros(2 * num_modes), 0.5 * np.eye(2 * num_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +380,7 @@ def _unphysical(nu_min: float, cov: np.ndarray) -> bool:
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """Williamson symplectic eigenvalues, ascending (vacuum -> 1/2 each),
     as a read-only array kept on the state."""
-    nu = state._nu
-    if nu is None:
-        nu = _symplectic_eigenvalues(state.cov)
-        object.__setattr__(state, "_nu", nu)
-    return nu
+    return state._nu
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +408,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """
     if s1.num_modes != s2.num_modes:
         raise ValueError("states must have the same number of modes")
-    nus = [symplectic_eigenvalues(s) for s in (s1, s2)]
-    for s, nu in zip((s1, s2), nus):
-        if _unphysical(nu[0], s.cov):
-            raise PhysicalityError(f"fidelity input is unphysical (nu_min = {float(nu[0])!r})")
-    if min(nu[-1] for nu in nus) < 0.5 + _PURITY_TOL:
+    if min(s._nu[-1] for s in (s1, s2)) < 0.5 + _PURITY_TOL:
         # F^2 = Tr(rho1 rho2) whenever at least one state is pure.
         return min(1.0, math.sqrt(max(0.0, _overlap_trace(s1, s2))))
 

@@ -73,9 +73,7 @@ def tvd(p: FCTable, q: FCTable, *, residual_sink: bool = True) -> float:
 
 def restrict_to(table: FCTable, outcomes) -> FCTable:
     """Restrict a table to the given outcomes (remainder becomes tail)."""
-    entries = {tuple(o): table.probability(tuple(o)) for o in outcomes}
-    tail = max(0.0, 1.0 - sum(entries.values()))
-    return FCTable(entries, table.cutoff, tail)
+    return FCTable({tuple(o): table.probability(tuple(o)) for o in outcomes})
 
 
 def trace_bound(f: float) -> float:

@@ -51,5 +51,5 @@ def estimate_fc(hist: CountHistogram, seed: int = 0) -> FCEstimate:
     resampled = rng.multinomial(n, probs, size=1000) / n
     tvds = 0.5 * np.abs(resampled - probs).sum(axis=1)
     eps = float(np.percentile(tvds, 95.0))
-    table = FCTable({o: float(p) for o, p in zip(outcomes, probs) if p > 0}, 0, 0.0)
+    table = FCTable({o: float(p) for o, p in zip(outcomes, probs) if p > 0})
     return FCEstimate(table, eps)

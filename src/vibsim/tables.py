@@ -24,19 +24,22 @@ def is_sink(outcome: Outcome) -> bool:
 class FCTable:
     """Map from photon-number outcome to probability.
 
-    ``entries`` holds the listed support; ``tail_mass`` is whatever
-    probability the table does not list, so ``sum(entries) + tail_mass = 1``.
+    ``entries`` holds the listed support, whose mass must stay below
+    1 + 1e-6.  The tail is derived from the entries: ``tail_mass`` is the
+    probability they leave unlisted, ``max(0, 1 - sum(entries))``.
     """
 
     entries: dict[Outcome, float]
-    cutoff: int
-    tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", dict(self.entries))
-        total = sum(self.entries.values()) + self.tail_mass
-        if not -1e-6 < total < 1 + 1e-6:
+        total = sum(self.entries.values())
+        if not total < 1 + 1e-6:
             raise ValueError(f"table mass {total} is not a probability")
+
+    @property
+    def tail_mass(self) -> float:
+        return max(0.0, 1.0 - sum(self.entries.values()))
 
     @property
     def num_modes(self) -> int:
@@ -45,20 +48,17 @@ class FCTable:
     def probability(self, outcome: Outcome) -> float:
         return self.entries.get(tuple(outcome), 0.0)
 
-    def total(self) -> float:
-        return sum(self.entries.values())
-
     def items(self) -> Iterator[tuple[Outcome, float]]:
         return iter(sorted(self.entries.items()))
 
     def with_sink(self) -> "FCTable":
         """Fold the unlisted remainder into an explicit sink outcome."""
         entries = dict(self.entries)
-        residual = max(0.0, 1.0 - sum(entries.values()))
+        residual = self.tail_mass
         if residual > 0.0:
             key = sink_outcome(self.num_modes)
             entries[key] = entries.get(key, 0.0) + residual
-        return FCTable(entries, self.cutoff, 0.0)
+        return FCTable(entries)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class CountHistogram:
     def num_modes(self) -> int:
         return len(next(iter(self.counts)))
 
-    def frequencies(self, cutoff: int = 0) -> FCTable:
+    def frequencies(self) -> FCTable:
         """Relative frequencies as a probability table."""
-        probs = {k: c / self.total_shots for k, c in self.counts.items() if c}
-        return FCTable(probs, cutoff, 0.0)
+        return FCTable({k: c / self.total_shots for k, c in self.counts.items() if c})

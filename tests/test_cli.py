@@ -138,9 +138,13 @@ class TestConfigValidation:
             ({}, ["sweep-loss", "--grid", "abc"]),
             ({}, ["sweep-loss", "--grid", "0:0.9:x"]),
             ({}, ["sweep-loss", "--grid", "0:0.9:1000000000000"]),
+            ({}, ["sweep-loss", "--grid", ","]),
+            ({}, ["sweep-loss", "--grid", " , "]),
+            ({}, ["sweep-loss", "--grid", ""]),
             ({"shots": 2**63}, ["simulate"]),
         ],
-        ids=["grid-word", "grid-count-word", "grid-beyond-memory", "shots-beyond-int64"],
+        ids=["grid-word", "grid-count-word", "grid-beyond-memory", "grid-comma",
+             "grid-blank-commas", "grid-empty", "shots-beyond-int64"],
     )
     def test_out_of_range_run_input_exits_2(self, tmp_path, capsys, overrides, argv):
         path = write_config(tmp_path, cutoff=12, experiment=paper_experiment_section(),
@@ -568,6 +572,19 @@ class TestConfigMutations:
 
     def test_exit_codes_hold_on_optical_smsv_config(self, tmp_path, capsys):
         assert {0, 2} <= exit_codes_under_mutation(OPTICAL_CONFIG, tmp_path, capsys)
+
+    @pytest.mark.parametrize("r", [-6.5, -8.0, -9.5])
+    def test_squeezed_past_six_exits_without_traceback(self, tmp_path, capsys, r):
+        # past r ~ 6 the rounding of the symplectic eigenvalues grows like
+        # eps·max|V|²; every state is checked once, when it is built, so
+        # no command may reach a traceback on such a target
+        cfg = {**OPTICAL_CONFIG, "target": {**OPTICAL_CONFIG["target"], "squeeze": [r, 0.19]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        for command in (["ideal"], ["simulate"], ["optimize"], ["sweep-loss", "--grid", "0,0.5"]):
+            code = main(["--config", str(path), "--out-dir", str(tmp_path / command[0]), *command])
+            assert code in (0, 2, 3), command
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def histogram_mutations(text: str) -> dict[str, tuple[str, bytes | None]]:

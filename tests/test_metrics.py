@@ -19,14 +19,22 @@ from vibsim.vibronic import OpticalTarget
 from helpers import random_circuit
 
 
+class TestFCTable:
+    def test_listed_mass_must_stay_below_one_plus_1e_6(self):
+        with pytest.raises(ValueError):
+            FCTable({(0, 0): 0.5, (1, 0): 0.5 + 1e-5})
+        table = FCTable({(0, 0): 0.5, (1, 0): 0.5 + 1e-7})
+        assert table.tail_mass == 0.0
+
+
 class TestTVD:
     def test_identical_tables(self):
-        t = FCTable({(0, 0): 0.6, (1, 1): 0.4}, 4)
+        t = FCTable({(0, 0): 0.6, (1, 1): 0.4})
         assert tvd(t, t) == 0.0
 
     def test_disjoint_tables(self):
-        a = FCTable({(0, 0): 1.0}, 4)
-        b = FCTable({(1, 0): 1.0}, 4)
+        a = FCTable({(0, 0): 1.0})
+        b = FCTable({(1, 0): 1.0})
         assert tvd(a, b) == pytest.approx(1.0)
 
     def test_symmetry_and_triangle(self):
@@ -37,14 +45,14 @@ class TestTVD:
                 raw = rng.uniform(0, 1, size=4)
                 raw /= raw.sum()
                 keys = [(0, 0), (1, 0), (0, 1), (1, 1)]
-                tables.append(FCTable(dict(zip(keys, raw)), 4))
+                tables.append(FCTable(dict(zip(keys, raw))))
             a, b, c = tables
             assert tvd(a, b) == pytest.approx(tvd(b, a), abs=1e-12)
             assert tvd(a, c) <= tvd(a, b) + tvd(b, c) + 1e-12
 
     def test_residual_sink_included(self):
-        a = FCTable({(0, 0): 0.7}, 4, tail_mass=0.3)
-        b = FCTable({(0, 0): 1.0}, 4)
+        a = FCTable({(0, 0): 0.7})
+        b = FCTable({(0, 0): 1.0})
         assert tvd(a, b) == pytest.approx(0.3, abs=1e-12)
         assert tvd(a, b, residual_sink=False) == pytest.approx(0.15, abs=1e-12)
 
@@ -56,7 +64,7 @@ class TestTVD:
 
     def test_mode_count_mismatch(self):
         with pytest.raises(ValueError):
-            tvd(FCTable({(0,): 1.0}, 4), FCTable({(0, 0): 1.0}, 4))
+            tvd(FCTable({(0,): 1.0}), FCTable({(0, 0): 1.0}))
 
 
 class TestTraceBound:
@@ -156,7 +164,7 @@ class TestDistanceInequality:
 
 
 def test_restrict_to():
-    table = FCTable({(0, 0): 0.5, (1, 0): 0.3, (0, 1): 0.2}, 4)
+    table = FCTable({(0, 0): 0.5, (1, 0): 0.3, (0, 1): 0.2})
     restricted = restrict_to(table, [(0, 0), (1, 0)])
     assert restricted.entries == {(0, 0): 0.5, (1, 0): 0.3}
     assert restricted.tail_mass == pytest.approx(0.2)

@@ -1,5 +1,6 @@
-"""Every public name the package declares resolves, and importing the
-package or running a Gaussian-only command loads no scipy.
+"""Every public name the package declares resolves, every definition has
+a reader, and importing the package or running a Gaussian-only command
+loads no scipy.
 
 Profiling tools find the functions to time through each module's
 ``__all__``, so a name moved or renamed without its entry would vanish
@@ -39,6 +40,29 @@ def test_package_reexports_resolve():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(vibsim, name) is getattr(source, alias.name)
+
+
+def _trees(paths):
+    return [ast.parse(p.read_text()) for p in paths]
+
+
+def test_every_definition_is_referenced():
+    """Each function, method and class under ``src/vibsim`` is read as a
+    name or an attribute somewhere in ``src/`` or ``tests/``; ``__all__``
+    strings and import aliases do not count as reads."""
+    package = _trees(sorted(Path(vibsim.__file__).parent.rglob("*.py")))
+    tests = _trees(sorted(Path(__file__).parent.glob("*.py")))
+    defined = {node.name for tree in package for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    read = set()
+    for tree in package + tests:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(defined - read) == []
 
 
 # The import-budget checks run in a fresh interpreter: this process has

@@ -15,11 +15,11 @@ def ideal_table():
 
 class TestSample:
     def test_deterministic_table(self):
-        hist = sample(FCTable({(0, 0): 1.0}, 4), 500, seed=0)
+        hist = sample(FCTable({(0, 0): 1.0}), 500, seed=0)
         assert hist.counts == {(0, 0): 500}
 
     def test_single_shot(self):
-        hist = sample(FCTable({(0, 0): 0.5, (1, 1): 0.5}, 4), 1, seed=3)
+        hist = sample(FCTable({(0, 0): 0.5, (1, 1): 0.5}), 1, seed=3)
         assert sum(hist.counts.values()) == 1
 
     def test_seed_reproducibility(self, ideal_table):
@@ -30,18 +30,18 @@ class TestSample:
     def test_concentration_at_reference_shot_count(self, ideal_table):
         for seed in range(5):
             hist = sample(ideal_table, 1_638_370, seed=seed)
-            empirical = hist.frequencies(cutoff=20)
+            empirical = hist.frequencies()
             assert tvd(empirical, ideal_table.with_sink()) < 0.002
 
     def test_tail_goes_to_sink(self):
-        table = FCTable({(0, 0): 0.5}, 4, tail_mass=0.5)
+        table = FCTable({(0, 0): 0.5})
         hist = sample(table, 20_000, seed=7)
         sink = sink_outcome(2)
         assert hist.counts[sink] > 8_000
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            sample(FCTable({(0, 0): 1.0}, 4), 0, seed=0)
+            sample(FCTable({(0, 0): 1.0}), 0, seed=0)
 
 
 class TestEstimate:
@@ -59,7 +59,7 @@ class TestEstimate:
         assert est.eps_stat < 0.005
 
     def test_inverse_sqrt_scaling(self):
-        table = FCTable({(0, 0): 0.3, (1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.2}, 4)
+        table = FCTable({(0, 0): 0.3, (1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.2})
         eps = []
         for shots in (100, 10_000, 1_000_000):
             hist = sample(table, shots, seed=5)

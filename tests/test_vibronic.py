@@ -152,9 +152,12 @@ class TestFCFactors:
             assert table.probability((0, 0)) == pytest.approx(expected, abs=1e-9)
 
     def test_sums_to_one_minus_tail(self):
+        # the tail the entries leave is the mass the replay truncated
         for r in (0.4, 0.8):
-            table = fc_factors(OpticalTarget((r, -r / 2)), 20)
-            assert table.total() + table.tail_mass == pytest.approx(1.0, abs=1e-9)
+            target = OpticalTarget((r, -r / 2))
+            table = fc_factors(target, 20)
+            assert table.tail_mass == pytest.approx(
+                replay_fock(target.circuit(), 20).tail_mass, abs=1e-12)
             assert table.tail_mass < 1e-6
 
     def test_unconverged_cutoff(self):
@@ -174,7 +177,7 @@ class TestGaussianStatistics:
 
 class TestSpectrum:
     def test_single_peak_for_vacuum_table(self):
-        spec = spectrum(FCTable({(0, 0): 1.0}, 8), (176.0, 110.0))
+        spec = spectrum(FCTable({(0, 0): 1.0}), (176.0, 110.0))
         assert spec.peaks == ((0.0, 1.0),)
 
     def test_tropolone_peak_at_352(self):
@@ -184,12 +187,12 @@ class TestSpectrum:
 
     def test_degenerate_frequencies_merge(self):
         # equal mode frequencies: (1,0) and (0,1) land on one peak
-        table = FCTable({(1, 0): 0.3, (0, 1): 0.2, (0, 0): 0.5}, 8)
+        table = FCTable({(1, 0): 0.3, (0, 1): 0.2, (0, 0): 0.5})
         spec = spectrum(table, (100.0, 100.0))
         assert spec.peaks == ((0.0, 0.5), (100.0, pytest.approx(0.5)))
 
     def test_distinct_frequencies_stay_separate(self):
-        table = FCTable({(2, 0): 0.4, (0, 2): 0.6}, 8)
+        table = FCTable({(2, 0): 0.4, (0, 2): 0.6})
         spec = spectrum(table, (176.0, 110.0))
         assert [f for f, _ in spec.peaks] == [220.0, 352.0]
 
