@@ -96,8 +96,8 @@ _SOURCE_PARAMETERS = {f.name for cls in SOURCE_KINDS.values() for f in fields(cl
 class DetectorModel:
     """Noise model of the photon-number-resolving detectors.
 
-    ``dark_p1``: probability of registering at least one spurious count on
-    a vacuum input.  ``pump_p2``: probability of a spurious two-photon
+    ``dark_p1``: probability, below 1, of registering at least one spurious
+    count on a vacuum input.  ``pump_p2``: probability of a spurious two-photon
     event from leaked pump light.  ``noise_fidelity_factor`` multiplies the
     optical fidelity to account for the detector noise modes.
     """
@@ -107,10 +107,11 @@ class DetectorModel:
     noise_fidelity_factor: float = 0.9958
 
     def __post_init__(self) -> None:
-        for name in ("dark_p1", "pump_p2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        # no geometric count law has P(>= 1) = 1
+        if not 0.0 <= self.dark_p1 < 1.0:
+            raise ValueError("dark_p1 must lie in [0, 1)")
+        if not 0.0 <= self.pump_p2 <= 1.0:
+            raise ValueError("pump_p2 must lie in [0, 1]")
         if not 0.0 < self.noise_fidelity_factor <= 1.0:
             raise ValueError("noise_fidelity_factor must lie in (0, 1]")
 

@@ -24,6 +24,10 @@ Every generator is tridiagonal within its blocks (the single-mode
 squeezer within each photon-number parity), so each block exponential is
 one real tridiagonal eigenproblem.  Blocks are applied to column panels
 small enough that BLAS runs each product on the calling thread.
+Besides the operators, the tables that depend only on the cutoff (the binomial
+roots of the loss Kraus weights) or only on the detector and the cutoff (the
+detector-noise convolution) are cached read-only, so a source fit builds
+each once rather than once per candidate.
 Importing the package loads numpy only; scipy loads with the first block
 build or Williamson/Bloch-Messiah call.
 """
@@ -230,6 +234,7 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     raise TypeError(f"{type(elem).__name__} has no unitary matrix")
 
 
+@lru_cache(maxsize=128)
 def _binomial_roots(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(k, n, sqrt(C(n + k, k))) over the k, n with n + k < cutoff."""
     levels = np.arange(cutoff)
@@ -237,7 +242,10 @@ def _binomial_roots(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # binom[k, n] = C(n + k, k) = prod_{i <= k} (n + i) / i
     binom = np.vstack([np.ones(cutoff), np.cumprod((levels + steps) / steps, axis=0)])
     k, n = np.nonzero(np.add.outer(levels, levels) < cutoff)
-    return k, n, np.sqrt(binom[k, n])
+    out = k, n, np.sqrt(binom[k, n])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _loss_kraus(eta: float, cutoff: int) -> np.ndarray:
@@ -406,14 +414,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(num_modes: int, cutoff: int, dense: bool) -> None:
-    """Refuse, before allocating, a state that would not fit in physical memory."""
-    need, have = _state_bytes(num_modes, cutoff, dense), _physical_memory()
+def _refuse_beyond_memory(what: str, need: float) -> None:
+    """Raise :class:`FockMemoryError` when ``need`` bytes exceed physical memory."""
+    have = _physical_memory()
     if need > have:
         raise FockMemoryError(
-            f"cutoff {cutoff} on {num_modes} modes needs about {need:.3g} bytes of "
-            f"working memory, more than the {have:.3g} bytes of physical memory"
+            f"{what} needs about {need:.3g} bytes of working memory, "
+            f"more than the {have:.3g} bytes of physical memory"
         )
+
+
+def _check_memory(num_modes: int, cutoff: int, dense: bool) -> None:
+    """Refuse, before allocating, a state that would not fit in physical memory."""
+    _refuse_beyond_memory(f"cutoff {cutoff} on {num_modes} modes",
+                          _state_bytes(num_modes, cutoff, dense))
 
 
 class _FockWorkspace:
@@ -545,11 +559,23 @@ def mean_photon_fock(rho: FockDensity, mode: int) -> float:
     return float(np.arange(rho.cutoff) @ marg)
 
 
-def noise_kernel(det) -> np.ndarray:
-    """Distribution of the spurious counts one detector adds: geometric dark
-    counts with P(>= 1 count) = ``det.dark_p1``, down to probability 1e-16,
-    plus two counts with probability ``det.pump_p2``."""
-    p, pump = float(det.dark_p1), float(det.pump_p2)
+def _dark_terms_bound(p: float) -> int:
+    """At least the number of dark-count terms :func:`noise_kernel` keeps,
+    in closed form: its loop stops at the first j with (1 - p) p^j <= 1e-16."""
+    if not 0.0 < p < 1.0:
+        return 1
+    return max(1, math.ceil(math.log(1e-16 / (1.0 - p)) / math.log(p))) + 2
+
+
+#: bytes per dark-count term while :func:`noise_kernel` builds: a Python
+#: float, its list slot and the array entries
+_DARK_TERM_BYTES = 64
+
+
+def _kernel(p: float, pump: float) -> np.ndarray:
+    # the loop runs once per term, so it may not start on a kernel that cannot fit
+    _refuse_beyond_memory(f"detector noise with dark_p1 {p!r}",
+                          _DARK_TERM_BYTES * float(_dark_terms_bound(p)))
     dark = [1.0 - p]
     while p > 0.0 and (1.0 - p) * p ** len(dark) > 1e-16:
         dark.append((1.0 - p) * p ** len(dark))
@@ -560,13 +586,37 @@ def noise_kernel(det) -> np.ndarray:
     return kernel
 
 
+def noise_kernel(det) -> np.ndarray:
+    """Distribution of the spurious counts one detector adds: geometric dark
+    counts with P(>= 1 count) = ``det.dark_p1``, down to probability 1e-16,
+    plus two counts with probability ``det.pump_p2``.  A kernel too long for
+    physical memory raises :class:`FockMemoryError` before it is built."""
+    return _kernel(float(det.dark_p1), float(det.pump_p2))
+
+
+@lru_cache(maxsize=128)
+def _convolution(dark_p1: float, pump_p2: float, cutoff: int) -> np.ndarray:
+    """Matrix that convolves an occupation axis of length ``cutoff`` with
+    the noise kernel of ``dark_p1`` and ``pump_p2``."""
+    kernel = _kernel(dark_p1, pump_p2)
+    shift, level = np.indices((kernel.size, cutoff))
+    conv = np.zeros((cutoff + kernel.size - 1, cutoff))
+    conv[shift + level, level] = kernel[:, None]
+    conv.setflags(write=False)
+    return conv
+
+
 def _noisy(grid: np.ndarray, det) -> np.ndarray:
     """:func:`noisy_occupations` of the occupation ``grid``."""
-    kernel = noise_kernel(det)
-    cut = grid.shape[0]
-    shift, level = np.indices((kernel.size, cut))
-    conv = np.zeros((cut + kernel.size - 1, cut))
-    conv[shift + level, level] = kernel[:, None]
+    p, cut = float(det.dark_p1), grid.shape[0]
+    terms = _dark_terms_bound(p)
+    # the last axis's input and output, the convolution and its index build
+    size = cut + terms + 1
+    need = 8.0 * (2.0 * size**grid.ndim + 3.0 * (terms + 2) * cut)
+    _refuse_beyond_memory(
+        f"detector noise with dark_p1 {p!r} on {grid.ndim} axes at cutoff {cut}", need
+    )
+    conv = _convolution(p, float(det.pump_p2), cut)
     for axis in range(grid.ndim):
         grid = _apply_single(grid, conv, axis)
     return grid

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from vibsim import fock
 from vibsim.gaussian import (
     BeamSplitter,
     Displace,
@@ -91,3 +92,10 @@ def lossy_tmsv_distribution(r: float, eta: float, nmax: int) -> dict[tuple[int, 
 def table_total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def clear_fock_caches() -> None:
+    """Empty every ``lru_cache`` builder of :mod:`vibsim.fock`."""
+    for fn in vars(fock).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()

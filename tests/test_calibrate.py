@@ -24,6 +24,7 @@ from vibsim.experiment import DetectorModel
 from vibsim.gaussian import BeamSplitter, GaussianCircuit, Loss, TwoModeSqueeze
 from vibsim.sampler import sample
 from vibsim.tables import CountHistogram
+from helpers import clear_fock_caches
 
 DET = DetectorModel()
 
@@ -111,6 +112,34 @@ class TestFitSource:
             hist_t, hist_r = synthetic_histograms(0.3, (0.5, 0.5), 200_000, seed=100 + 3 * seed)
             recovered.append(fit_source(hist_t, hist_r, DET).r)
         assert abs(np.mean(recovered) - 0.3) < 0.003
+
+
+class TestCandidateInvariants:
+    """The tables a fit's candidates share are built once and cached."""
+
+    def test_caches_do_not_change_a_fit(self):
+        hist_t, hist_r = synthetic_histograms(0.35, (0.5, 0.4), 200_000, seed=41)
+
+        def bits(fit):
+            return fit.r.hex(), *(e.hex() for e in fit.eta), fit.residual_tvd.hex()
+
+        clear_fock_caches()
+        cold = fit_source(hist_t, hist_r, DET)
+        assert fock._convolution.cache_info().hits > 0
+        assert fock._binomial_roots.cache_info().hits > 0
+        assert bits(fit_source(hist_t, hist_r, DET)) == bits(cold)
+
+    def test_cached_tables_are_read_only(self):
+        for arr in (*fock._binomial_roots(12), fock._convolution(0.002, 0.001, 12)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_pump_leak_keys_the_convolution(self):
+        vacuum = np.zeros((12, 12))
+        vacuum[0, 0] = 1.0
+        a, b = (fock._noisy(vacuum, DetectorModel(0.002, pump)) for pump in (0.001, 0.002))
+        assert a.shape == b.shape and not np.array_equal(a, b)
+        assert (a[2, 0], b[2, 0]) == pytest.approx((0.001, 0.002), rel=0.01)
 
 
 class TestMomentStart:

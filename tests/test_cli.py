@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def paper_experiment_section(r=0.2407, t=0.1939):
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_histogram_pair(tmp_path, shots=20_000):
+    """Sampled counts of both beam-splitter settings; their CSV paths."""
+    from vibsim.calibrate import predicted_distribution
+    from vibsim.sampler import sample
+
+    paths = [tmp_path / "trans.csv", tmp_path / "refl.csv"]
+    for path, t in zip(paths, (1.0, 0.0)):
+        table = predicted_distribution(0.3, (0.45, 0.40), t, DetectorModel(), 12)
+        write_histogram_csv(sample(table, shots, seed=int(t)), path)
+    return [str(p) for p in paths]
 
 
 #: config fields that are missing, of a wrong type or out of range
@@ -285,6 +298,37 @@ class TestFockMemory:
         assert "Traceback" not in err
 
 
+class TestDetectorNoiseBound:
+    """dark_p1 = 1 has no geometric count law, and a dark_p1 close to 1 needs
+    a noise kernel whose count grid exceeds physical memory: both exit 2
+    before any allocation, within seconds."""
+
+    @pytest.mark.parametrize("dark_p1", [1.0, 0.9999, 1 - 1e-12])
+    @pytest.mark.parametrize("command", ["tomography", "simulate"])
+    def test_exits_2_without_artefact(self, tmp_path, capsys, command, dark_p1):
+        hists = write_histogram_pair(tmp_path) if command == "tomography" else []
+        exp = {**paper_experiment_section(), "detector": {"dark_p1": dark_p1}}
+        path = write_config(tmp_path, experiment=exp)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = main(["--config", str(path), "--out-dir", str(out), command, *hists])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "dark_p1" in err
+        assert not out.exists() or not any(out.iterdir())
+        assert elapsed < 10.0
+
+    def test_long_kernel_that_fits_runs(self, tmp_path):
+        # dark_p1 = 0.9 keeps 328 dark-count terms
+        hists = write_histogram_pair(tmp_path)
+        exp = {**paper_experiment_section(), "detector": {"dark_p1": 0.9}}
+        path = write_config(tmp_path, experiment=exp)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography", *hists])
+        assert code == 0
+        assert (tmp_path / "tomography_fit.json").is_file()
+
+
 class TestSimulate:
     def test_paper_model_report(self, tmp_path):
         path = write_config(
@@ -379,17 +423,9 @@ class TestSweepLoss:
 
 class TestTomography:
     def test_round_trip(self, tmp_path):
-        from vibsim.calibrate import predicted_distribution
-        from vibsim.sampler import sample
-
-        det = DetectorModel()
-        for name, t in (("trans.csv", 1.0), ("refl.csv", 0.0)):
-            table = predicted_distribution(0.3, (0.45, 0.40), t, det, 12)
-            hist = sample(table, 400_000, seed=int(t))
-            write_histogram_csv(hist, tmp_path / name)
+        hists = write_histogram_pair(tmp_path, shots=400_000)
         path = write_config(tmp_path)
-        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography",
-                     str(tmp_path / "trans.csv"), str(tmp_path / "refl.csv")])
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography", *hists])
         assert code == 0
         fit = json.loads((tmp_path / "tomography_fit.json").read_text())
         assert fit["r"] == pytest.approx(0.3, abs=0.01)

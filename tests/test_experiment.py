@@ -69,6 +69,8 @@ class TestBuildCircuit:
             ExperimentModel(source=SMSVPair(-0.1, 0.2), bs_transmission=0.5)
         with pytest.raises(ValueError):
             DetectorModel(dark_p1=1.5)
+        with pytest.raises(ValueError):  # no geometric law has P(>= 1 count) = 1
+            DetectorModel(dark_p1=1.0)
 
 
 class TestModelFidelity:

@@ -31,7 +31,12 @@ from vibsim.gaussian import (
     replay,
 )
 from vibsim.metrics import tvd
-from helpers import lossy_tmsv_distribution, random_circuit, table_total_variation
+from helpers import (
+    clear_fock_caches,
+    lossy_tmsv_distribution,
+    random_circuit,
+    table_total_variation,
+)
 
 
 class _Detector:
@@ -190,9 +195,7 @@ class TestBlockOperators:
 
     def test_cached_pair_operator_is_cubic_in_cutoff(self):
         cutoff = 30
-        for fn in vars(fock).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+        clear_fock_caches()
         tracemalloc.start()
         try:
             replay_fock(GaussianCircuit(2, [BeamSplitter(0, 1, 0.4, 0.3)]), cutoff)
@@ -285,6 +288,21 @@ class TestDetectorNoise:
         assert table.probability((1, 0)) == pytest.approx(0.002, abs=1e-4)
         assert table.probability((0, 1)) == pytest.approx(0.002, abs=1e-4)
         assert table.probability((0, 0)) == pytest.approx((1 - 0.002) ** 2, abs=1e-6)
+
+    def test_kernel_length_bound(self):
+        for p in (0.0, 1e-20, 1e-9, 0.002, 0.3, 0.9, 0.99, 0.9999):
+            terms = fock.noise_kernel(_Detector(dark_p1=p)).size - 2
+            assert terms <= fock._dark_terms_bound(p) <= terms + 2, p
+        assert fock.noise_kernel(_Detector(dark_p1=0.9)).size == 328 + 2
+
+    def test_kernel_beyond_memory_raises_before_its_loop(self):
+        # about 9e12 terms: the loop would run until memory ran out
+        with pytest.raises(fock.FockMemoryError, match="dark_p1 0.999999999999 needs"):
+            fock.noise_kernel(_Detector(dark_p1=1 - 1e-12))
+        rho = replay_fock(GaussianCircuit(2), 8)
+        # its 276 297 terms fit; the two-axis count grid, over 500 GB, does not
+        with pytest.raises(fock.FockMemoryError, match="on 2 axes at cutoff 8"):
+            attach_detector_noise(rho, _Detector(dark_p1=0.9999))
 
     def test_pump_leak_on_vacuum(self):
         rho = replay_fock(GaussianCircuit(2), 8)
