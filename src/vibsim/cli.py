@@ -49,12 +49,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+#: the fields each target kind may carry besides its ``kind``
+_TARGET_FIELDS = {
+    "tropolone": set(),
+    "optical": {"squeeze", "bs_angle", "displacement", "excited_freqs_cm1"},
+    "transition": {"duschinsky", "ground_freqs_cm1", "excited_freqs_cm1", "displacement"},
+}
+
+
 def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
-    check_keys(obj, "target", {"kind"}, {
-        "squeeze", "bs_angle", "displacement", "excited_freqs_cm1",
-        "duschinsky", "ground_freqs_cm1",
-    })
+    check_keys(obj, "target", {"kind"}, set().union(*_TARGET_FIELDS.values()))
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+        raise ConfigError(f"unknown target kind {kind!r}")
+    check_keys(obj, f"the {kind} target", {"kind"}, _TARGET_FIELDS[kind])
     if kind == "tropolone":
         return fixtures.tropolone_target(), fixtures.tropolone_excited_freqs()
     if kind == "optical":
@@ -75,16 +83,14 @@ def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
         if freqs and len(freqs) != len(squeeze):
             raise ConfigError("excited_freqs_cm1 needs one frequency per mode")
         return OpticalTarget(squeeze, interferometer, disp), freqs or None
-    if kind == "transition":
-        disp = obj.get("displacement")
-        transition = VibronicTransition(
-            duschinsky=np.array(obj["duschinsky"], dtype=float),
-            ground_freqs=np.array(obj["ground_freqs_cm1"], dtype=float),
-            excited_freqs=np.array(obj["excited_freqs_cm1"], dtype=float),
-            displacement=np.array(disp, dtype=float) if disp else None,
-        )
-        return doktorov_decompose(transition), tuple(transition.excited_freqs.tolist())
-    raise ConfigError(f"unknown target kind {kind!r}")
+    disp = obj.get("displacement")
+    transition = VibronicTransition(
+        duschinsky=np.array(obj["duschinsky"], dtype=float),
+        ground_freqs=np.array(obj["ground_freqs_cm1"], dtype=float),
+        excited_freqs=np.array(obj["excited_freqs_cm1"], dtype=float),
+        displacement=np.array(disp, dtype=float) if disp else None,
+    )
+    return doktorov_decompose(transition), tuple(transition.excited_freqs.tolist())
 
 
 def load_config(path: Path) -> dict:

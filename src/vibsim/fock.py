@@ -14,8 +14,8 @@ as the purification diag(sqrt(p)) of its thermal core.  A channel densifies it.
 Every two-mode operator conserves a photon number: beam splitters and
 other passive mixings conserve the total n1 + n2, the two-mode squeezer
 the difference n1 - n2.  They are built and applied as one small unitary
-per value of that quantity, so a cached operator holds O(cutoff^3)
-entries rather than the cutoff^4 of the dense pair matrix.  Loss and the
+per value of that quantity, so an operator holds O(cutoff^3) entries
+rather than the cutoff^4 of the dense pair matrix.  Loss and the
 amplifier are Kraus families "shift by k times diagonal weights"; they
 conserve the ket-minus-bra photon difference of their mode, so a channel
 (thermal admixture: loss then amplifier, composed) is the same kind of
@@ -24,10 +24,12 @@ Every generator is tridiagonal within its blocks (the single-mode
 squeezer within each photon-number parity), so each block exponential is
 one real tridiagonal eigenproblem.  Blocks are applied to column panels
 small enough that BLAS runs each product on the calling thread.
-Besides the operators, the tables that depend only on the cutoff (the binomial
-roots of the loss Kraus weights) or only on the detector and the cutoff (the
-detector-noise convolution) are cached read-only, so a source fit builds
-each once rather than once per candidate.
+Operators are built per call: they are keyed by element parameters, which
+seldom repeat.  Only tables whose key does repeat are cached, read-only: the
+block layout and the binomial roots of the loss Kraus weights, which depend
+only on the cutoff, and the detector-noise convolution, which depends only on
+the detector and the cutoff, so a source fit builds each once rather than once
+per candidate.
 Importing the package loads numpy only; scipy loads with the first block
 build or Williamson/Bloch-Messiah call.
 """
@@ -109,7 +111,6 @@ def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
 
 
-@lru_cache(maxsize=128)
 def _squeeze_matrix(r: float, phase: float, cutoff: int) -> np.ndarray:
     """exp((conj(z) a^2 - z a+^2) / 2), z = r e^{i phase}: tridiagonal per parity."""
     z = r * np.exp(1j * phase)
@@ -117,15 +118,6 @@ def _squeeze_matrix(r: float, phase: float, cutoff: int) -> np.ndarray:
     for n in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
         lower = 0.5j * z * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
         out[np.ix_(n, n)] = _expm_tridiagonal(np.zeros(n.size), lower)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=128)
-def _displace_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """exp(alpha a+ - conj(alpha) a)."""
-    out = _expm_tridiagonal(np.zeros(cutoff), -1j * alpha * np.sqrt(np.arange(1.0, cutoff)))
-    out.setflags(write=False)
     return out
 
 
@@ -165,7 +157,6 @@ def _block_layout(cutoff: int, difference: bool) -> tuple[np.ndarray, tuple[int,
     return perm_arr, tuple(bounds)
 
 
-@lru_cache(maxsize=128)
 def _pair_blocks(
     coupling: complex, phase1: float, phase2: float, squeezer: bool, cutoff: int
 ) -> _PairBlocks:
@@ -185,7 +176,6 @@ def _pair_blocks(
         # G = iH; A links neighbours i -> i + 1 by sqrt(m1[i + 1] * max(m2[i], m2[i + 1]))
         lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
         blocks.append(_expm_tridiagonal(phase1 * m1 + phase2 * m2, lower))
-        blocks[-1].setflags(write=False)
     return _PairBlocks(index, bounds, tuple(blocks))
 
 
@@ -223,7 +213,9 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     if isinstance(elem, Squeeze):
         return _squeeze_matrix(float(elem.r), float(elem.phase), cutoff)
     if isinstance(elem, Displace):
-        return _displace_matrix(complex(elem.alpha), cutoff)
+        # exp(alpha a+ - conj(alpha) a)
+        lower = -1j * complex(elem.alpha) * np.sqrt(np.arange(1.0, cutoff))
+        return _expm_tridiagonal(np.zeros(cutoff), lower)
     if isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
         (m1, m2), bounds, blocks = _pair_operator(elem, cutoff)
         perm = m1 * cutoff + m2
@@ -257,7 +249,6 @@ def _loss_kraus(eta: float, cutoff: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
 def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     """Loss of ``transmission`` eta, then a quantum-limited amplifier of ``gain``
     cosh(s)^2, as blocks on a mode's (ket, bra) axes by ket-minus-bra difference.
@@ -284,8 +275,6 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     bra = row + np.minimum(np.maximum(-diff, 0) + levels, cutoff)[:, None, :]
     prod = (amp.take(ket) * amp.take(bra)) @ (loss.take(ket) * loss.take(bra))
     blocks = tuple(p[:s, :s].astype(complex) for p, s in zip(prod, cutoff - np.abs(diff[:, 0])))
-    for block in blocks:
-        block.setflags(write=False)
     perm, bounds = _block_layout(cutoff, True)
     return _PairBlocks(np.divmod(perm, cutoff), bounds, blocks)
 

@@ -106,7 +106,6 @@ class OpticalTarget:
     squeeze: tuple[float, ...]
     interferometer: tuple[Element, ...] = ()
     displacement: tuple[complex, ...] = ()
-    provenance: str = "direct-input"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "squeeze", tuple(float(r) for r in self.squeeze))
@@ -150,9 +149,6 @@ class Spectrum:
 
     peaks: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
-    def intensity_at(self, freq: float) -> float:
-        return sum(i for f, i in self.peaks if abs(f - freq) <= MERGE_TOL)
-
 
 def doktorov_decompose(transition: VibronicTransition) -> OpticalTarget:
     """Factor the coordinate transformation of a transition into squeezers
@@ -181,7 +177,7 @@ def doktorov_decompose(transition: VibronicTransition) -> OpticalTarget:
     squeeze = tuple(-float(r) for r in rs)
     interferometer = tuple(givens_rotations(o1))
     alphas = tuple(complex(d) / math.sqrt(2.0) for d in transition.displacement)
-    return OpticalTarget(squeeze, interferometer, alphas, provenance="derived-from-transition")
+    return OpticalTarget(squeeze, interferometer, alphas)
 
 
 def fc_factors(target: OpticalTarget, cutoff: int) -> FCTable:

@@ -96,6 +96,15 @@ MALFORMED = {
         "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
         "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0],
         "displacement": [math.nan, 0.0]}},
+    "tropolone-with-squeeze": {"target": {"kind": "tropolone", "squeeze": [0.1, 0.2]}},
+    "optical-with-duschinsky": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
+                                           "duschinsky": [[1.0, 0.0], [0.0, 1.0]]}},
+    "optical-with-ground-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
+                                             "ground_freqs_cm1": [100.0, 200.0]}},
+    "transition-with-bs-angle": {"target": {
+        "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
+        "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0],
+        "bs_angle": 0.3}},
 }
 
 
@@ -621,6 +630,70 @@ class TestConfigMutations:
             code = main(["--config", str(path), "--out-dir", str(tmp_path / command[0]), *command])
             assert code in (0, 2, 3), command
             assert "Traceback" not in capsys.readouterr().err
+
+
+#: argv and path faults, as a function of the work directory: the global
+#: options before the command, with the config and output paths to use
+ARGV_FAULTS = {
+    "unknown-flag": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--bogus", "1"],
+    "flag-without-value": lambda cfg, out: ["--out-dir", out, "--config", cfg, "--seed"],
+    "repeated-flag": lambda cfg, out: ["--config", cfg, "--out-dir", out,
+                                       "--cutoff", "10", "--cutoff", "12"],
+    "cutoff-non-integer": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--cutoff", "1.5"],
+    "cutoff-negative": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--cutoff", "-3"],
+    "cutoff-2-63": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--cutoff", str(2**63)],
+    "seed-non-integer": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--seed", "x"],
+    "seed-negative": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--seed", "-3"],
+    "seed-2-63": lambda cfg, out: ["--config", cfg, "--out-dir", out, "--seed", str(2**63)],
+    "config-missing": lambda cfg, out: ["--config", cfg + ".absent", "--out-dir", out],
+    "config-directory": lambda cfg, out: ["--config", out, "--out-dir", out],
+    "config-empty": lambda cfg, out: ["--config", cfg + ".empty", "--out-dir", out],
+    "config-binary": lambda cfg, out: ["--config", cfg + ".binary", "--out-dir", out],
+    "out-dir-is-file": lambda cfg, out: ["--config", cfg, "--out-dir", cfg],
+    "out-dir-under-file": lambda cfg, out: ["--config", cfg, "--out-dir", cfg + "/out"],
+}
+
+
+def exit_code(argv) -> int:
+    """:func:`main`'s exit code, counting argparse's ``SystemExit`` as its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestArgvAndPaths:
+    @pytest.fixture
+    def commands(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(README_CONFIG))
+        (tmp_path / "config.json.empty").write_bytes(b"")
+        (tmp_path / "config.json.binary").write_bytes(bytes(range(256)))
+        (tmp_path / "out").mkdir()
+        hists = write_histogram_pair(tmp_path)
+        return str(cfg), str(tmp_path / "out"), [
+            ["ideal"], ["simulate"], ["optimize"], ["sweep-loss", "--grid", "0,0.5"],
+            ["tomography", *hists],
+        ]
+
+    @pytest.mark.parametrize("fault", ARGV_FAULTS.values(), ids=ARGV_FAULTS.keys())
+    def test_every_command_exits_cleanly(self, commands, capsys, fault):
+        cfg, out, argvs = commands
+        for argv in argvs:
+            assert exit_code([*fault(cfg, out), *argv]) in (0, 2, 3), argv
+            assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("paths", [
+        lambda hists, tmp: hists[:1],
+        lambda hists, tmp: [*hists, hists[0]],
+        lambda hists, tmp: [str(tmp), hists[1]],
+    ], ids=["missing", "extra", "directory"])
+    def test_histogram_path_faults_exit_2(self, commands, tmp_path, capsys, paths):
+        cfg, out, argvs = commands
+        hists = argvs[-1][1:]
+        argv = ["--config", cfg, "--out-dir", out, "tomography", *paths(hists, tmp_path)]
+        assert exit_code(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def histogram_mutations(text: str) -> dict[str, tuple[str, bytes | None]]:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -32,7 +33,6 @@ from vibsim.gaussian import (
 )
 from vibsim.metrics import tvd
 from helpers import (
-    clear_fock_caches,
     lossy_tmsv_distribution,
     random_circuit,
     table_total_variation,
@@ -193,17 +193,34 @@ class TestBlockOperators:
         expected = _kraus_sum(lossy, _amplifier_kraus(gain, self.cutoff), 0, self.cutoff)
         assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_cached_pair_operator_is_cubic_in_cutoff(self):
+    def test_pair_operator_is_cubic_in_cutoff(self):
         cutoff = 30
-        clear_fock_caches()
+        op = fock._pair_operator(BeamSplitter(0, 1, 0.4, 0.3), cutoff)
+        held = sum(a.nbytes for a in (*op.index, *op.blocks))
+        assert held / np.dtype(complex).itemsize < cutoff**4 / 10
+
+    def test_replays_retain_no_operators(self):
+        # operators are keyed by element parameters, which seldom repeat:
+        # only the tables keyed by the cutoff may outlive a replay
+        cutoff = 20
+
+        def circuit(i):
+            return GaussianCircuit(2, [
+                Squeeze(0, 0.2 + 0.01 * i, 0.3), TwoModeSqueeze(0, 1, 0.1 + 0.01 * i),
+                BeamSplitter(0, 1, 0.4 + 0.02 * i, 0.3), Displace(1, 0.1 + 0.01j * i),
+                Loss(0, 0.6 + 0.01 * i), ThermalMix(1, 0.1 + 0.01 * i, 0.2),
+            ])
+
+        replay_fock(circuit(0), cutoff, strict=False)
         tracemalloc.start()
         try:
-            replay_fock(GaussianCircuit(2, [BeamSplitter(0, 1, 0.4, 0.3)]), cutoff)
+            for i in range(1, 12):
+                replay_fock(circuit(i), cutoff, strict=False)
+            gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        complex_entries = retained / np.dtype(complex).itemsize
-        assert complex_entries < cutoff**4 / 10
+        assert retained < cutoff**3 * np.dtype(complex).itemsize
 
 
 class TestReplay:

@@ -113,8 +113,7 @@ class TestTargetState:
 
     def test_memo_leaves_equality_and_hash(self):
         target = tropolone_target()
-        twin = OpticalTarget(target.squeeze, target.interferometer, target.displacement,
-                             target.provenance)
+        twin = OpticalTarget(target.squeeze, target.interferometer, target.displacement)
         target.state()
         assert target == twin
         assert hash(target) == hash(twin)
@@ -183,7 +182,8 @@ class TestSpectrum:
     def test_tropolone_peak_at_352(self):
         table = fc_factors(tropolone_target(), 20)
         spec = spectrum(table, tropolone_excited_freqs())
-        assert spec.intensity_at(352.0) == pytest.approx(0.1097, abs=0.002)
+        intensity = sum(i for f, i in spec.peaks if f == pytest.approx(352.0, abs=1e-9))
+        assert intensity == pytest.approx(0.1097, abs=0.002)
 
     def test_degenerate_frequencies_merge(self):
         # equal mode frequencies: (1,0) and (0,1) land on one peak
