@@ -8,6 +8,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,15 @@ class TomographyFit:
     iterations: int
 
 
+@lru_cache(maxsize=4)
 def _splitter(bs_transmission: float, cutoff: int) -> np.ndarray:
-    """|U|^2 of the beam splitter set to ``bs_transmission``, on flat pair occupations."""
+    """|U|^2 of the beam splitter set to ``bs_transmission``, on flat pair
+    occupations.  Cached, since every fit asks for the same two settings,
+    and so read-only."""
     u = fock.element_matrix(BeamSplitter(0, 1, math.acos(math.sqrt(bs_transmission))), cutoff)
-    return u.real**2 + u.imag**2
+    weights = u.real**2 + u.imag**2
+    weights.setflags(write=False)
+    return weights
 
 
 def _count_grids(r: float, eta, splitters: list, det: DetectorModel, cutoff: int) -> list:

@@ -27,11 +27,12 @@ from .experiment import (
     model_fidelity,
     observed_distribution,
     parse_experiment,
+    parse_target,
 )
-from .gaussian import BeamSplitter, PhysicalityError
+from .gaussian import PhysicalityError
 from .optimize import DEFAULT_BOUNDS, loss_sweep, monte_carlo_fidelity, optimize_experiment
 from .tables import FCTable, is_sink
-from .vibronic import OpticalTarget, VibronicTransition, doktorov_decompose, fc_factors, spectrum
+from .vibronic import OpticalTarget, fc_factors, spectrum
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,50 +48,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
-
-
-#: the fields each target kind may carry besides its ``kind``
-_TARGET_FIELDS = {
-    "tropolone": set(),
-    "optical": {"squeeze", "bs_angle", "displacement", "excited_freqs_cm1"},
-    "transition": {"duschinsky", "ground_freqs_cm1", "excited_freqs_cm1", "displacement"},
-}
-
-
-def _parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
-    check_keys(obj, "target", {"kind"}, set().union(*_TARGET_FIELDS.values()))
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
-        raise ConfigError(f"unknown target kind {kind!r}")
-    check_keys(obj, f"the {kind} target", {"kind"}, _TARGET_FIELDS[kind])
-    if kind == "tropolone":
-        return fixtures.tropolone_target(), fixtures.tropolone_excited_freqs()
-    if kind == "optical":
-        # OpticalTarget checks each value, through the circuit it builds
-        squeeze = tuple(float(r) for r in obj["squeeze"])
-        interferometer = ()
-        if "bs_angle" in obj:
-            if len(squeeze) != 2:
-                raise ConfigError("bs_angle applies to two-mode targets only")
-            interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
-        pairs = obj.get("displacement", [])
-        if any(len(d) != 2 for d in pairs):
-            raise ConfigError("target displacement entries must be [re, im] pairs")
-        disp = tuple(complex(d[0], d[1]) for d in pairs)
-        freqs = tuple(float(f) for f in obj.get("excited_freqs_cm1") or ())
-        if not all(math.isfinite(f) for f in freqs):
-            raise ConfigError("target excited_freqs_cm1 must be finite")
-        if freqs and len(freqs) != len(squeeze):
-            raise ConfigError("excited_freqs_cm1 needs one frequency per mode")
-        return OpticalTarget(squeeze, interferometer, disp), freqs or None
-    disp = obj.get("displacement")
-    transition = VibronicTransition(
-        duschinsky=np.array(obj["duschinsky"], dtype=float),
-        ground_freqs=np.array(obj["ground_freqs_cm1"], dtype=float),
-        excited_freqs=np.array(obj["excited_freqs_cm1"], dtype=float),
-        displacement=np.array(disp, dtype=float) if disp else None,
-    )
-    return doktorov_decompose(transition), tuple(transition.excited_freqs.tolist())
 
 
 def load_config(path: Path) -> dict:
@@ -136,7 +93,12 @@ def _parse_config(raw: dict) -> dict:
         # numpy's multinomial draws take a 64-bit signed count
         raise ConfigError(f"shots = {cfg['shots']} lies beyond the 64-bit integer range")
     if "target" in raw:
-        cfg["target"], cfg["excited_freqs"] = _parse_target(raw["target"])
+        target = raw["target"]
+        if isinstance(target, dict) and target.get("kind") == "tropolone":
+            # the bundled scenario stands for its optical section
+            check_keys(target, "the tropolone target", {"kind"}, set())
+            target = fixtures.tropolone_section()
+        cfg["target"], cfg["excited_freqs"] = parse_target(target)
     if "experiment" in raw:
         cfg["experiment"] = parse_experiment(raw["experiment"])
     cfg["detector"] = cfg["experiment"].detector if "experiment" in cfg else DetectorModel()

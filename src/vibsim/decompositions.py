@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import BeamSplitter, passive_symplectic, symplectic_form
+from .gaussian import BeamSplitter, symplectic_form
 
 __all__ = [
     "williamson",
     "bloch_messiah",
     "unitary_from_orthosymplectic",
-    "orthosymplectic_from_unitary",
     "givens_reduction",
     "givens_rotations",
 ]
@@ -156,10 +155,6 @@ def unitary_from_orthosymplectic(o: np.ndarray) -> np.ndarray:
     if np.max(np.abs(w @ w.conj().T - np.eye(num_modes))) > 1e-8:
         raise ValueError("matrix is not orthogonal symplectic")
     return w
-
-
-#: inverse of :func:`unitary_from_orthosymplectic`
-orthosymplectic_from_unitary = passive_symplectic
 
 
 def givens_reduction(u: np.ndarray) -> tuple[list[tuple[int, int, float, np.ndarray]], np.ndarray]:

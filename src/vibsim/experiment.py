@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
+import numpy as np
+
 from . import fock
 from .gaussian import (
     BeamSplitter,
@@ -28,7 +30,7 @@ from .gaussian import (
     replay,
 )
 from .tables import FCTable
-from .vibronic import OpticalTarget
+from .vibronic import OpticalTarget, VibronicTransition, doktorov_decompose
 
 __all__ = [
     "SMSVPair",
@@ -42,6 +44,7 @@ __all__ = [
     "model_fidelity",
     "observed_distribution",
     "check_keys",
+    "parse_target",
     "parse_experiment",
     "experiment_section",
 ]
@@ -115,19 +118,6 @@ class DetectorModel:
         if not 0.0 < self.noise_fidelity_factor <= 1.0:
             raise ValueError("noise_fidelity_factor must lie in (0, 1]")
 
-    def computed_noise_fidelity(self) -> float:
-        """Noise-mode fidelity of the two detectors recomputed from first
-        principles: per detector, sqrt of the joint no-noise probability of
-        the dark mode (thermal) and the pump-leak mode (weak coherent)."""
-        p0_dark = 1.0 - self.dark_p1
-        # weak coherent state with single-photon component pump_p2
-        n_pump = self.pump_p2
-        for _ in range(20):  # solve n*exp(-n) = pump_p2
-            n_pump = self.pump_p2 * math.exp(n_pump)
-        p0_pump = math.exp(-n_pump)
-        per_detector = math.sqrt(p0_dark * p0_pump)
-        return per_detector**2
-
     def ideal(self) -> "DetectorModel":
         return DetectorModel(0.0, 0.0, 1.0)
 
@@ -175,8 +165,7 @@ class ExperimentModel:
 
     def with_values(self, **updates) -> "ExperimentModel":
         """Copy with replaced fields; the source's field names (its
-        parameters) address the source and ``t_bs`` the beam-splitter
-        transmission."""
+        parameters) address the source."""
         own = {f.name: updates.pop(f.name) for f in fields(self.source) if f.name in updates}
         stray = _SOURCE_PARAMETERS.intersection(updates)
         if stray:
@@ -186,8 +175,6 @@ class ExperimentModel:
             )
         if own:
             updates["source"] = replace(self.source, **own)
-        if "t_bs" in updates:
-            updates["bs_transmission"] = updates.pop("t_bs")
         return replace(self, **updates) if updates else self
 
 
@@ -239,6 +226,49 @@ def check_keys(obj: dict, where: str, required: set[str], optional: set[str]) ->
     missing = required - set(obj)
     if missing:
         raise ValueError(f"missing field(s) in {where}: {', '.join(sorted(missing))}")
+
+
+#: the fields each target kind may carry besides its ``kind``
+_TARGET_FIELDS = {
+    "optical": {"squeeze", "bs_angle", "displacement", "excited_freqs_cm1"},
+    "transition": {"duschinsky", "ground_freqs_cm1", "excited_freqs_cm1", "displacement"},
+}
+
+
+def parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
+    """Target of a ``target`` config section, and its excited-state
+    frequencies if the section gives them."""
+    check_keys(obj, "target", {"kind"}, set().union(*_TARGET_FIELDS.values()))
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+        raise ValueError(f"unknown target kind {kind!r}")
+    check_keys(obj, f"the {kind} target", {"kind"}, _TARGET_FIELDS[kind])
+    if kind == "optical":
+        # OpticalTarget checks each value, through the circuit it builds
+        squeeze = tuple(float(r) for r in obj["squeeze"])
+        interferometer = ()
+        if "bs_angle" in obj:
+            if len(squeeze) != 2:
+                raise ValueError("bs_angle applies to two-mode targets only")
+            interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
+        pairs = obj.get("displacement", [])
+        if any(len(d) != 2 for d in pairs):
+            raise ValueError("target displacement entries must be [re, im] pairs")
+        disp = tuple(complex(d[0], d[1]) for d in pairs)
+        freqs = tuple(float(f) for f in obj.get("excited_freqs_cm1") or ())
+        if not all(math.isfinite(f) for f in freqs):
+            raise ValueError("target excited_freqs_cm1 must be finite")
+        if freqs and len(freqs) != len(squeeze):
+            raise ValueError("excited_freqs_cm1 needs one frequency per mode")
+        return OpticalTarget(squeeze, interferometer, disp), freqs or None
+    disp = obj.get("displacement")
+    transition = VibronicTransition(
+        duschinsky=np.array(obj["duschinsky"], dtype=float),
+        ground_freqs=np.array(obj["ground_freqs_cm1"], dtype=float),
+        excited_freqs=np.array(obj["excited_freqs_cm1"], dtype=float),
+        displacement=np.array(disp, dtype=float) if disp else None,
+    )
+    return doktorov_decompose(transition), tuple(transition.excited_freqs.tolist())
 
 
 def parse_experiment(obj: dict) -> ExperimentModel:

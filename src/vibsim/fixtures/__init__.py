@@ -4,16 +4,17 @@ by the golden tests."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from importlib import resources
 
-from ..experiment import ExperimentModel, ParameterUncertainty, parse_experiment
-from ..gaussian import BeamSplitter
+from ..experiment import ExperimentModel, ParameterUncertainty, parse_experiment, parse_target
 from ..tables import FCTable
 from ..vibronic import OpticalTarget
 
 __all__ = [
+    "tropolone_section",
     "tropolone_target",
     "tropolone_excited_freqs",
     "characterized_model",
@@ -36,17 +37,20 @@ _TABLES = _load("reference_tables.json")
 IDEAL_BS_TRANSMISSION = float(math.cos(_TROPOLONE["bs_angle"]) ** 2)
 
 
+def tropolone_section() -> dict:
+    """The tropolone scenario as a fresh ``optical`` target config section."""
+    # the file holds the section's fields beside two of its own
+    fields = {k: v for k, v in _TROPOLONE.items() if k not in ("version", "description")}
+    return {"kind": "optical", **copy.deepcopy(fields)}
+
+
 def tropolone_target() -> OpticalTarget:
     """Ideal two-mode target of the tropolone scenario."""
-    return OpticalTarget(
-        squeeze=tuple(_TROPOLONE["squeeze"]),
-        interferometer=(BeamSplitter(0, 1, _TROPOLONE["bs_angle"]),),
-        displacement=tuple(complex(d) for d in _TROPOLONE["displacement"]),
-    )
+    return parse_target(tropolone_section())[0]
 
 
 def tropolone_excited_freqs() -> tuple[float, float]:
-    return tuple(_TROPOLONE["excited_freqs_cm1"])
+    return parse_target(tropolone_section())[1]
 
 
 def characterized_model() -> ExperimentModel:

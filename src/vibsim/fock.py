@@ -374,6 +374,7 @@ def _apply_single(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.ndarray:
+    """Apply ``op`` to axes ``ax1`` and ``ax2`` of ``tensor``, in place."""
     rest = tuple(a for a in range(tensor.ndim) if a not in (ax1, ax2))
     moved = np.transpose(tensor, (ax1, ax2) + rest)
     flat = moved[op.index].reshape(op.index[0].size, -1)
@@ -382,12 +383,12 @@ def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.n
         panel = flat[:, start:start + width]
         for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
             panel[lo:hi] = block @ panel[lo:hi]
-    out = np.empty_like(moved)
-    out[op.index] = flat.reshape(op.index[0].shape + moved.shape[2:])
-    return np.transpose(out, np.argsort((ax1, ax2) + rest))
+    moved[op.index] = flat.reshape(op.index[0].shape + moved.shape[2:])
+    return tensor
 
 
-#: state-sized arrays alive at once in :func:`_apply_pair`: input, panels, output
+#: state-sized arrays alive at once: the state and :func:`_apply_pair`'s
+#: gathered copy, or a factor and the two temporaries of its |X|^2
 _WORKING_COPIES = 3
 
 
@@ -423,7 +424,8 @@ class _FockWorkspace:
     """Evolving state: a factor of its density until the first channel, then
     the density.  The factor is the vacuum ket, or the purification
     diag(sqrt(weights)) of a diagonal density with a trailing column axis
-    that unitaries leave alone."""
+    that unitaries leave alone.  The workspace owns its arrays: pair and
+    channel operators update them in place."""
 
     def __init__(self, num_modes: int, cutoff: int, weights: np.ndarray | None = None):
         _check_memory(num_modes, cutoff, weights is not None)

@@ -122,7 +122,7 @@ DEFAULT_BOUNDS = {
     "r": (0.0, 2.0),
     "r1": (0.0, 2.0),
     "r2": (0.0, 2.0),
-    "t_bs": (0.0, 1.0),
+    "bs_transmission": (0.0, 1.0),
 }
 
 
@@ -134,7 +134,7 @@ def optimize_experiment(
     1e-8.  One deterministic restart from a perturbed start guards against a
     poor initial simplex.
     """
-    controllables = {**asdict(template.source), "t_bs": template.bs_transmission}
+    controllables = {**asdict(template.source), "bs_transmission": template.bs_transmission}
     names = list(controllables)
     bounds = [DEFAULT_BOUNDS[n] for n in names]
 
@@ -230,7 +230,7 @@ def monte_carlo_fidelity(
     source = asdict(model.source)
     for i in range(n):
         updates = {name: draw(value, unc.sigma_r, 0.0, math.inf) for name, value in source.items()}
-        updates["t_bs"] = draw(model.bs_transmission, unc.sigma_t, 0.0, 1.0)
+        updates["bs_transmission"] = draw(model.bs_transmission, unc.sigma_t, 0.0, 1.0)
         updates["loss_pre"] = tuple(
             draw(eta, unc.sigma_loss, 0.0, 1.0) if eta < 1.0 else eta
             for eta in model.loss_pre

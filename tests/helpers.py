@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from vibsim import fock
+from vibsim import calibrate, fock
 from vibsim.gaussian import (
     BeamSplitter,
     Displace,
@@ -95,7 +95,8 @@ def table_total_variation(p: dict, q: dict) -> float:
 
 
 def clear_fock_caches() -> None:
-    """Empty every ``lru_cache`` builder of :mod:`vibsim.fock`."""
-    for fn in vars(fock).values():
+    """Empty every ``lru_cache`` builder of :mod:`vibsim.fock` and of
+    :mod:`vibsim.calibrate`."""
+    for fn in (*vars(fock).values(), *vars(calibrate).values()):
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()

@@ -12,6 +12,7 @@ from vibsim.calibrate import (
     PumpFit,
     _BOUNDS,
     _moment_start,
+    _splitter,
     fit_pump_curve,
     fit_source,
     hom_to_delta,
@@ -128,9 +129,12 @@ class TestCandidateInvariants:
         assert fock._convolution.cache_info().hits > 0
         assert fock._binomial_roots.cache_info().hits > 0
         assert bits(fit_source(hist_t, hist_r, DET)) == bits(cold)
+        assert _splitter.cache_info().hits > 0
 
     def test_cached_tables_are_read_only(self):
-        for arr in (*fock._binomial_roots(12), fock._convolution(0.002, 0.001, 12)):
+        tables = (*fock._binomial_roots(12), fock._convolution(0.002, 0.001, 12),
+                  _splitter(1.0, 12))
+        for arr in tables:
             with pytest.raises(ValueError):
                 arr[0] = 1
 

@@ -97,6 +97,7 @@ MALFORMED = {
         "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0],
         "displacement": [math.nan, 0.0]}},
     "tropolone-with-squeeze": {"target": {"kind": "tropolone", "squeeze": [0.1, 0.2]}},
+    "target-not-an-object": {"target": ["optical", [-0.7, 0.2]]},
     "optical-with-duschinsky": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
                                            "duschinsky": [[1.0, 0.0], [0.0, 1.0]]}},
     "optical-with-ground-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
@@ -127,6 +128,23 @@ class TestConfigValidation:
         path = write_config(tmp_path)
         path.write_text(json.dumps({"version": 99, "target": {"kind": "tropolone"}}))
         assert main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"]) == 2
+
+    @pytest.mark.parametrize("command, artefacts", [
+        ("ideal", ("ideal_table.csv", "ideal_summary.json")),
+        ("simulate", ("observed.csv", "simulate_report.json")),
+    ], ids=["ideal", "simulate"])
+    def test_tropolone_alias_runs_its_optical_section(self, tmp_path, command, artefacts):
+        # the bundled scenario's values, written out
+        optical = {"kind": "optical", "squeeze": [-0.72, 0.19], "bs_angle": 0.32946318227368,
+                   "excited_freqs_cm1": [176.0, 110.0]}
+        written = []
+        for name, target in (("alias", {"kind": "tropolone"}), ("optical", optical)):
+            path = write_config(tmp_path, f"{name}.json", target=target, shots=2000,
+                                experiment=paper_experiment_section())
+            out = tmp_path / name
+            assert main(["--config", str(path), "--out-dir", str(out), command]) == 0
+            written.append([(out / a).read_bytes() for a in artefacts])
+        assert written[0] == written[1]
 
     def test_unknown_target_kind(self, tmp_path):
         path = write_config(tmp_path, target={"kind": "mystery"})

@@ -5,7 +5,6 @@ from vibsim.decompositions import (
     bloch_messiah,
     givens_reduction,
     givens_rotations,
-    orthosymplectic_from_unitary,
     unitary_from_orthosymplectic,
     williamson,
 )
@@ -89,7 +88,7 @@ def test_unitary_round_trip():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     w, _ = np.linalg.qr(a)
-    o = orthosymplectic_from_unitary(w)
+    o = passive_symplectic(w)
     assert np.max(np.abs(unitary_from_orthosymplectic(o) - w)) < 1e-12
 
 

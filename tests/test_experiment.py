@@ -105,11 +105,6 @@ class TestModelFidelity:
         ]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_computed_noise_fidelity(self):
-        det = DetectorModel()
-        assert det.computed_noise_fidelity() == pytest.approx(0.997, abs=5e-4)
-        assert DetectorModel(0.0, 0.0, 1.0).computed_noise_fidelity() == pytest.approx(1.0)
-
 
 class TestObservedDistribution:
     def test_no_imperfections_matches_fc(self):
@@ -128,11 +123,12 @@ class TestObservedDistribution:
     def test_with_values_addressing(self):
         model = ExperimentModel(source=TMSV(0.4), bs_transmission=0.5)
         assert model.with_values(r=0.7).source.r == 0.7
-        assert model.with_values(t_bs=0.3).bs_transmission == 0.3
+        assert model.with_values(bs_transmission=0.3).bs_transmission == 0.3
         with pytest.raises(ValueError):
             model.with_values(r1=0.2)
         pair = ExperimentModel(source=SMSVPair(0.3, 0.2), bs_transmission=0.5)
-        assert pair.with_values(r2=0.1, t_bs=0.4) == ExperimentModel(SMSVPair(0.3, 0.1), 0.4)
+        assert (pair.with_values(r2=0.1, bs_transmission=0.4)
+                == ExperimentModel(SMSVPair(0.3, 0.1), 0.4))
         with pytest.raises(ValueError):
             pair.with_values(r=0.2)
 

@@ -103,7 +103,8 @@ def _random_density(rng, dim):
 
 def _apply_to_density(rho, elem, num_modes, cutoff):
     ws = fock._FockWorkspace(num_modes, cutoff)
-    ws.vec, ws.rho = None, rho.reshape((cutoff,) * (2 * num_modes))
+    # the workspace updates its density in place
+    ws.vec, ws.rho = None, rho.reshape((cutoff,) * (2 * num_modes)).copy()
     fock._apply_element(ws, elem)
     return ws.rho.reshape(rho.shape)
 
@@ -221,6 +222,23 @@ class TestBlockOperators:
         finally:
             tracemalloc.stop()
         assert retained < cutoff**3 * np.dtype(complex).itemsize
+
+    def test_lossy_replay_holds_two_densities(self):
+        # pair operators and channels update the density in place, beside
+        # one gathered copy of it
+        cutoff = 20
+        circuit = GaussianCircuit(2, [
+            TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), ThermalMix(1, 0.1, 0.2),
+            BeamSplitter(0, 1, 0.7, 0.3),
+        ])
+        replay_fock(circuit, cutoff)
+        tracemalloc.start()
+        try:
+            replay_fock(circuit, cutoff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * cutoff**4 * np.dtype(complex).itemsize
 
 
 class TestReplay:
