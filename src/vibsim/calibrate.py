@@ -64,7 +64,7 @@ def _count_grids(r: float, eta, splitters: list, det: DetectorModel, cutoff: int
     psi = fock._tmsv_amplitudes(r, cutoff)
     thin_1, thin_2 = (fock._loss_kraus(e, cutoff) ** 2 for e in eta)
     source = ((thin_1 * (psi.real**2 + psi.imag**2)) @ thin_2.T).reshape(-1)
-    return [fock._noisy((w @ source).reshape(cutoff, cutoff), det) for w in splitters]
+    return [fock.noisy_occupations((w @ source).reshape(cutoff, cutoff), det) for w in splitters]
 
 
 def predicted_distribution(
@@ -180,10 +180,11 @@ def fit_source(
         return tuple(_pooled_tvd(_pooled(g, cutoff), obs) for g, obs in zip(grids, observed))
 
     result = nelder_mead(lambda x: -sum(residuals(x)), _moment_start(hist_100_0, det),
-                         _BOUNDS.tolist(), tol=tol, max_iter=max_iter)
+                         _BOUNDS, tol=tol, max_iter=max_iter)
     r, e1, e2 = (float(v) for v in result.x)
     res_t, res_r = residuals(result.x)
-    converged = result.converged and not (r >= 1.5 - 1e-9 or min(e1, e2) <= 1e-9)
+    lo, hi = _BOUNDS.T
+    converged = result.converged and not (r >= hi[0] - 1e-9 or min(e1 - lo[1], e2 - lo[2]) <= 1e-9)
     return TomographyFit(r, (e1, e2), max(res_t, res_r), bool(converged), result.iterations)
 
 

@@ -62,8 +62,6 @@ def load_config(path: Path) -> dict:
         return _parse_config(raw)
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc} in {path}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         # wrong types and out-of-range values, from parsing or a model constructor
         raise ConfigError(f"invalid config {path}: {exc}") from None
@@ -86,9 +84,10 @@ def _parse_config(raw: dict) -> dict:
     _check_run(cfg)
     if not 0.0 <= cfg["eps_g"] < math.inf:
         raise ConfigError("eps_g must be finite and >= 0")
-    if cfg["monte_carlo_samples"] < 2:
+    samples = cfg["monte_carlo_samples"]
+    if samples < 2:
         raise ConfigError("monte_carlo_samples must be at least 2")
-    _check_array(cfg["monte_carlo_samples"], f"monte_carlo_samples = {cfg['monte_carlo_samples']}")
+    fock._refuse_beyond_memory(f"monte_carlo_samples = {samples}", 8.0 * samples)
     if cfg["shots"] >= 2**63:
         # numpy's multinomial draws take a 64-bit signed count
         raise ConfigError(f"shots = {cfg['shots']} lies beyond the 64-bit integer range")
@@ -114,15 +113,6 @@ def _check_run(cfg: dict) -> None:
         raise ConfigError("cutoff must be at least 2")
     if cfg["seed"] < 0:
         raise ConfigError("seed must be >= 0")
-
-
-def _check_array(count: int, what: str) -> None:
-    """Refuse, before allocating, ``count`` float64 values beyond physical memory."""
-    need, have = 8 * count, fock._physical_memory()
-    if need > have:
-        raise ConfigError(
-            f"{what} needs {need:.3g} bytes, more than the {have:.3g} bytes of physical memory"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +253,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError("grid must be 'start:stop:count' or a comma list") from None
     if count < 2:
         raise ConfigError("grid needs at least two points")
-    _check_array(count, f"a grid of {count} points")
+    fock._refuse_beyond_memory(f"a grid of {count} points", 8.0 * count)
     return np.linspace(start, stop, count)
 
 
@@ -278,7 +268,7 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     delta = cfg["experiment"].distinguishability if "experiment" in cfg else 0.06
     threshold = metrics.closest_classical(target).classical_fidelity
     curves = loss_sweep(target, losses, cfg["detector"], delta)
-    lines = ["loss,f_smsv,f_smsv_noisydet,f_tmsv,f_tmsv_dist,classical_threshold"]
+    lines = [",".join(["loss", *curves, "classical_threshold"])]
     for row in zip(losses, *curves.values()):
         lines.append(",".join(_fmt(v) for v in (*row, threshold)))
     (out_dir / "loss_sweep.csv").write_text("\n".join(lines) + "\n")

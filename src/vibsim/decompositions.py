@@ -129,13 +129,12 @@ def bloch_messiah(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     omega = symplectic_form(num_modes)
     if np.max(np.abs(s @ omega @ s.T - omega)) > 1e-8:
         raise ValueError("input matrix is not symplectic")
-    # polar decomposition: s = p @ o with p symmetric positive definite
+    # polar decomposition s = p @ o, p symmetric positive definite; only p is formed
     u, sing, vt = np.linalg.svd(s)
     p = u @ np.diag(sing) @ u.T
-    o = u @ vt
     q, r = _symplectic_planes(p, omega)
     z_inv = np.exp(np.concatenate([-r, r]))
-    o2 = np.diag(z_inv) @ q.T @ s  # q.T @ p @ o reduced against Z
+    o2 = np.diag(z_inv) @ q.T @ s  # q.T @ o, since p = q @ Z @ q.T
     # clean round-off: project onto the orthogonal group
     uu, _, vv = np.linalg.svd(o2)
     o2 = uu @ vv

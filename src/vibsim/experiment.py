@@ -228,21 +228,22 @@ def check_keys(obj: dict, where: str, required: set[str], optional: set[str]) ->
         raise ValueError(f"missing field(s) in {where}: {', '.join(sorted(missing))}")
 
 
-#: the fields each target kind may carry besides its ``kind``
+#: the required and the optional fields of each target kind besides its ``kind``
 _TARGET_FIELDS = {
-    "optical": {"squeeze", "bs_angle", "displacement", "excited_freqs_cm1"},
-    "transition": {"duschinsky", "ground_freqs_cm1", "excited_freqs_cm1", "displacement"},
+    "optical": ({"squeeze"}, {"bs_angle", "displacement", "excited_freqs_cm1"}),
+    "transition": ({"duschinsky", "ground_freqs_cm1", "excited_freqs_cm1"}, {"displacement"}),
 }
 
 
 def parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
     """Target of a ``target`` config section, and its excited-state
     frequencies if the section gives them."""
-    check_keys(obj, "target", {"kind"}, set().union(*_TARGET_FIELDS.values()))
+    check_keys(obj, "target", {"kind"}, set().union(*(r | o for r, o in _TARGET_FIELDS.values())))
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
         raise ValueError(f"unknown target kind {kind!r}")
-    check_keys(obj, f"the {kind} target", {"kind"}, _TARGET_FIELDS[kind])
+    required, optional = _TARGET_FIELDS[kind]
+    check_keys(obj, f"the {kind} target", {"kind"} | required, optional)
     if kind == "optical":
         # OpticalTarget checks each value, through the circuit it builds
         squeeze = tuple(float(r) for r in obj["squeeze"])
@@ -252,7 +253,7 @@ def parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
                 raise ValueError("bs_angle applies to two-mode targets only")
             interferometer = (BeamSplitter(0, 1, float(obj["bs_angle"])),)
         pairs = obj.get("displacement", [])
-        if any(len(d) != 2 for d in pairs):
+        if any(not isinstance(d, (list, tuple)) or len(d) != 2 for d in pairs):
             raise ValueError("target displacement entries must be [re, im] pairs")
         disp = tuple(complex(d[0], d[1]) for d in pairs)
         freqs = tuple(float(f) for f in obj.get("excited_freqs_cm1") or ())
@@ -283,7 +284,7 @@ def parse_experiment(obj: dict) -> ExperimentModel:
     if not isinstance(kind, str) or kind not in SOURCE_KINDS:
         raise ValueError(f"unknown source kind {kind!r}")
     cls = SOURCE_KINDS[kind]
-    check_keys(src, f"the {kind} source", {"kind"}, {f.name for f in fields(cls)})
+    check_keys(src, f"the {kind} source", {"kind"} | {f.name for f in fields(cls)}, set())
     det_obj = obj.get("detector", {})
     check_keys(det_obj, "experiment.detector", set(), {f.name for f in fields(DetectorModel)})
     return ExperimentModel(

@@ -75,7 +75,6 @@ __all__ = [
     "noisy_occupations",
     "attach_detector_noise",
     "gaussian_to_fock",
-    "mean_photon_fock",
 ]
 
 
@@ -84,7 +83,7 @@ class TruncationError(RuntimeError):
 
 
 class FockMemoryError(MemoryError):
-    """Raised, before allocating, for a state too large for physical memory."""
+    """Raised, before allocating, for an array too large for physical memory."""
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +542,6 @@ def fidelity_fock(rho1: FockDensity, rho2: FockDensity) -> float:
     return float(min(1.0, sing.sum()))
 
 
-def mean_photon_fock(rho: FockDensity, mode: int) -> float:
-    occ = rho.occupations()
-    axes = tuple(a for a in range(rho.num_modes) if a != mode)
-    marg = occ.sum(axis=axes) if axes else occ
-    return float(np.arange(rho.cutoff) @ marg)
-
-
 def _dark_terms_bound(p: float) -> int:
     """At least the number of dark-count terms :func:`noise_kernel` keeps,
     in closed form: its loop stops at the first j with (1 - p) p^j <= 1e-16."""
@@ -597,8 +589,11 @@ def _convolution(dark_p1: float, pump_p2: float, cutoff: int) -> np.ndarray:
     return conv
 
 
-def _noisy(grid: np.ndarray, det) -> np.ndarray:
-    """:func:`noisy_occupations` of the occupation ``grid``."""
+def noisy_occupations(grid: np.ndarray, det) -> np.ndarray:
+    """Observed count probabilities of the occupation ``grid``, one axis per
+    detector: the occupations convolved with each detector's
+    :func:`noise_kernel` in turn.  Axes run past the signal cutoff by the
+    kernel's length less one."""
     p, cut = float(det.dark_p1), grid.shape[0]
     terms = _dark_terms_bound(p)
     # the last axis's input and output, the convolution and its index build
@@ -613,13 +608,6 @@ def _noisy(grid: np.ndarray, det) -> np.ndarray:
     return grid
 
 
-def noisy_occupations(rho: FockDensity, det) -> np.ndarray:
-    """Observed count probabilities, one axis per detector: the occupations
-    convolved with each detector's :func:`noise_kernel` in turn.  Axes run
-    past the signal cutoff by the kernel's length less one."""
-    return _noisy(rho.occupations(), det)
-
-
 def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     """Observed distribution after per-detector dark counts and pump leak.
 
@@ -628,7 +616,7 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
     event) attributes.  Noise is convolved classically and independently
     per detector; outcomes may exceed the signal cutoff.
     """
-    return _table(noisy_occupations(rho, det))
+    return _table(noisy_occupations(rho.occupations(), det))
 
 
 # ---------------------------------------------------------------------------

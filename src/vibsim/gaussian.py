@@ -34,7 +34,6 @@ __all__ = [
     "apply",
     "replay",
     "mean_photon",
-    "total_mean_photon",
     "symplectic_eigenvalues",
     "fidelity",
     "symplectic_form",
@@ -227,12 +226,6 @@ class GaussianState:
     def __repr__(self) -> str:
         return f"GaussianState(num_modes={self.num_modes})"
 
-    def mode_indices(self, mode: int) -> tuple[int, int]:
-        """Indices of (x, p) of ``mode`` inside mean/cov."""
-        if not 0 <= mode < self.num_modes:
-            raise ValueError(f"mode {mode} out of range")
-        return mode, mode + self.num_modes
-
 
 def vacuum(num_modes: int) -> GaussianState:
     """M-mode vacuum: zero mean, covariance I/2."""
@@ -252,18 +245,13 @@ def passive_symplectic(w: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def element_symplectic(elem: Element, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (S, d): quadratures transform as z -> S z + d.
+def _symplectic(elem: Element, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return (S, d) of an element already validated for ``n`` modes:
+    quadratures transform as z -> S z + d.
 
     Only defined for unitary elements; Loss/ThermalMix are channels and are
-    handled separately in :func:`apply`.
+    handled separately in :func:`_step`.
     """
-    _validate_element(elem, num_modes)
-    return _symplectic(elem, num_modes)
-
-
-def _symplectic(elem: Element, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`element_symplectic` of an element already validated for ``n`` modes."""
     s = np.eye(2 * n)
     d = np.zeros(2 * n)
     if isinstance(elem, Squeeze):
@@ -349,14 +337,12 @@ def replay(circuit: GaussianCircuit) -> GaussianState:
 
 def mean_photon(state: GaussianState, mode: int) -> float:
     """Mean photon number of one mode."""
-    ix, ip = state.mode_indices(mode)
+    if not 0 <= mode < state.num_modes:
+        raise ValueError(f"mode {mode} out of range")
+    ix, ip = mode, mode + state.num_modes
     quad = state.cov[ix, ix] + state.cov[ip, ip]
     disp = state.mean[ix] ** 2 + state.mean[ip] ** 2
     return float(0.5 * (quad - 1.0) + 0.5 * disp)
-
-
-def total_mean_photon(state: GaussianState) -> float:
-    return sum(mean_photon(state, m) for m in range(state.num_modes))
 
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

@@ -44,12 +44,9 @@ def estimate_fc(hist: CountHistogram, seed: int = 0) -> FCEstimate:
     between 1000 bootstrap resamples and the point estimate.
     """
     n = hist.total_shots
-    outcomes = sorted(hist.counts)
-    counts = np.array([hist.counts[o] for o in outcomes], dtype=float)
-    probs = counts / n
-    rng = np.random.default_rng(seed)
-    resampled = rng.multinomial(n, probs, size=1000) / n
+    table = hist.frequencies()
+    # a zero count stays a category: the multinomial's draws depend on their number
+    probs = np.array([table.entries.get(o, 0.0) for o in sorted(hist.counts)])
+    resampled = np.random.default_rng(seed).multinomial(n, probs, size=1000) / n
     tvds = 0.5 * np.abs(resampled - probs).sum(axis=1)
-    eps = float(np.percentile(tvds, 95.0))
-    table = FCTable({o: float(p) for o, p in zip(outcomes, probs) if p > 0})
-    return FCEstimate(table, eps)
+    return FCEstimate(table, float(np.percentile(tvds, 95.0)))

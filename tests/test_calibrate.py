@@ -74,7 +74,7 @@ class TestPredictedDistribution:
                                           Loss(1, eta[1]), BeamSplitter(0, 1, theta)])
             rho = fock.replay_fock(circuit, cutoff, strict=False)
             for det in detectors:
-                oracle = fock.noisy_occupations(rho, det)
+                oracle = fock.noisy_occupations(rho.occupations(), det)
                 table = predicted_distribution(r, eta, t, det, cutoff)
                 grid = np.zeros_like(oracle)
                 grid[tuple(np.array(list(table.entries)).T)] = list(table.entries.values())
@@ -141,7 +141,8 @@ class TestCandidateInvariants:
     def test_pump_leak_keys_the_convolution(self):
         vacuum = np.zeros((12, 12))
         vacuum[0, 0] = 1.0
-        a, b = (fock._noisy(vacuum, DetectorModel(0.002, pump)) for pump in (0.001, 0.002))
+        a, b = (fock.noisy_occupations(vacuum, DetectorModel(0.002, pump))
+                for pump in (0.001, 0.002))
         assert a.shape == b.shape and not np.array_equal(a, b)
         assert (a[2, 0], b[2, 0]) == pytest.approx((0.001, 0.002), rel=0.01)
 

@@ -82,6 +82,8 @@ MALFORMED = {
                                     "displacement": [[0.0, 0.0], [0.0, -math.inf]]}},
     "displacement-not-a-pair": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
                                            "displacement": [[0.1], [0.0, 0.0]]}},
+    "displacement-pair-as-object": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
+                                               "displacement": [{"re": 0.1, "im": 0.0}, [0, 0]]}},
     "short-excited-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],
                                        "excited_freqs_cm1": [176.0]}},
     "string-excited-freqs": {"target": {"kind": "optical", "squeeze": [-0.7, 0.2],

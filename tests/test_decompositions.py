@@ -9,7 +9,7 @@ from vibsim.decompositions import (
     williamson,
 )
 from vibsim.gaussian import (
-    element_symplectic,
+    _symplectic,
     passive_symplectic,
     replay,
     symplectic_form,
@@ -21,7 +21,7 @@ def random_symplectic(rng, num_modes=2):
     circuit = random_circuit(rng, num_modes, channels=False, displacement=False)
     s = np.eye(2 * num_modes)
     for elem in circuit.elements:
-        se, _ = element_symplectic(elem, num_modes)
+        se, _ = _symplectic(elem, num_modes)
         s = se @ s
     return s
 
@@ -68,7 +68,7 @@ def test_bloch_messiah_degenerate_squeezing():
     # paired equal singular values exercise the eigenplane clustering
     from vibsim.gaussian import TwoModeSqueeze
 
-    s, _ = element_symplectic(TwoModeSqueeze(0, 1, 0.5), 2)
+    s, _ = _symplectic(TwoModeSqueeze(0, 1, 0.5), 2)
     o1, r, o2 = bloch_messiah(s)
     z = np.diag(np.exp(np.concatenate([r, -r])))
     assert np.max(np.abs(o1 @ z @ o2 - s)) < 1e-10
@@ -102,7 +102,7 @@ def test_givens_rotations_reconstruct(dim):
     elements = givens_rotations(q)
     w = np.eye(dim, dtype=complex)
     for elem in elements:
-        s, _ = element_symplectic(elem, dim)
+        s, _ = _symplectic(elem, dim)
         w = (s[:dim, :dim] + 1j * s[dim:, :dim]) @ w
     assert np.max(np.abs(w.real - q)) < 1e-10
     assert np.max(np.abs(w.imag)) < 1e-10

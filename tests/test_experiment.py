@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -16,6 +17,7 @@ from vibsim.experiment import (
     model_fidelity,
     observed_distribution,
     parse_experiment,
+    parse_target,
 )
 from vibsim.fixtures import IDEAL_BS_TRANSMISSION, characterized_model, tropolone_target
 from vibsim.gaussian import fidelity, mean_photon, replay, vacuum
@@ -133,6 +135,25 @@ class TestObservedDistribution:
             pair.with_values(r=0.2)
 
 
+#: a complete section of each target and source kind
+COMPLETE_TARGETS = [
+    {"kind": "optical", "squeeze": [-0.7, 0.2]},
+    {"kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
+     "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0]},
+]
+COMPLETE_SOURCES = [{"kind": "tmsv", "r": 0.1}, {"kind": "smsv_pair", "r1": 0.7, "r2": 0.2}]
+
+#: each complete section with one required field dropped, and the error it gives
+MISSING_REQUIRED = [
+    *(({k: v for k, v in target.items() if k != name},
+       f"missing field(s) in the {target['kind']} target: {name}")
+      for target in COMPLETE_TARGETS for name in target if name != "kind"),
+    *(({"source": {k: v for k, v in source.items() if k != name}, "bs_transmission": 0.5},
+       f"missing field(s) in the {source['kind']} source: {name}")
+      for source in COMPLETE_SOURCES for name in source if name != "kind"),
+]
+
+
 class TestConfigSection:
     @pytest.mark.parametrize("source", [TMSV(0.41), SMSVPair(0.72, 0.19)], ids=["tmsv", "smsv"])
     def test_section_and_parser_are_inverses(self, source):
@@ -159,7 +180,10 @@ class TestConfigSection:
         ({"source": {"kind": "tmsv", "r": 0.1}}, "missing field"),
         ({"source": {"kind": "tmsv", "r": 0.1}, "bs_transmission": 0.5, "detector": []},
          "must be an object"),
+        *MISSING_REQUIRED,
     ])
     def test_parser_rejects(self, section, message):
-        with pytest.raises(ValueError, match=message):
-            parse_experiment(section)
+        # a target section names its kind; an experiment section does not
+        parse = parse_target if "kind" in section else parse_experiment
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse(section)

@@ -46,23 +46,50 @@ def _trees(paths):
     return [ast.parse(p.read_text()) for p in paths]
 
 
-def test_every_definition_is_referenced():
-    """Each function, method and class under ``src/vibsim`` is read as a
-    name or an attribute somewhere in ``src/`` or ``tests/``; ``__all__``
-    strings and import aliases do not count as reads."""
-    package = _trees(sorted(Path(vibsim.__file__).parent.rglob("*.py")))
-    tests = _trees(sorted(Path(__file__).parent.glob("*.py")))
-    defined = {node.name for tree in package for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not (node.name.startswith("__") and node.name.endswith("__"))}
+def _definitions(trees) -> set[str]:
+    """Names of the functions, methods and classes defined, dunders aside."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _reads(trees) -> set[str]:
+    """Names read as a name or an attribute; ``__all__`` strings and import
+    aliases do not count as reads."""
     read = set()
-    for tree in package + tests:
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    assert sorted(defined - read) == []
+    return read
+
+
+def test_every_definition_is_referenced():
+    """Each function, method and class under ``src/vibsim`` is read as a
+    name or an attribute somewhere in ``src/`` or ``tests/``."""
+    package = _trees(sorted(Path(vibsim.__file__).parent.rglob("*.py")))
+    tests = _trees(sorted(Path(__file__).parent.glob("*.py")))
+    assert sorted(_definitions(package) - _reads(package + tests)) == []
+
+
+#: definitions that no code in ``src/`` or ``bench/`` reads, each kept on
+#: purpose: exported or documented API, an acceptance-criterion helper, or an
+#: oracle that tests compare against
+TEST_FACING = {
+    "fidelity_fock", "fit_pump_curve", "hom_to_delta", "mean_photon", "passive_symplectic",
+    "pump_to_r", "reference_table", "restrict_to", "symplectic_eigenvalues",
+    "tropolone_excited_freqs", "vacuum", "write_histogram_csv",
+}
+
+
+def test_only_named_definitions_lack_a_runtime_reader():
+    """A helper that only tests call is either named in ``TEST_FACING`` or
+    deleted, so that the tests check the code the package runs."""
+    package = _trees(sorted(Path(vibsim.__file__).parent.rglob("*.py")))
+    runtime = package + _trees(sorted((Path(__file__).parents[1] / "bench").glob("*.py")))
+    assert _definitions(package) - _reads(runtime) == TEST_FACING
 
 
 # The import-budget checks run in a fresh interpreter: this process has

@@ -36,9 +36,9 @@ class TestDecompose:
         assert np.allclose(target.squeeze, 0.0, atol=1e-12)
         total = np.eye(2)
         for elem in target.interferometer:
-            from vibsim.gaussian import element_symplectic
+            from vibsim.gaussian import _symplectic
 
-            s, _ = element_symplectic(elem, 2)
+            s, _ = _symplectic(elem, 2)
             total = s[:2, :2] @ total
         assert np.max(np.abs(total - np.eye(2))) < 1e-10
 
