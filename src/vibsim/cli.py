@@ -40,6 +40,11 @@ EXIT_CONVERGENCE = 3
 
 CONFIG_VERSION = 1
 
+#: distinguishability of ``sweep-loss``'s f_tmsv_dist curve without an ``experiment`` section
+SWEEP_DELTA = 0.06
+#: largest cutoff below which a tomography fit pools the counts
+MAX_FIT_CUTOFF = 14
+
 
 class ConfigError(ValueError):
     pass
@@ -253,7 +258,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError("grid must be 'start:stop:count' or a comma list") from None
     if count < 2:
         raise ConfigError("grid needs at least two points")
-    fock._refuse_beyond_memory(f"a grid of {count} points", 8.0 * count)
+    # past the float range, 8.0 * count overflows: no memory holds such a grid
+    need = 8.0 * count if count < sys.float_info.max / 8.0 else math.inf
+    fock._refuse_beyond_memory(f"a grid of {count} points", need)
     return np.linspace(start, stop, count)
 
 
@@ -265,7 +272,7 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     for i, r in enumerate(target.squeeze):
         # the SMSV fits start from the target's squeezing
         _check_start(f"|target squeeze[{i}]|", abs(r), f"r{i + 1}")
-    delta = cfg["experiment"].distinguishability if "experiment" in cfg else 0.06
+    delta = cfg["experiment"].distinguishability if "experiment" in cfg else SWEEP_DELTA
     threshold = metrics.closest_classical(target).classical_fidelity
     curves = loss_sweep(target, losses, cfg["detector"], delta)
     lines = [",".join(["loss", *curves, "classical_threshold"])]
@@ -278,7 +285,7 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
 def cmd_tomography(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     hist_t = read_histogram_csv(Path(args.transmissive))
     hist_r = read_histogram_csv(Path(args.reflective))
-    fit = fit_source(hist_t, hist_r, cfg["detector"], cutoff=min(cfg["cutoff"], 14))
+    fit = fit_source(hist_t, hist_r, cfg["detector"], cutoff=min(cfg["cutoff"], MAX_FIT_CUTOFF))
     payload = {
         "r": fit.r,
         "eta": list(fit.eta),

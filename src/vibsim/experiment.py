@@ -26,8 +26,8 @@ from .gaussian import (
     Squeeze,
     ThermalMix,
     TwoModeSqueeze,
-    fidelity,
     replay,
+    stacked_fidelity,
 )
 from .tables import FCTable
 from .vibronic import OpticalTarget, VibronicTransition, doktorov_decompose
@@ -42,6 +42,7 @@ __all__ = [
     "build_circuit",
     "effective_state",
     "model_fidelity",
+    "model_fidelities",
     "observed_distribution",
     "check_keys",
     "parse_target",
@@ -50,24 +51,39 @@ __all__ = [
 ]
 
 
+def _each(fn, value):
+    """``fn`` of a number, or the array of ``fn`` of each entry of a column:
+    a stack's scalars come from ``math`` one model at a time."""
+    return np.array([fn(x) for x in value.tolist()]) if isinstance(value, np.ndarray) else fn(value)
+
+
+def _finite_within(hi: float, *values) -> bool:
+    """Whether every number, or every entry of every column, is finite and
+    lies in [0, hi]; NaN propagates through the extremes, and fails."""
+    v = np.asarray(values)
+    top = v.max()
+    return bool(v.min() >= 0.0 and top <= hi and top < math.inf)
+
+
 @dataclass(frozen=True)
 class SMSVPair:
     """Two independent single-mode squeezers with opposite squeezing axes
     (the configuration a two-mode squeezer converts into on a balanced beam
-    splitter): mode 0 carries ``Squeeze(-r1)``, mode 1 ``Squeeze(+r2)``."""
+    splitter): mode 0 carries ``Squeeze(-r1)``, mode 1 ``Squeeze(+r2)``.
+    Like :class:`TMSV`, it may hold columns (see :func:`model_fidelities`)."""
 
     r1: float
     r2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r1 < math.inf and 0.0 <= self.r2 < math.inf):
+        if not _finite_within(math.inf, self.r1, self.r2):
             raise ValueError("squeezing magnitudes must be finite and >= 0")
 
     def elements(self) -> list[Element]:
         return [Squeeze(0, -self.r1), Squeeze(1, self.r2)]
 
     def mode_photons(self) -> tuple[float, float]:
-        return (math.sinh(self.r1) ** 2, math.sinh(self.r2) ** 2)
+        return tuple(_each(lambda r: math.sinh(r) ** 2, r) for r in (self.r1, self.r2))
 
 
 @dataclass(frozen=True)
@@ -77,14 +93,14 @@ class TMSV:
     r: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.r < math.inf:
+        if not _finite_within(math.inf, self.r):
             raise ValueError("squeezing magnitude must be finite and >= 0")
 
     def elements(self) -> list[Element]:
         return [TwoModeSqueeze(0, 1, self.r)]
 
     def mode_photons(self) -> tuple[float, float]:
-        n = math.sinh(self.r) ** 2
+        n = _each(lambda r: math.sinh(r) ** 2, self.r)
         return (n, n)
 
 
@@ -133,8 +149,11 @@ class ParameterUncertainty:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not 0.0 <= getattr(self, f.name) < math.inf:
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
                 raise ValueError(f"{f.name} must be finite and >= 0")
+            # an integer beyond the float range fails here, not in a draw
+            object.__setattr__(self, f.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -159,9 +178,7 @@ class ExperimentModel:
         object.__setattr__(self, "loss_post", tuple(float(x) for x in self.loss_post))
         if len(self.loss_pre) != 2 or len(self.loss_post) != 2:
             raise ValueError("loss_pre and loss_post need one entry per arm")
-        for v in (*self.loss_pre, *self.loss_post, self.bs_transmission, self.distinguishability):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("transmissions and probabilities must lie in [0, 1]")
+        _check_unit(*self.loss_pre, *self.loss_post, self.bs_transmission, self.distinguishability)
 
     def with_values(self, **updates) -> "ExperimentModel":
         """Copy with replaced fields; the source's field names (its
@@ -178,24 +195,43 @@ class ExperimentModel:
         return replace(self, **updates) if updates else self
 
 
+def _check_unit(*values) -> None:
+    if not _finite_within(1.0, *values):
+        raise ValueError("transmissions and probabilities must lie in [0, 1]")
+
+
+def _mixing_angle(t: float) -> float:
+    return math.acos(math.sqrt(t))
+
+
+def _structure(delta, loss_pre, theta, loss_post) -> tuple:
+    """Which optional elements a model, or each model of columns, has: the
+    thermal admixture, each arm's loss before the beam splitter, the beam
+    splitter, and each arm's loss after it."""
+    return (delta > 0.0, *(eta < 1.0 for eta in loss_pre), theta != 0.0,
+            *(eta < 1.0 for eta in loss_post))
+
+
+def _elements(source, delta, loss_pre, theta, loss_post, structure) -> list[Element]:
+    """Optical elements of a model, or of a stack of models that share one
+    ``structure``: then ``source`` and the values are columns."""
+    mix, pre1, pre2, splitter, post1, post2 = structure
+    elements: list[Element] = list(source.elements())
+    if mix:
+        elements += [ThermalMix(m, delta, nbar) for m, nbar in enumerate(source.mode_photons())]
+    elements += [Loss(m, eta) for m, (eta, k) in enumerate(zip(loss_pre, (pre1, pre2))) if k]
+    if splitter:
+        elements.append(BeamSplitter(0, 1, theta))
+    elements += [Loss(m, eta) for m, (eta, k) in enumerate(zip(loss_post, (post1, post2))) if k]
+    return elements
+
+
 def build_circuit(model: ExperimentModel) -> GaussianCircuit:
     """Gaussian circuit of the optical part of the model (detector noise is
     applied downstream, not here)."""
-    elements: list[Element] = list(model.source.elements())
-    delta = model.distinguishability
-    if delta > 0.0:
-        for mode, nbar in enumerate(model.source.mode_photons()):
-            elements.append(ThermalMix(mode, delta, nbar))
-    for mode, eta in enumerate(model.loss_pre):
-        if eta < 1.0:
-            elements.append(Loss(mode, eta))
-    theta = math.acos(math.sqrt(model.bs_transmission))
-    if theta != 0.0:
-        elements.append(BeamSplitter(0, 1, theta))
-    for mode, eta in enumerate(model.loss_post):
-        if eta < 1.0:
-            elements.append(Loss(mode, eta))
-    return GaussianCircuit(2, elements)
+    values = (model.distinguishability, model.loss_pre, _mixing_angle(model.bs_transmission),
+              model.loss_post)
+    return GaussianCircuit(2, _elements(model.source, *values, _structure(*values)))
 
 
 def effective_state(model: ExperimentModel) -> GaussianState:
@@ -204,9 +240,48 @@ def effective_state(model: ExperimentModel) -> GaussianState:
 
 def model_fidelity(model: ExperimentModel, target: OpticalTarget) -> float:
     """Fidelity of the modelled state to the target, including the detector
-    noise-mode factor."""
-    optical = fidelity(effective_state(model), target.state())
-    return optical * model.detector.noise_fidelity_factor
+    noise-mode factor: :func:`model_fidelities` of the model alone."""
+    return float(model_fidelities(model, target)[0])
+
+
+def model_fidelities(template: ExperimentModel, target: OpticalTarget, **columns) -> np.ndarray:
+    """:func:`model_fidelity`, bit for bit, of each model the template gives
+    with one row of ``columns`` in place of its values.  Columns are named
+    as :meth:`ExperimentModel.with_values` names fields, with one value per
+    model (two for ``loss_pre`` and ``loss_post``).  No model is built: the
+    source is built once, with columns as its fields, so each column's range
+    is checked once.  Models with the same circuit elements (:func:`_structure`)
+    are replayed as one stack."""
+    count = len(next(iter(columns.values()))) if columns else 1
+
+    def column(owner, name, shape=()) -> np.ndarray:
+        out = np.empty((count, *shape))
+        out[...] = columns.pop(name, getattr(owner, name))
+        return out
+
+    params = [f.name for f in fields(template.source)]
+    source = type(template.source)(**{name: column(template.source, name) for name in params})
+    t, delta = column(template, "bs_transmission"), column(template, "distinguishability")
+    loss_pre, loss_post = (tuple(column(template, k, (2,)).T) for k in ("loss_pre", "loss_post"))
+    if columns:
+        raise ValueError(f"not a parameter of the model: {', '.join(sorted(columns))}")
+    _check_unit(t, *loss_pre, *loss_post, delta)
+    theta = _each(_mixing_angle, t)
+    stacks = {}
+    structure = _structure(delta, loss_pre, theta, loss_post)
+    for i, key in enumerate(zip(*(kept.tolist() for kept in structure))):
+        stacks.setdefault(key, []).append(i)
+    out = np.empty(count)
+    for key, rows in stacks.items():
+        size = len(rows)
+        if size < count:
+            sub = replace(source, **{name: getattr(source, name)[rows] for name in params})
+        else:
+            rows, sub = slice(None), source
+        elements = _elements(sub, delta[rows], tuple(eta[rows] for eta in loss_pre),
+                             theta[rows], tuple(eta[rows] for eta in loss_post), key)
+        out[rows] = stacked_fidelity(elements, 2, size, target.state())
+    return out * template.detector.noise_fidelity_factor
 
 
 def observed_distribution(model: ExperimentModel, cutoff: int) -> FCTable:

@@ -33,6 +33,7 @@ __all__ = [
     "vacuum",
     "apply",
     "replay",
+    "stacked_fidelity",
     "mean_photon",
     "symplectic_eigenvalues",
     "fidelity",
@@ -203,12 +204,7 @@ class GaussianState:
         if asym > 1e-8:
             raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.2e})")
         cov = 0.5 * (cov + cov.T)
-        nu = _symplectic_eigenvalues(cov)
-        nu_min = float(nu.min())
-        if _unphysical(nu_min, cov):
-            raise PhysicalityError(
-                f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
-            )
+        nu = _symplectic_eigenvalues(cov[None])[0]
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "num_modes", num_modes)
@@ -245,40 +241,54 @@ def passive_symplectic(w: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def _symplectic(elem: Element, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (S, d) of an element already validated for ``n`` modes:
-    quadratures transform as z -> S z + d.
+def _per_model(value, count: int) -> list:
+    """A stacked element field as one value per model: an array, or one shared value."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value] * count
 
-    Only defined for unitary elements; Loss/ThermalMix are channels and are
-    handled separately in :func:`_step`.
+
+def _symplectic(elem: Element, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return the (S, d) stacks, of shapes (count, 2n, 2n) and (count, 2n),
+    of an element validated for ``n`` modes whose numeric fields hold one
+    value for the stack or an array of one per model: quadratures transform
+    as z -> S z + d.  The scalars come from ``math`` one model at a time
+    (numpy's vector ``cosh`` and ``sinh`` round differently).  Only defined
+    for unitary elements; Loss/ThermalMix are channels, handled in :func:`_step`.
     """
-    s = np.eye(2 * n)
-    d = np.zeros(2 * n)
+    s = np.empty((count, 2 * n, 2 * n))
+    s[...] = np.eye(2 * n)
+    d = np.zeros((count, 2 * n))
     if isinstance(elem, Squeeze):
-        ch, sh = math.cosh(elem.r), math.sinh(elem.r)
-        c, sn = math.cos(elem.phase), math.sin(elem.phase)
         ix, ip = elem.mode, elem.mode + n
-        s[ix, ix], s[ip, ip] = ch - sh * c, ch + sh * c
-        s[ix, ip] = s[ip, ix] = -sh * sn
+        rs, phases = _per_model(elem.r, count), _per_model(elem.phase, count)
+        for k, (r, phase) in enumerate(zip(rs, phases)):
+            ch, sh = math.cosh(r), math.sinh(r)
+            c, sn = math.cos(phase), math.sin(phase)
+            s[k, ix, ix], s[k, ip, ip] = ch - sh * c, ch + sh * c
+            s[k, ix, ip] = s[k, ip, ix] = -sh * sn
     elif isinstance(elem, BeamSplitter):
-        ct, st = math.cos(elem.theta), math.sin(elem.theta)
-        ph = np.exp(1j * elem.phase)
-        w = np.array([[ct, st * ph], [-st * np.conj(ph), ct]])
         # as passive_symplectic of W embedded in the identity: -Im is -0.0 off the pair
-        s[:n, n:] = -0.0
-        for i, row in zip((elem.mode1, elem.mode2), w.tolist()):
-            for j, wij in zip((elem.mode1, elem.mode2), row):
-                s[i, j] = s[i + n, j + n] = wij.real
-                s[i, j + n], s[i + n, j] = -wij.imag, wij.imag
+        s[:, :n, n:] = -0.0
+        pair = (elem.mode1, elem.mode2)
+        thetas, phases = _per_model(elem.theta, count), _per_model(elem.phase, count)
+        for k, (theta, phase) in enumerate(zip(thetas, phases)):
+            ct, st = math.cos(theta), math.sin(theta)
+            ph = np.exp(1j * phase)
+            w = np.array([[ct, st * ph], [-st * np.conj(ph), ct]])
+            for i, row in zip(pair, w.tolist()):
+                for j, wij in zip(pair, row):
+                    s[k, i, j] = s[k, i + n, j + n] = wij.real
+                    s[k, i, j + n], s[k, i + n, j] = -wij.imag, wij.imag
     elif isinstance(elem, TwoModeSqueeze):
-        ch, sh = math.cosh(elem.r), math.sinh(elem.r)
         i, j = elem.mode1, elem.mode2
-        s[i, i] = s[j, j] = s[i + n, i + n] = s[j + n, j + n] = ch
-        s[i, j] = s[j, i] = sh
-        s[i + n, j + n] = s[j + n, i + n] = -sh
+        for k, r in enumerate(_per_model(elem.r, count)):
+            ch, sh = math.cosh(r), math.sinh(r)
+            s[k, i, i] = s[k, j, j] = s[k, i + n, i + n] = s[k, j + n, j + n] = ch
+            s[k, i, j] = s[k, j, i] = sh
+            s[k, i + n, j + n] = s[k, j + n, i + n] = -sh
     elif isinstance(elem, Displace):
-        d[elem.mode] = math.sqrt(2.0) * elem.alpha.real
-        d[elem.mode + n] = math.sqrt(2.0) * elem.alpha.imag
+        for k, alpha in enumerate(_per_model(elem.alpha, count)):
+            d[k, elem.mode] = math.sqrt(2.0) * alpha.real
+            d[k, elem.mode + n] = math.sqrt(2.0) * alpha.imag
     else:
         raise TypeError(f"{type(elem).__name__} is not a unitary element")
     return s, d
@@ -287,33 +297,46 @@ def _symplectic(elem: Element, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _step(
     mean: np.ndarray, cov: np.ndarray, elem: Element, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One validated element on (mean, cov) arrays, the covariance
-    symmetrized as :class:`GaussianState` does; no physicality check."""
+    """One validated element on stacks of (mean, cov) arrays, of shapes
+    (N, 2n) and (N, 2n, 2n), each covariance symmetrized as
+    :class:`GaussianState` does; no physicality check."""
+    count = len(mean)
     if isinstance(elem, _UNITARY_KINDS):
-        s, d = _symplectic(elem, n)
-        mean, cov = s @ mean + d, s @ cov @ s.T
+        s, d = _symplectic(elem, n, count)
+        mean, cov = (s @ mean[..., None])[..., 0] + d, s @ cov @ s.swapaxes(-1, -2)
     else:
         # Loss / ThermalMix: contract the mode and add diagonal noise.
         if isinstance(elem, Loss):
-            g = math.sqrt(elem.transmission)
-            extra = 0.5 * (1.0 - elem.transmission)
+            eta = _per_model(elem.transmission, count)
+            g, extra = np.array([(math.sqrt(x), 0.5 * (1.0 - x)) for x in eta]).T
         else:
-            g = math.sqrt(1.0 - elem.reflectivity)
-            extra = elem.reflectivity * (elem.mean_photons + 0.5)
+            refl, nbar = _per_model(elem.reflectivity, count), _per_model(elem.mean_photons, count)
+            g, extra = np.array([(math.sqrt(1.0 - x), x * (y + 0.5)) for x, y in zip(refl, nbar)]).T
         ix, ip = elem.mode, elem.mode + n
-        scale = np.ones(2 * n)
-        scale[[ix, ip]] = g
-        cov = cov * np.outer(scale, scale)
-        cov[ix, ix] += extra
-        cov[ip, ip] += extra
+        scale = np.ones((count, 2 * n))
+        scale[:, ix] = scale[:, ip] = g
+        cov = cov * (scale[:, :, None] * scale[:, None, :])
+        cov[:, ix, ix] += extra
+        cov[:, ip, ip] += extra
         mean = mean * scale
-    return mean, 0.5 * (cov + cov.T)
+    return mean, 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
+def _fold(elements, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) stacks of ``count`` circuits with the same elements (see
+    :func:`_symplectic`), folded element by element over the vacuum."""
+    mean, cov = np.zeros((count, 2 * n)), np.empty((count, 2 * n, 2 * n))
+    cov[...] = 0.5 * np.eye(2 * n)
+    for elem in elements:
+        mean, cov = _step(mean, cov, elem, n)
+    return mean, cov
 
 
 def apply(state: GaussianState, elem: Element) -> GaussianState:
     """Apply one circuit element to a state."""
     _validate_element(elem, state.num_modes)
-    return GaussianState(*_step(state.mean, state.cov, elem, state.num_modes))
+    mean, cov = _step(state.mean[None], state.cov[None], elem, state.num_modes)
+    return GaussianState(mean[0], cov[0])
 
 
 def replay(circuit: GaussianCircuit) -> GaussianState:
@@ -323,11 +346,17 @@ def replay(circuit: GaussianCircuit) -> GaussianState:
     final state is checked for physicality: every element maps physical
     states to physical states.
     """
-    n = circuit.num_modes
-    mean, cov = np.zeros(2 * n), 0.5 * np.eye(2 * n)
-    for elem in circuit.elements:
-        mean, cov = _step(mean, cov, elem, n)
-    return GaussianState(mean, cov)
+    mean, cov = _fold(circuit.elements, circuit.num_modes, 1)
+    return GaussianState(mean[0], cov[0])
+
+
+def stacked_fidelity(elements, num_modes: int, count: int, other: GaussianState) -> np.ndarray:
+    """Bit for bit ``fidelity(replay(circuit_k), other)`` for each of ``count``
+    circuits with the same elements, whose numeric fields hold one value or
+    an array of one per circuit.  The states are checked for physicality as
+    one stack, and no :class:`GaussianState` is built."""
+    mean, cov = _fold(elements, num_modes, count)
+    return _fidelities(mean, cov, _symplectic_eigenvalues(cov), other)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +375,15 @@ def mean_photon(state: GaussianState, mode: int) -> float:
 
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    num_modes = cov.shape[0] // 2
-    omega = symplectic_form(num_modes)
-    eigs = np.linalg.eigvals(1j * omega @ cov)
-    nu = np.sort(np.abs(eigs))[::2]
+    """Symplectic eigenvalues, ascending, of a stack of covariances of
+    shape (N, 2M, 2M); raises PhysicalityError at the first unphysical one."""
+    eigs = np.linalg.eigvals(1j * symplectic_form(cov.shape[-1] // 2) @ cov)
+    nu = np.sort(np.abs(eigs))[..., ::2]
+    for nu_min, v in zip(nu[:, 0].tolist(), cov):
+        if _unphysical(nu_min, v):
+            raise PhysicalityError(
+                f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
+            )
     nu.setflags(write=False)
     return nu
 
@@ -374,15 +408,6 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _overlap_trace(s1: GaussianState, s2: GaussianState) -> float:
-    """Tr(rho1 rho2) for two Gaussian states."""
-    vsum = s1.cov + s2.cov
-    delta = s1.mean - s2.mean
-    expo = -0.5 * delta @ np.linalg.solve(vsum, delta)
-    det = np.linalg.det(vsum)
-    return float(np.exp(expo) / math.sqrt(det))
-
-
 def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) of two
     Gaussian states (non-squared convention: F = |<psi1|psi2>| for pure
@@ -394,23 +419,47 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """
     if s1.num_modes != s2.num_modes:
         raise ValueError("states must have the same number of modes")
-    if min(s._nu[-1] for s in (s1, s2)) < 0.5 + _PURITY_TOL:
-        # F^2 = Tr(rho1 rho2) whenever at least one state is pure.
-        return min(1.0, math.sqrt(max(0.0, _overlap_trace(s1, s2))))
+    return float(_fidelities(s1.mean[None], s1.cov[None], s1._nu[None], s2)[0])
 
-    n = s1.num_modes
-    omega = symplectic_form(n)
-    v1, v2 = s1.cov, s2.cov
-    delta = s1.mean - s2.mean
+
+def _fidelities(
+    mean: np.ndarray, cov: np.ndarray, nu: np.ndarray, other: GaussianState
+) -> np.ndarray:
+    """:func:`fidelity` to ``other`` of each state of a stack, given by its
+    mean, covariance and symplectic eigenvalues.  Only products, sums and
+    numpy's stacked linear algebra act on the stack; each state's final
+    scalars are combined one at a time."""
+    pure = np.minimum(nu[:, -1], other._nu[-1]) < 0.5 + _PURITY_TOL
+    if not pure.all():
+        out = np.empty(len(mean))
+        out[~pure] = _mixed_fidelities(mean[~pure], cov[~pure], other)
+        if pure.any():
+            out[pure] = _fidelities(mean[pure], cov[pure], nu[pure], other)
+        return out
+    # F^2 = Tr(rho1 rho2) whenever at least one state is pure.
+    vsum, delta = cov + other.cov, mean - other.mean
+    # a stacked solve needs a column right-hand side: numpy 2 reads a 2-D b as a matrix
+    expo = ((-0.5 * delta)[:, None, :] @ np.linalg.solve(vsum, delta[..., None]))[:, 0, 0]
+    return np.array([min(1.0, math.sqrt(max(0.0, float(np.exp(e) / math.sqrt(d)))))
+                     for e, d in zip(expo, np.linalg.det(vsum))])
+
+
+def _mixed_fidelities(mean, cov, other: GaussianState) -> list[float]:
+    """The Banchi-Braunstein-Pirandola fidelity of mixed pairs."""
+    omega = symplectic_form(other.num_modes)
+    v1, v2 = cov, other.cov
+    delta = mean - other.mean
     vsum_inv = np.linalg.inv(v1 + v2)
     vaux = omega.T @ vsum_inv @ (0.25 * omega + v2 @ omega @ v1)
     w = vaux @ omega
-    inner = np.eye(2 * n) + 0.25 * np.linalg.inv(w @ w)
+    inner = np.eye(2 * other.num_modes) + 0.25 * np.linalg.inv(w @ w)
     # det(sqrt(inner) + I) as a product over the eigenvalues of `inner`:
     # no matrix square root, which is unreliable where a pure mode of
     # either state makes `inner` singular
     mu = np.linalg.eigvals(inner) + 0j
-    ftot4 = np.prod(1.0 + np.sqrt(mu)).real * np.linalg.det(2.0 * vaux)
-    f0 = (ftot4 / np.linalg.det(v1 + v2)) ** 0.25
-    expo = math.exp(-0.25 * delta @ vsum_inv @ delta)
-    return float(min(1.0, max(0.0, f0 * expo)))
+    ftot4 = np.prod(1.0 + np.sqrt(mu), axis=-1).real * np.linalg.det(2.0 * vaux)
+    expo = ((-0.25 * delta)[:, None, :] @ vsum_inv @ delta[..., None])[:, 0, 0]
+    return [
+        float(min(1.0, max(0.0, (f4 / d) ** 0.25 * math.exp(e))))
+        for f4, d, e in zip(ftot4, np.linalg.det(v1 + v2), expo)
+    ]

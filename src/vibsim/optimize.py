@@ -14,7 +14,7 @@ from .experiment import (
     ParameterUncertainty,
     SMSVPair,
     TMSV,
-    model_fidelity,
+    model_fidelities,
 )
 from .fixtures import IDEAL_BS_TRANSMISSION
 from .vibronic import OpticalTarget
@@ -46,13 +46,18 @@ def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def nelder_mead(objective, start, bounds, tol: float = 1e-6, max_iter: int = 2000) -> OptResult:
+def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, *, stacked=False) -> OptResult:
     """Maximize ``objective`` with a bounded Nelder-Mead simplex, with the
     standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
 
     Candidate points are clamped into ``bounds`` before evaluation.
     Terminates when the simplex diameter drops below ``tol`` or after
     ``max_iter`` iterations (the best point so far is returned either way).
+
+    A ``stacked`` objective maps a (k, n) array of points to k values, and
+    gets the first simplex, each shrink, and each iteration's reflection,
+    expansion and contraction in one call (one of the three goes unused).
+    A scalar objective is called on a point only when its value is read.
     """
     start = np.asarray(start, dtype=float)
     n = start.size
@@ -65,8 +70,11 @@ def nelder_mead(objective, start, bounds, tol: float = 1e-6, max_iter: int = 200
     if np.any(start < lo) or np.any(start > hi):
         raise ValueError("start must lie within bounds")
 
-    def f(x: np.ndarray) -> float:
-        return -float(objective(_clamp(x, lo, hi)))
+    def evaluate(points: list[np.ndarray]):
+        """Reader, by index, of the values -objective of ``points``."""
+        if stacked:
+            return (-np.asarray(objective(_clamp(np.array(points), lo, hi)))).tolist().__getitem__
+        return lambda i: -float(objective(_clamp(points[i], lo, hi)))
 
     simplex = [start]
     for i in range(n):
@@ -75,7 +83,8 @@ def nelder_mead(objective, start, bounds, tol: float = 1e-6, max_iter: int = 200
         vertex = start.copy()
         vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
         simplex.append(vertex)
-    values = [f(v) for v in simplex]
+    value = evaluate(simplex)
+    values = [value(i) for i in range(n + 1)]
 
     iterations = 0
     converged = False
@@ -91,26 +100,28 @@ def nelder_mead(objective, start, bounds, tol: float = 1e-6, max_iter: int = 200
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
-        fr = f(reflected)
+        expanded = centroid + 2.0 * (centroid - worst)
+        contracted = centroid + 0.5 * (worst - centroid)
+        value = evaluate([reflected, expanded, contracted])
+        fr = value(0)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            fe = f(expanded)
+            fe = value(1)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        contracted = centroid + 0.5 * (worst - centroid)
-        fc = f(contracted)
+        fc = value(2)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         best = simplex[0]
         simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-        values = [values[0]] + [f(v) for v in simplex[1:]]
+        value = evaluate(simplex[1:])
+        values = [values[0]] + [value(i) for i in range(n)]
 
     ibest = int(np.argmin(values))
     xbest = _clamp(simplex[ibest], lo, hi)
@@ -138,16 +149,15 @@ def optimize_experiment(
     names = list(controllables)
     bounds = [DEFAULT_BOUNDS[n] for n in names]
 
-    def objective(x: np.ndarray) -> float:
-        model = template.with_values(**dict(zip(names, x)))
-        return model_fidelity(model, target)
+    def objective(points: np.ndarray) -> np.ndarray:
+        return model_fidelities(template, target, **dict(zip(names, points.T)))
 
     start = np.array(list(controllables.values()))
-    best = nelder_mead(objective, start, bounds, tol=1e-8)
+    best = nelder_mead(objective, start, bounds, tol=1e-8, stacked=True)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     alt_start = _clamp(best.x + 0.07 * (hi - lo), lo, hi)
-    alt = nelder_mead(objective, alt_start, bounds, tol=1e-8)
+    alt = nelder_mead(objective, alt_start, bounds, tol=1e-8, stacked=True)
     if alt.value > best.value:
         best = alt
     model = template.with_values(**dict(zip(names, best.x)))
@@ -216,7 +226,6 @@ def monte_carlo_fidelity(
     if n < 2:
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
-    samples = np.empty(n)
     clamps = 0
 
     def draw(value: float, sigma: float, lo: float, hi: float) -> float:
@@ -228,7 +237,8 @@ def monte_carlo_fidelity(
         return clamped
 
     source = asdict(model.source)
-    for i in range(n):
+    draws = []  # every set first, in the stream order of one model at a time
+    for _ in range(n):
         updates = {name: draw(value, unc.sigma_r, 0.0, math.inf) for name, value in source.items()}
         updates["bs_transmission"] = draw(model.bs_transmission, unc.sigma_t, 0.0, 1.0)
         updates["loss_pre"] = tuple(
@@ -243,7 +253,9 @@ def monte_carlo_fidelity(
             updates["distinguishability"] = draw(
                 model.distinguishability, unc.sigma_delta, 0.0, 1.0
             )
-        samples[i] = model_fidelity(model.with_values(**updates), target)
+        draws.append(updates)
+    samples = model_fidelities(model, target, **{
+        name: np.array([d[name] for d in draws]) for name in draws[0]})
 
     return MonteCarloResult(
         float(samples.mean()), float(samples.std(ddof=1)), samples, clamps

@@ -180,13 +180,18 @@ class TestConfigValidation:
             ({}, ["sweep-loss", "--grid", "abc"]),
             ({}, ["sweep-loss", "--grid", "0:0.9:x"]),
             ({}, ["sweep-loss", "--grid", "0:0.9:1000000000000"]),
+            ({}, ["sweep-loss", "--grid", "0:0.9:1" + "0" * 400]),
             ({}, ["sweep-loss", "--grid", ","]),
             ({}, ["sweep-loss", "--grid", " , "]),
             ({}, ["sweep-loss", "--grid", ""]),
             ({"shots": 2**63}, ["simulate"]),
+            ({"uncertainties": {"sigma_t": 10**400}}, ["optimize"]),
+            ({"uncertainties": {"sigma_loss": 10**400}}, ["optimize"]),
+            ({"uncertainties": {"sigma_r": 10**400}}, ["simulate"]),
         ],
-        ids=["grid-word", "grid-count-word", "grid-beyond-memory", "grid-comma",
-             "grid-blank-commas", "grid-empty", "shots-beyond-int64"],
+        ids=["grid-word", "grid-count-word", "grid-beyond-memory", "grid-count-beyond-float",
+             "grid-comma", "grid-blank-commas", "grid-empty", "shots-beyond-int64",
+             "sigma-t-beyond-float", "sigma-loss-beyond-float", "sigma-r-beyond-float"],
     )
     def test_out_of_range_run_input_exits_2(self, tmp_path, capsys, overrides, argv):
         path = write_config(tmp_path, cutoff=12, experiment=paper_experiment_section(),

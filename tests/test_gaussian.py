@@ -139,7 +139,8 @@ class TestElementSymplectic:
         elems += [BeamSplitter(i, j, th, ph) for i, j in pairs for th in angles for ph in angles]
         elems += [TwoModeSqueeze(i, j, r) for i, j in pairs for r in amounts]
         for elem in elems:
-            for got, want in zip(gaussian._symplectic(elem, n), explicit_symplectic(elem, n)):
+            for got, want in zip(gaussian._symplectic(elem, n, 1), explicit_symplectic(elem, n)):
+                got = got[0]
                 assert np.array_equal(got, want), elem
                 assert np.array_equal(np.signbit(got), np.signbit(want)), elem
 
@@ -172,7 +173,7 @@ class TestPhysicalityTolerance:
     def test_mixed_below_half_still_raises(self, r):
         s = np.eye(4)
         for elem in (Squeeze(0, r, 0.3), BeamSplitter(0, 1, 0.7, 0.2)):
-            s = gaussian._symplectic(elem, 2)[0] @ s
+            s = gaussian._symplectic(elem, 2, 1)[0][0] @ s
         cov = s @ (0.45 * np.eye(4)) @ s.T
         with pytest.raises(PhysicalityError):
             GaussianState(np.zeros(4), cov)
@@ -373,3 +374,99 @@ class TestFidelity:
     def test_unphysical_rejected(self):
         with pytest.raises(PhysicalityError):
             GaussianState(np.zeros(2), 0.4 * np.eye(2))
+
+
+class TestStackParity:
+    """The stacked evaluation gives each model the bits of its own
+    evaluation.  It rests on numpy's stacked linear algebra matching its
+    per-matrix calls, so a numpy or BLAS upgrade that breaks that fails
+    here instead of moving artefacts."""
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 100])
+    def test_stacked_linear_algebra_equals_per_matrix(self, count):
+        rng = np.random.default_rng(count)
+        a, b = rng.normal(size=(2, count, 4, 4))
+        spd = a @ a.swapaxes(-1, -2) + np.eye(4)
+        v = rng.normal(size=(count, 4))
+        stacked = {
+            "matmul": a @ b,
+            "matvec": (a @ v[..., None])[..., 0],
+            "eigvals": np.linalg.eigvals(1j * symplectic_form(2) @ spd),
+            # a column right-hand side: numpy 2 reads a 2-D b as a matrix, wrong at count 4
+            "solve": np.linalg.solve(spd, v[..., None])[..., 0],
+            "det": np.linalg.det(spd),
+        }
+        for k in range(count):
+            single = {
+                "matmul": a[k] @ b[k],
+                "matvec": a[k] @ v[k],
+                "eigvals": np.linalg.eigvals(1j * symplectic_form(2) @ spd[k]),
+                "solve": np.linalg.solve(spd[k], v[k]),
+                "det": np.linalg.det(spd[k]),
+            }
+            for name, want in single.items():
+                assert stacked[name][k].tobytes() == np.asarray(want).tobytes(), (name, k)
+
+    def test_stacked_fidelities_equal_one_at_a_time(self):
+        from vibsim.experiment import (
+            TMSV, DetectorModel, ExperimentModel, SMSVPair, model_fidelities, model_fidelity,
+        )
+        from vibsim.vibronic import OpticalTarget
+
+        rng = np.random.default_rng(2024)
+        targets = [
+            OpticalTarget((0.7, -0.2), (BeamSplitter(0, 1, 0.6),)),
+            # displaced, and a beam splitter with a phase
+            OpticalTarget((0.4, 0.3), (BeamSplitter(0, 1, 1.1, 0.4),), (0.3 - 0.2j, 0.1j)),
+        ]
+        sources = [SMSVPair(0.6, 0.2), TMSV(0.5)]
+        detector = DetectorModel()
+
+        def clamped(value, sigma, size, hi=1.0):
+            # Monte Carlo draws: about a fifth land on a bound
+            return np.clip(value + sigma * rng.standard_normal(size), 0.0, hi)
+
+        checked = 0
+        for target in targets:
+            for source in sources:
+                for delta in (0.0, 0.05):
+                    template = ExperimentModel(source, 0.5, (0.9, 1.0), (1.0, 0.85), delta,
+                                               detector)
+                    size = 260
+                    columns = {f: clamped(getattr(source, f), 0.5, size, np.inf)
+                               for f in source.__dataclass_fields__}
+                    columns["bs_transmission"] = clamped(0.8, 0.25, size)
+                    columns["loss_pre"] = clamped(np.array([0.9, 0.95]), 0.1, (size, 2))
+                    columns["loss_post"] = clamped(np.array([0.97, 0.85]), 0.1, (size, 2))
+                    if delta:
+                        columns["distinguishability"] = clamped(delta, 0.05, size)
+                    stacked = model_fidelities(template, target, **columns)
+                    for k, got in enumerate(stacked.tolist()):
+                        row = {name: col[k] for name, col in columns.items()}
+                        row["loss_pre"], row["loss_post"] = (tuple(row[n])
+                                                             for n in ("loss_pre", "loss_post"))
+                        want = model_fidelity(template.with_values(**row), target)
+                        assert got.hex() == want.hex(), (template, row)
+                        checked += 1
+        assert checked >= 2000
+        # every structure the grouping splits on occurs
+        assert np.any(columns["bs_transmission"] == 1.0)
+        assert np.any(columns["loss_pre"] == 1.0) and np.any(columns["distinguishability"] == 0)
+
+    def test_mixed_and_pure_rows_of_one_stack(self):
+        rng = np.random.default_rng(7)
+        count = 60
+        r, theta = rng.uniform(0.0, 1.0, count), rng.uniform(-1.0, 1.0, count)
+        eta = np.where(rng.random(count) < 0.3, 1.0, rng.uniform(0.3, 1.0, count))
+
+        def elements(r, eta, theta):
+            return [Squeeze(0, r, 0.3), TwoModeSqueeze(0, 1, r / 2), Loss(1, eta),
+                    BeamSplitter(0, 1, theta, 0.2), Displace(0, 0.1 + 0.2j)]
+
+        # a mixed other state: rows left pure (eta = 1) take the overlap formula
+        for other in (replay(GaussianCircuit(2, [ThermalMix(0, 0.4, 0.3), Squeeze(1, 0.2)])),
+                      replay(GaussianCircuit(2, [Squeeze(1, 0.2)]))):
+            got = gaussian.stacked_fidelity(elements(r, eta, theta), 2, count, other)
+            for k in range(count):
+                circuit = GaussianCircuit(2, elements(r[k], eta[k], theta[k]))
+                assert got[k].hex() == fidelity(replay(circuit), other).hex(), k

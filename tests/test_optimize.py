@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,64 @@ class TestNelderMead:
     def test_start_outside_bounds(self):
         with pytest.raises(ValueError):
             nelder_mead(lambda x: x[0], [2.0], [(0, 1)])
+
+
+def rosenbrock(x):
+    return -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+
+def digest(points) -> str:
+    h = hashlib.sha256()
+    for x in points:
+        h.update(np.asarray(x, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestEvaluationOrder:
+    """A scalar objective is called on the points that the method evaluating
+    one candidate at a time called it on, in the same order; the counts and
+    digests were recorded with that method."""
+
+    def test_rosenbrock(self):
+        points = []
+
+        def objective(x):
+            points.append(x.copy())
+            return rosenbrock(x)
+
+        nelder_mead(objective, [-1.2, 1.0], [(-3, 3), (-3, 3)], tol=1e-10, max_iter=5000)
+        assert len(points) == 264
+        assert digest(points) == "b38c32ed476a017d49e7c50a1c91704331a53a4f82527bc41a0556ee55b80355"
+
+    def test_fit_source(self, monkeypatch):
+        from vibsim import calibrate
+        from vibsim.sampler import sample
+
+        hists = [sample(calibrate.predicted_distribution(0.3, (0.45, 0.40), t, DetectorModel(), 12),
+                        1_000_000, seed=seed, metadata={"bs_setting": setting})
+                 for setting, t, seed in (("100:0", 1.0, 17), ("0:100", 0.0, 18))]
+        points = []
+
+        def recording(objective, *args, **kwargs):
+            def record(x):
+                points.append(x.copy())
+                return objective(x)
+
+            return nelder_mead(record, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "nelder_mead", recording)
+        fit = calibrate.fit_source(*hists, DetectorModel())
+        assert (fit.iterations, len(points)) == (104, 197)
+        assert digest(points) == "c751f4a27bce16453c0fa0e7fa3652be875a1e02453271a82da192fec8245e85"
+
+    def test_stacked_objective_takes_the_same_steps(self):
+        args = ([-1.2, 1.0], [(-3, 3), (-3, 3)], 1e-10, 5000)
+        one = nelder_mead(rosenbrock, *args)
+        stacked = nelder_mead(lambda xs: np.array([rosenbrock(x) for x in xs]), *args,
+                              stacked=True)
+        assert stacked.x.tobytes() == one.x.tobytes()
+        assert (stacked.value, stacked.iterations, stacked.converged) == (
+            one.value, one.iterations, one.converged)
 
 
 class TestOptimizeExperiment:

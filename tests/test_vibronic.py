@@ -38,7 +38,7 @@ class TestDecompose:
         for elem in target.interferometer:
             from vibsim.gaussian import _symplectic
 
-            s, _ = _symplectic(elem, 2)
+            s = _symplectic(elem, 2, 1)[0][0]
             total = s[:2, :2] @ total
         assert np.max(np.abs(total - np.eye(2))) < 1e-10
 
