@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fock
-from .experiment import DetectorModel
+from .experiment import DetectorModel, _mixing_angle
 from .gaussian import BeamSplitter
 from .optimize import SIMPLEX_STEP, nelder_mead
 from .tables import CountHistogram, FCTable, is_sink
@@ -46,7 +46,7 @@ def _splitter(bs_transmission: float, cutoff: int) -> np.ndarray:
     """|U|^2 of the beam splitter set to ``bs_transmission``, on flat pair
     occupations.  Cached, since every fit asks for the same two settings,
     and so read-only."""
-    u = fock.element_matrix(BeamSplitter(0, 1, math.acos(math.sqrt(bs_transmission))), cutoff)
+    u = fock.element_matrix(BeamSplitter(0, 1, _mixing_angle(bs_transmission)), cutoff)
     weights = u.real**2 + u.imag**2
     weights.setflags(write=False)
     return weights

@@ -30,7 +30,8 @@ from .experiment import (
     parse_target,
 )
 from .gaussian import PhysicalityError
-from .optimize import DEFAULT_BOUNDS, loss_sweep, monte_carlo_fidelity, optimize_experiment
+from .optimize import (DEFAULT_BOUNDS, MONTE_CARLO_BYTES_PER_DRAW, loss_sweep,
+                       monte_carlo_fidelity, optimize_experiment)
 from .tables import FCTable, is_sink
 from .vibronic import OpticalTarget, fc_factors, spectrum
 
@@ -92,7 +93,8 @@ def _parse_config(raw: dict) -> dict:
     samples = cfg["monte_carlo_samples"]
     if samples < 2:
         raise ConfigError("monte_carlo_samples must be at least 2")
-    fock._refuse_beyond_memory(f"monte_carlo_samples = {samples}", 8.0 * samples)
+    fock._refuse_beyond_memory(f"monte_carlo_samples = {samples}",
+                               MONTE_CARLO_BYTES_PER_DRAW * samples)
     if cfg["shots"] >= 2**63:
         # numpy's multinomial draws take a 64-bit signed count
         raise ConfigError(f"shots = {cfg['shots']} lies beyond the 64-bit integer range")

@@ -204,34 +204,27 @@ def _mixing_angle(t: float) -> float:
     return math.acos(math.sqrt(t))
 
 
-def _structure(delta, loss_pre, theta, loss_post) -> tuple:
-    """Which optional elements a model, or each model of columns, has: the
-    thermal admixture, each arm's loss before the beam splitter, the beam
-    splitter, and each arm's loss after it."""
-    return (delta > 0.0, *(eta < 1.0 for eta in loss_pre), theta != 0.0,
-            *(eta < 1.0 for eta in loss_post))
-
-
-def _elements(source, delta, loss_pre, theta, loss_post, structure) -> list[Element]:
-    """Optical elements of a model, or of a stack of models that share one
-    ``structure``: then ``source`` and the values are columns."""
-    mix, pre1, pre2, splitter, post1, post2 = structure
+def _elements(source, delta, loss_pre, theta, loss_post) -> list[Element]:
+    """Optical elements of a model, or of a stack of models: then ``source``
+    and the values are columns.  An optional element (the thermal admixture,
+    each arm's loss, the beam splitter) is kept when any model needs it; a
+    model at its no-op value (δ = 0, η = 1, θ = 0) passes through it with the
+    same bits, bar the sign of a zero entry."""
     elements: list[Element] = list(source.elements())
-    if mix:
+    if np.any(delta > 0.0):
         elements += [ThermalMix(m, delta, nbar) for m, nbar in enumerate(source.mode_photons())]
-    elements += [Loss(m, eta) for m, (eta, k) in enumerate(zip(loss_pre, (pre1, pre2))) if k]
-    if splitter:
+    elements += [Loss(m, eta) for m, eta in enumerate(loss_pre) if np.any(eta < 1.0)]
+    if np.any(theta != 0.0):
         elements.append(BeamSplitter(0, 1, theta))
-    elements += [Loss(m, eta) for m, (eta, k) in enumerate(zip(loss_post, (post1, post2))) if k]
+    elements += [Loss(m, eta) for m, eta in enumerate(loss_post) if np.any(eta < 1.0)]
     return elements
 
 
 def build_circuit(model: ExperimentModel) -> GaussianCircuit:
     """Gaussian circuit of the optical part of the model (detector noise is
-    applied downstream, not here)."""
-    values = (model.distinguishability, model.loss_pre, _mixing_angle(model.bs_transmission),
-              model.loss_post)
-    return GaussianCircuit(2, _elements(model.source, *values, _structure(*values)))
+    applied downstream, not here); an element at its no-op value is left out."""
+    return GaussianCircuit(2, _elements(model.source, model.distinguishability, model.loss_pre,
+                                        _mixing_angle(model.bs_transmission), model.loss_post))
 
 
 def effective_state(model: ExperimentModel) -> GaussianState:
@@ -250,8 +243,7 @@ def model_fidelities(template: ExperimentModel, target: OpticalTarget, **columns
     as :meth:`ExperimentModel.with_values` names fields, with one value per
     model (two for ``loss_pre`` and ``loss_post``).  No model is built: the
     source is built once, with columns as its fields, so each column's range
-    is checked once.  Models with the same circuit elements (:func:`_structure`)
-    are replayed as one stack."""
+    is checked once.  All models are replayed as one stack (see :func:`_elements`)."""
     count = len(next(iter(columns.values()))) if columns else 1
 
     def column(owner, name, shape=()) -> np.ndarray:
@@ -259,29 +251,16 @@ def model_fidelities(template: ExperimentModel, target: OpticalTarget, **columns
         out[...] = columns.pop(name, getattr(owner, name))
         return out
 
-    params = [f.name for f in fields(template.source)]
-    source = type(template.source)(**{name: column(template.source, name) for name in params})
+    source = type(template.source)(**{f.name: column(template.source, f.name)
+                                      for f in fields(template.source)})
     t, delta = column(template, "bs_transmission"), column(template, "distinguishability")
     loss_pre, loss_post = (tuple(column(template, k, (2,)).T) for k in ("loss_pre", "loss_post"))
     if columns:
         raise ValueError(f"not a parameter of the model: {', '.join(sorted(columns))}")
     _check_unit(t, *loss_pre, *loss_post, delta)
-    theta = _each(_mixing_angle, t)
-    stacks = {}
-    structure = _structure(delta, loss_pre, theta, loss_post)
-    for i, key in enumerate(zip(*(kept.tolist() for kept in structure))):
-        stacks.setdefault(key, []).append(i)
-    out = np.empty(count)
-    for key, rows in stacks.items():
-        size = len(rows)
-        if size < count:
-            sub = replace(source, **{name: getattr(source, name)[rows] for name in params})
-        else:
-            rows, sub = slice(None), source
-        elements = _elements(sub, delta[rows], tuple(eta[rows] for eta in loss_pre),
-                             theta[rows], tuple(eta[rows] for eta in loss_post), key)
-        out[rows] = stacked_fidelity(elements, 2, size, target.state())
-    return out * template.detector.noise_fidelity_factor
+    elements = _elements(source, delta, loss_pre, _each(_mixing_angle, t), loss_post)
+    fidelities = stacked_fidelity(elements, count, target.state())
+    return fidelities * template.detector.noise_fidelity_factor
 
 
 def observed_distribution(model: ExperimentModel, cutoff: int) -> FCTable:

@@ -350,12 +350,13 @@ def replay(circuit: GaussianCircuit) -> GaussianState:
     return GaussianState(mean[0], cov[0])
 
 
-def stacked_fidelity(elements, num_modes: int, count: int, other: GaussianState) -> np.ndarray:
+def stacked_fidelity(elements, count: int, other: GaussianState) -> np.ndarray:
     """Bit for bit ``fidelity(replay(circuit_k), other)`` for each of ``count``
-    circuits with the same elements, whose numeric fields hold one value or
-    an array of one per circuit.  The states are checked for physicality as
-    one stack, and no :class:`GaussianState` is built."""
-    mean, cov = _fold(elements, num_modes, count)
+    circuits with the same elements on ``other``'s modes, whose numeric
+    fields hold one value or an array of one per circuit.  The states are
+    checked for physicality as one stack, and no :class:`GaussianState` is
+    built."""
+    mean, cov = _fold(elements, other.num_modes, count)
     return _fidelities(mean, cov, _symplectic_eigenvalues(cov), other)
 
 

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from vibsim import fock
 from vibsim.calibrate import write_histogram_csv
 from vibsim.cli import main
 from vibsim.experiment import DetectorModel
@@ -330,6 +331,19 @@ class TestFockMemory:
         assert code == 2
         assert f"cutoff {cutoff}" in err and "bytes of physical memory" in err
         assert "Traceback" not in err
+
+    def test_monte_carlo_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 10 000 samples fit in 1 MB as a float64 array, but their draws and
+        # the stacked fold that evaluates them all at once do not
+        monkeypatch.setattr(fock, "_physical_memory", lambda: 1 << 20)
+        path = write_config(tmp_path, experiment=paper_experiment_section(),
+                            monte_carlo_samples=10_000)
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "monte_carlo_samples = 10000" in err and "bytes of physical memory" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "optimize_result.json").exists()
 
 
 class TestDetectorNoiseBound:

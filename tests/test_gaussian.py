@@ -449,9 +449,56 @@ class TestStackParity:
                         assert got.hex() == want.hex(), (template, row)
                         checked += 1
         assert checked >= 2000
-        # every structure the grouping splits on occurs
+        # rows at each no-op value (t = 1, η = 1, δ = 0) share stacks with rows
+        # that need the element, while each one-model call leaves it out
         assert np.any(columns["bs_transmission"] == 1.0)
         assert np.any(columns["loss_pre"] == 1.0) and np.any(columns["distinguishability"] == 0)
+
+    def test_one_fold_per_call(self, monkeypatch):
+        from vibsim import experiment
+        from vibsim.vibronic import OpticalTarget
+
+        counts, stacked_fidelity = [], experiment.stacked_fidelity
+
+        def counted(*args):
+            counts.append(args[-2])  # the number of models
+            return stacked_fidelity(*args)
+
+        monkeypatch.setattr(experiment, "stacked_fidelity", counted)
+        template = experiment.ExperimentModel(experiment.TMSV(0.5), 0.5, (0.9, 0.8), (0.95, 1.0),
+                                              0.05, experiment.DetectorModel())
+        target = OpticalTarget((0.7, -0.2), (BeamSplitter(0, 1, 0.6),))
+        # each row is at the no-op value of some element that another row needs
+        columns = {"bs_transmission": np.array([1.0, 0.5, 0.7, 1.0]),
+                   "loss_pre": np.array([[1.0, 1.0], [0.9, 1.0], [1.0, 0.7], [0.8, 0.6]]),
+                   "loss_post": np.array([[1.0, 1.0], [1.0, 0.9], [0.95, 1.0], [1.0, 1.0]]),
+                   "distinguishability": np.array([0.0, 0.05, 0.0, 0.1])}
+        stacked = experiment.model_fidelities(template, target, **columns)
+        assert counts == [4]
+        for k, got in enumerate(stacked.tolist()):
+            row = {name: col[k] for name, col in columns.items()}
+            row["loss_pre"], row["loss_post"] = tuple(row["loss_pre"]), tuple(row["loss_post"])
+            want = experiment.model_fidelity(template.with_values(**row), target)
+            assert got.hex() == want.hex(), k
+
+    def test_no_op_rows_pass_through(self):
+        # the modes are uncorrelated, so the stack holds zero entries too
+        rng = np.random.default_rng(5)
+        count = 40
+        r, phase = rng.uniform(0.0, 1.2, (2, count))
+        mean, cov = gaussian._fold([Squeeze(0, r, phase), Squeeze(1, r / 2),
+                                    Displace(1, 0.3 - 0.1j)], 2, count)
+        noop = rng.random(count) < 0.5
+        for elem in (Loss(1, np.where(noop, 1.0, rng.uniform(0.2, 1.0, count))),
+                     ThermalMix(0, np.where(noop, 0.0, rng.uniform(0.0, 0.3, count)),
+                                rng.uniform(0.0, 2.0, count)),
+                     BeamSplitter(0, 1, np.where(noop, 0.0, rng.uniform(-1.0, 1.0, count)), 0.4)):
+            stepped = gaussian._step(mean, cov, elem, 2)
+            for got, want in zip(stepped, (mean, cov)):
+                got, want = got[noop], want[noop]
+                nonzero = want != 0.0
+                assert np.array_equal(got == 0.0, ~nonzero), elem
+                assert got[nonzero].tobytes() == want[nonzero].tobytes(), elem
 
     def test_mixed_and_pure_rows_of_one_stack(self):
         rng = np.random.default_rng(7)
@@ -466,7 +513,7 @@ class TestStackParity:
         # a mixed other state: rows left pure (eta = 1) take the overlap formula
         for other in (replay(GaussianCircuit(2, [ThermalMix(0, 0.4, 0.3), Squeeze(1, 0.2)])),
                       replay(GaussianCircuit(2, [Squeeze(1, 0.2)]))):
-            got = gaussian.stacked_fidelity(elements(r, eta, theta), 2, count, other)
+            got = gaussian.stacked_fidelity(elements(r, eta, theta), count, other)
             for k in range(count):
                 circuit = GaussianCircuit(2, elements(r[k], eta[k], theta[k]))
                 assert got[k].hex() == fidelity(replay(circuit), other).hex(), k

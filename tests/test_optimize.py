@@ -1,11 +1,17 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vibsim.experiment import DetectorModel, ExperimentModel, ParameterUncertainty, SMSVPair, TMSV, model_fidelity
 from vibsim.fixtures import IDEAL_BS_TRANSMISSION, characterized_model, parameter_uncertainty, tropolone_target
-from vibsim.optimize import monte_carlo_fidelity, nelder_mead, optimize_experiment
+from vibsim.optimize import (
+    MONTE_CARLO_BYTES_PER_DRAW,
+    monte_carlo_fidelity,
+    nelder_mead,
+    optimize_experiment,
+)
 
 IDEAL_DET = DetectorModel(0.0, 0.0, 1.0)
 
@@ -163,6 +169,22 @@ class TestMonteCarlo:
         huge = ParameterUncertainty(0.5, 0.5, 0.5, 0.5)
         result = monte_carlo_fidelity(model, tropolone_target(), huge, n=40, seed=5)
         assert result.clamp_events > 0
+
+    @pytest.mark.parametrize("source", [TMSV(0.5), SMSVPair(0.7, 0.2)])
+    def test_traced_peak_within_the_memory_guard(self, source):
+        # distinguishability to draw, and a sigma_r that clamps draws at r = 0
+        model = ExperimentModel(source, 0.9, (0.4, 0.4), (0.9, 0.85), 0.06)
+        unc = ParameterUncertainty(0.02, 0.5, 0.02, 0.05)
+        target, n = tropolone_target(), 3000
+        monte_carlo_fidelity(model, target, unc, n=2)
+        tracemalloc.start()
+        try:
+            result = monte_carlo_fidelity(model, target, unc, n=n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.clamp_events > 0
+        assert peak <= MONTE_CARLO_BYTES_PER_DRAW * n
 
     def test_samples_count(self):
         result = monte_carlo_fidelity(
