@@ -26,6 +26,7 @@ from .gaussian import (
     Squeeze,
     ThermalMix,
     TwoModeSqueeze,
+    _each,
     replay,
     stacked_fidelity,
 )
@@ -49,12 +50,6 @@ __all__ = [
     "parse_experiment",
     "experiment_section",
 ]
-
-
-def _each(fn, value):
-    """``fn`` of a number, or the array of ``fn`` of each entry of a column:
-    a stack's scalars come from ``math`` one model at a time."""
-    return np.array([fn(x) for x in value.tolist()]) if isinstance(value, np.ndarray) else fn(value)
 
 
 def _finite_within(hi: float, *values) -> bool:

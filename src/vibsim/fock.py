@@ -449,13 +449,13 @@ class _FockWorkspace:
 
     def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:
         """Apply a ``cutoff x cutoff`` matrix to one mode, blocks to a pair."""
-        apply = _apply_single if len(modes) == 1 else _apply_pair
+        act = _apply_single if len(modes) == 1 else _apply_pair
         if self.vec is not None:
-            self.vec = apply(self.vec, op, *modes)
+            self.vec = act(self.vec, op, *modes)
             return
         assert self.rho is not None
-        self.rho = apply(self.rho, op, *modes)
-        self.rho = apply(self.rho, op.conj(), *(self.num_modes + m for m in modes))
+        self.rho = act(self.rho, op, *modes)
+        self.rho = act(self.rho, op.conj(), *(self.num_modes + m for m in modes))
 
     def apply_channel(self, op: _PairBlocks, mode: int) -> None:
         """Apply a channel, a block operator on the (ket, bra) axes of ``mode``."""

@@ -241,54 +241,48 @@ def passive_symplectic(w: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def _per_model(value, count: int) -> list:
-    """A stacked element field as one value per model: an array, or one shared value."""
-    return value.tolist() if isinstance(value, np.ndarray) else [value] * count
+def _each(fn, value):
+    """``fn`` of a shared value, or the array of ``fn`` of each entry of a
+    column: a stack's scalars come from ``math`` and ``cmath`` one entry at a
+    time (numpy's vector ``cosh`` and ``sinh`` round differently)."""
+    return np.array([fn(x) for x in value.tolist()]) if isinstance(value, np.ndarray) else fn(value)
 
 
 def _symplectic(elem: Element, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Return the (S, d) stacks, of shapes (count, 2n, 2n) and (count, 2n),
     of an element validated for ``n`` modes whose numeric fields hold one
-    value for the stack or an array of one per model: quadratures transform
-    as z -> S z + d.  The scalars come from ``math`` one model at a time
-    (numpy's vector ``cosh`` and ``sinh`` round differently).  Only defined
-    for unitary elements; Loss/ThermalMix are channels, handled in :func:`_step`.
+    value for the stack or a column of one per model: quadratures transform
+    as z -> S z + d.  Only defined for unitary elements; Loss/ThermalMix are
+    channels, handled in :func:`_step`.
     """
     s = np.empty((count, 2 * n, 2 * n))
     s[...] = np.eye(2 * n)
     d = np.zeros((count, 2 * n))
     if isinstance(elem, Squeeze):
         ix, ip = elem.mode, elem.mode + n
-        rs, phases = _per_model(elem.r, count), _per_model(elem.phase, count)
-        for k, (r, phase) in enumerate(zip(rs, phases)):
-            ch, sh = math.cosh(r), math.sinh(r)
-            c, sn = math.cos(phase), math.sin(phase)
-            s[k, ix, ix], s[k, ip, ip] = ch - sh * c, ch + sh * c
-            s[k, ix, ip] = s[k, ip, ix] = -sh * sn
+        ch, sh = _each(math.cosh, elem.r), _each(math.sinh, elem.r)
+        c, sn = _each(math.cos, elem.phase), _each(math.sin, elem.phase)
+        s[:, ix, ix], s[:, ip, ip] = ch - sh * c, ch + sh * c
+        s[:, ix, ip] = s[:, ip, ix] = -sh * sn
     elif isinstance(elem, BeamSplitter):
         # as passive_symplectic of W embedded in the identity: -Im is -0.0 off the pair
         s[:, :n, n:] = -0.0
         pair = (elem.mode1, elem.mode2)
-        thetas, phases = _per_model(elem.theta, count), _per_model(elem.phase, count)
-        for k, (theta, phase) in enumerate(zip(thetas, phases)):
-            ct, st = math.cos(theta), math.sin(theta)
-            ph = np.exp(1j * phase)
-            w = np.array([[ct, st * ph], [-st * np.conj(ph), ct]])
-            for i, row in zip(pair, w.tolist()):
-                for j, wij in zip(pair, row):
-                    s[k, i, j] = s[k, i + n, j + n] = wij.real
-                    s[k, i, j + n], s[k, i + n, j] = -wij.imag, wij.imag
+        ct, st = _each(math.cos, elem.theta), _each(math.sin, elem.theta)
+        ph = _each(cmath.exp, 1j * elem.phase)
+        for i, row in zip(pair, ((ct, st * ph), (-st * np.conj(ph), ct))):
+            for j, wij in zip(pair, row):
+                s[:, i, j] = s[:, i + n, j + n] = wij.real
+                s[:, i, j + n], s[:, i + n, j] = -wij.imag, wij.imag
     elif isinstance(elem, TwoModeSqueeze):
         i, j = elem.mode1, elem.mode2
-        for k, r in enumerate(_per_model(elem.r, count)):
-            ch, sh = math.cosh(r), math.sinh(r)
-            s[k, i, i] = s[k, j, j] = s[k, i + n, i + n] = s[k, j + n, j + n] = ch
-            s[k, i, j] = s[k, j, i] = sh
-            s[k, i + n, j + n] = s[k, j + n, i + n] = -sh
+        ch, sh = _each(math.cosh, elem.r), _each(math.sinh, elem.r)
+        s[:, i, i] = s[:, j, j] = s[:, i + n, i + n] = s[:, j + n, j + n] = ch
+        s[:, i, j] = s[:, j, i] = sh
+        s[:, i + n, j + n] = s[:, j + n, i + n] = -sh
     elif isinstance(elem, Displace):
-        for k, alpha in enumerate(_per_model(elem.alpha, count)):
-            d[k, elem.mode] = math.sqrt(2.0) * alpha.real
-            d[k, elem.mode + n] = math.sqrt(2.0) * alpha.imag
+        d[:, elem.mode] = math.sqrt(2.0) * elem.alpha.real
+        d[:, elem.mode + n] = math.sqrt(2.0) * elem.alpha.imag
     else:
         raise TypeError(f"{type(elem).__name__} is not a unitary element")
     return s, d
@@ -307,11 +301,10 @@ def _step(
     else:
         # Loss / ThermalMix: contract the mode and add diagonal noise.
         if isinstance(elem, Loss):
-            eta = _per_model(elem.transmission, count)
-            g, extra = np.array([(math.sqrt(x), 0.5 * (1.0 - x)) for x in eta]).T
+            g, extra = _each(math.sqrt, elem.transmission), 0.5 * (1.0 - elem.transmission)
         else:
-            refl, nbar = _per_model(elem.reflectivity, count), _per_model(elem.mean_photons, count)
-            g, extra = np.array([(math.sqrt(1.0 - x), x * (y + 0.5)) for x, y in zip(refl, nbar)]).T
+            refl = elem.reflectivity
+            g, extra = _each(math.sqrt, 1.0 - refl), refl * (elem.mean_photons + 0.5)
         ix, ip = elem.mode, elem.mode + n
         scale = np.ones((count, 2 * n))
         scale[:, ix] = scale[:, ip] = g

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -143,6 +144,43 @@ class TestElementSymplectic:
                 got = got[0]
                 assert np.array_equal(got, want), elem
                 assert np.array_equal(np.signbit(got), np.signbit(want)), elem
+
+    #: sha256 of every (S, d) and every stepped (mean, cov) below: the bits,
+    #: signed zeros included, of building each model's entries on its own
+    COLUMN_DIGESTS = {
+        1: "498207b3ce8f46854078935f1c4c6c540ea955979bfede08cf8b7ff0961c441e",
+        3: "dd1c795ba5cf726a5ef945682baabb551d020b634d249fcee8f9c0f5a52fd9c8",
+        100: "39deb94136ce500b00137d9af65062e3e4a91e239524636856babf1f7b70ca37",
+    }
+
+    @pytest.mark.parametrize("count", [1, 3, 100])
+    def test_column_fields_pinned_bytewise(self, count):
+        rng = np.random.default_rng(count)
+
+        def col(lo, hi, head=(0.0, -0.0)):
+            c = rng.uniform(lo, hi, count)
+            c[:len(head)] = head[:count]
+            return c
+
+        alpha = col(-1.0, 1.0) + 1j * col(-1.0, 1.0)
+        elements = [Squeeze(0, col(-1.5, 1.5), col(-4.0, 4.0)),
+                    BeamSplitter(0, 2, col(-3.0, 3.0), col(-4.0, 4.0)),
+                    TwoModeSqueeze(1, 2, col(-1.0, 1.0)),
+                    Displace(1, alpha),
+                    BeamSplitter(2, 1, col(-3.0, 3.0), col(-4.0, 4.0)),
+                    Loss(0, col(0.0, 1.0, (0.0, 1.0, 0.5))),
+                    ThermalMix(2, col(0.0, 1.0, (0.0, 1.0, 0.5)), rng.uniform(0.0, 3.0, count)),
+                    Squeeze(2, col(-1.5, 1.5), col(-4.0, 4.0))]
+        digest = hashlib.sha256()
+        mean, cov = np.zeros((count, 6)), np.empty((count, 6, 6))
+        cov[...] = 0.5 * np.eye(6)
+        for elem in elements:
+            if not isinstance(elem, (Loss, ThermalMix)):
+                for a in gaussian._symplectic(elem, 3, count):
+                    digest.update(a.tobytes())
+            mean, cov = gaussian._step(mean, cov, elem, 3)
+            digest.update(mean.tobytes() + cov.tobytes())
+        assert digest.hexdigest() == self.COLUMN_DIGESTS[count]
 
 
 class TestReplay:

@@ -186,6 +186,52 @@ class TestMonteCarlo:
         assert result.clamp_events > 0
         assert peak <= MONTE_CARLO_BYTES_PER_DRAW * n
 
+    #: (sha256 of the samples' bytes, clamp events) of 64 draws with seed 11:
+    #: those of scalar ``standard_normal()`` draws taken model after model and
+    #: parameter after parameter
+    STREAM = {
+        "tmsv_undrawn_arms": (
+            TMSV(0.5), 0.7, (0.9, 1.0), (1.0, 0.85), 0.0,
+            ParameterUncertainty(0.02, 0.01, 0.02, 0.01),
+            "6f137d516e7a1ce8f64104b4dbe36ecc29ba252537dbbdc45b0895537c7a0fea", 0),
+        "smsv_delta_clamps": (
+            SMSVPair(0.7, 0.05), 0.95, (0.4, 0.98), (0.9, 0.85), 0.06,
+            ParameterUncertainty(0.3, 0.5, 0.1, 0.2),
+            "57de660b9bbb34b493020a3b18ba47f3ca1048a589312ac87672d915cdf63398", 174),
+        "tmsv_delta_clamps": (
+            TMSV(0.1), 0.02, (0.97, 0.5), (1.0, 1.0), 0.02,
+            ParameterUncertainty(0.3, 0.5, 0.1, 0.2),
+            "515f19bab26cfc8dc935d4d5400aa08023d0a7e74a582871e2096f82d17ea97b", 126),
+        "smsv_zero_sigmas": (
+            SMSVPair(0.6, 0.2), 0.5, (0.9, 0.8), (0.95, 1.0), 0.0,
+            ParameterUncertainty(0.0, 0.0, 0.0, 0.0),
+            "1d393a138aa6ad6881dc254e09789ef1e52c7fd7a88a7913b0daf393a589fa8b", 0),
+        # -0.0 + 0.0 * z is -0.0 for z < 0: a zero's sign that no fidelity reads
+        "smsv_signed_zero": (
+            SMSVPair(-0.0, 0.3), 0.5, (0.9, 1.0), (1.0, 1.0), 0.0,
+            ParameterUncertainty(0.0, 0.0, 0.0, 0.0),
+            "81f82abcee6e35b4407e7f7e6c4fe967f4441a3b0c6f3a1d4f880a94c1f71208", 0),
+        "tmsv_zero_sigmas": (
+            TMSV(0.4), 0.6, (0.9, 1.0), (0.8, 0.7), 0.05,
+            ParameterUncertainty(0.0, 0.0, 0.0, 0.0),
+            "59535f777ade7c4fe6e66d8604f1bc6e50e6c1a2955b28132385ba6af5756f3e", 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STREAM))
+    def test_stream_pinned(self, case):
+        source, t, pre, post, delta, unc, want, clamps = self.STREAM[case]
+        model = ExperimentModel(source, t, pre, post, delta)
+        result = monte_carlo_fidelity(model, tropolone_target(), unc, n=64, seed=11)
+        assert hashlib.sha256(result.samples.tobytes()).hexdigest() == want
+        assert result.clamp_events == clamps
+
+    def test_overflowing_draw_raises_without_warning(self):
+        # sigma_r * z overflows to inf, which no squeezing accepts
+        model = ExperimentModel(TMSV(0.5), 0.5, (0.9, 0.8), (1.0, 0.9), 0.05)
+        unc = ParameterUncertainty(0.02, 1e308, 0.02, 0.01)
+        with pytest.raises(ValueError, match="squeezing magnitude must be finite"):
+            monte_carlo_fidelity(model, tropolone_target(), unc, n=50, seed=3)
+
     def test_samples_count(self):
         result = monte_carlo_fidelity(
             characterized_model(), tropolone_target(), parameter_uncertainty(), n=17, seed=2

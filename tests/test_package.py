@@ -78,8 +78,8 @@ def test_every_definition_is_referenced():
 #: purpose: exported or documented API, an acceptance-criterion helper, or an
 #: oracle that tests compare against
 TEST_FACING = {
-    "fidelity_fock", "fit_pump_curve", "hom_to_delta", "mean_photon", "passive_symplectic",
-    "pump_to_r", "reference_table", "restrict_to", "symplectic_eigenvalues",
+    "apply", "fidelity_fock", "fit_pump_curve", "hom_to_delta", "mean_photon",
+    "passive_symplectic", "pump_to_r", "reference_table", "restrict_to", "symplectic_eigenvalues",
     "tropolone_excited_freqs", "vacuum", "write_histogram_csv",
 }
 
