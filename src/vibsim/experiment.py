@@ -23,6 +23,7 @@ from .gaussian import (
     GaussianCircuit,
     GaussianState,
     Loss,
+    MAX_SQUEEZING,
     Squeeze,
     ThermalMix,
     TwoModeSqueeze,
@@ -71,8 +72,9 @@ class SMSVPair:
     r2: float
 
     def __post_init__(self) -> None:
-        if not _finite_within(math.inf, self.r1, self.r2):
-            raise ValueError("squeezing magnitudes must be finite and >= 0")
+        if not _finite_within(MAX_SQUEEZING, self.r1, self.r2):
+            raise ValueError(
+                f"squeezing magnitudes must be finite, >= 0 and at most {MAX_SQUEEZING:g}")
 
     def elements(self) -> list[Element]:
         return [Squeeze(0, -self.r1), Squeeze(1, self.r2)]
@@ -88,8 +90,9 @@ class TMSV:
     r: float
 
     def __post_init__(self) -> None:
-        if not _finite_within(math.inf, self.r):
-            raise ValueError("squeezing magnitude must be finite and >= 0")
+        if not _finite_within(MAX_SQUEEZING, self.r):
+            raise ValueError(
+                f"squeezing magnitude must be finite, >= 0 and at most {MAX_SQUEEZING:g}")
 
     def elements(self) -> list[Element]:
         return [TwoModeSqueeze(0, 1, self.r)]

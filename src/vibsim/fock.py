@@ -23,7 +23,9 @@ block operator on the mode's (ket, bra) axes, O(cutoff^3) entries too.
 Every generator is tridiagonal within its blocks (the single-mode
 squeezer within each photon-number parity), so each block exponential is
 one real tridiagonal eigenproblem.  Blocks are applied to column panels
-small enough that BLAS runs each product on the calling thread.
+small enough that BLAS runs each product on the calling thread.  Every
+operator updates the state in place, one block's rows or one panel at a
+time, so a state is held once plus at most a cutoff-th of it.
 Operators are built per call: they are keyed by element parameters, which
 seldom repeat.  Only tables whose key does repeat are cached, read-only: the
 block layout and the binomial roots of the loss Kraus weights, which depend
@@ -199,6 +201,15 @@ def _passive_operator(w: np.ndarray, cutoff: int) -> _PairBlocks:
     )
 
 
+def _pair_matrix(op: _PairBlocks, cutoff: int) -> np.ndarray:
+    """The blocks of ``op`` placed on the flat pair states m1 * cutoff + m2."""
+    perm = op.index[0] * cutoff + op.index[1]
+    out = np.zeros((cutoff * cutoff,) * 2, dtype=op.blocks[0].dtype)
+    for lo, hi, block in zip(op.bounds, op.bounds[1:], op.blocks):
+        out[np.ix_(perm[lo:hi], perm[lo:hi])] = block
+    return out
+
+
 def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     """Truncated unitary of a circuit element on its own mode(s).
 
@@ -216,12 +227,7 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
         lower = -1j * complex(elem.alpha) * np.sqrt(np.arange(1.0, cutoff))
         return _expm_tridiagonal(np.zeros(cutoff), lower)
     if isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
-        (m1, m2), bounds, blocks = _pair_operator(elem, cutoff)
-        perm = m1 * cutoff + m2
-        out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
-        for lo, hi, block in zip(bounds, bounds[1:], blocks):
-            out[np.ix_(perm[lo:hi], perm[lo:hi])] = block
-        return out
+        return _pair_matrix(_pair_operator(elem, cutoff), cutoff)
     raise TypeError(f"{type(elem).__name__} has no unitary matrix")
 
 
@@ -309,12 +315,23 @@ class FockDensity:
         if len(shape) != 2 or shape[0] != dim or (self.factor is None and shape[1] != dim):
             raise ValueError(f"shape {shape} does not match {dim}")
         data.setflags(write=False)
-        # |X_ij|^2 as X X+ forms its diagonal: a ket's occupations are its density's
-        terms = data.diagonal()[:, None] if self.factor is None else data * data.conj()
-        tr = float(terms.sum().real)
+        if self.factor is None or shape[1] == 1:
+            # a density's diagonal, or a ket's |x|^2 in one array: the trace
+            # of a pure result is reported to the bit
+            terms = data.diagonal()[:, None] if self.factor is None else data * data.conj()
+            tr = float(terms.sum().real)
+            occupations = terms.real.sum(axis=1)
+        else:
+            # |X_ij|^2 as X X+ forms its diagonal, in panels of a cutoff-th of X
+            occupations = np.empty(dim)
+            step = max(1, dim // self.cutoff)
+            for lo in range(0, dim, step):
+                x = data[lo:lo + step]
+                occupations[lo:lo + step] = (x * x.conj()).real.sum(axis=1)
+            tr = float(occupations.sum())
         if not -1e-10 < tr < 1.0 + 1e-9:
             raise ValueError(f"trace {tr} is not a probability")
-        object.__setattr__(self, "_occupations", np.clip(terms.real.sum(axis=1), 0.0, None))
+        object.__setattr__(self, "_occupations", np.clip(occupations, 0.0, None))
         object.__setattr__(self, "_trace", tr)
 
     @property
@@ -361,40 +378,65 @@ _SERIAL_MNK = 1 << 16
 
 
 def _apply_single(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``op`` to axis ``axis`` of ``tensor`` one panel at a time: in
+    place for a square ``op``, into a new array for one that lengthens the
+    axis (the detector-noise convolution).  In place, a panel holds at most
+    a cutoff-th of the tensor, unless one column panel of one leading index
+    is more; the column panels are those of a whole-tensor update."""
     shape = tensor.shape
     # (before, axis, after): a view of a C-contiguous tensor, op acts on the middle
     grid = tensor.reshape(math.prod(shape[:axis]), shape[axis], -1)
-    out = np.empty(grid.shape[:1] + op.shape[:1] + grid.shape[2:], np.result_type(op, grid))
     width = max(1, (_SERIAL_MNK - 1) // op.size)
-    for start in range(0, grid.shape[2], width):
-        cols = slice(start, start + width)
-        np.matmul(op, grid[:, :, cols], out=out[:, :, cols])
+    if op.shape[0] == shape[axis]:
+        out = grid
+        batch = max(1, tensor.size // (shape[axis] ** 2 * min(width, grid.shape[2])))
+    else:
+        out = np.empty(grid.shape[:1] + op.shape[:1] + grid.shape[2:], np.result_type(op, grid))
+        batch = grid.shape[0]
+    for lo in range(0, grid.shape[0], batch):
+        for start in range(0, grid.shape[2], width):
+            panel = (slice(lo, lo + batch), slice(None), slice(start, start + width))
+            out[panel] = op @ grid[panel]
     return out.reshape(shape[:axis] + op.shape[:1] + shape[axis + 1:])
 
 
 def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.ndarray:
-    """Apply ``op`` to axes ``ax1`` and ``ax2`` of ``tensor``, in place."""
+    """Apply ``op`` to axes ``ax1`` and ``ax2`` of ``tensor``, in place: each
+    block's rows, at most a cutoff-th of the tensor, are gathered, updated
+    panel by panel and scattered back."""
     rest = tuple(a for a in range(tensor.ndim) if a not in (ax1, ax2))
     moved = np.transpose(tensor, (ax1, ax2) + rest)
-    flat = moved[op.index].reshape(op.index[0].size, -1)
     width = max(1, (_SERIAL_MNK - 1) // tensor.shape[ax1] ** 2)  # blocks are at most c x c
-    for start in range(0, flat.shape[1], width):
-        panel = flat[:, start:start + width]
-        for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
-            panel[lo:hi] = block @ panel[lo:hi]
-    moved[op.index] = flat.reshape(op.index[0].shape + moved.shape[2:])
+    for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
+        pairs = (op.index[0][lo:hi], op.index[1][lo:hi])
+        rows = moved[pairs].reshape(hi - lo, -1)
+        for start in range(0, rows.shape[1], width):
+            cols = slice(start, start + width)
+            rows[:, cols] = block @ rows[:, cols]
+        moved[pairs] = rows.reshape((hi - lo,) + moved.shape[2:])
+        del rows  # before the next block's gather, so one block's copy is alive
     return tensor
 
 
-#: state-sized arrays alive at once: the state and :func:`_apply_pair`'s
-#: gathered copy, or a factor and the two temporaries of its |X|^2
-_WORKING_COPIES = 3
+#: complex entries of numpy's iterator buffers, which a gather, a scatter or a
+#: broadcast product holds beside the state
+_BUFFER_ENTRIES = 1 << 14
 
 
-def _state_bytes(num_modes: int, cutoff: int, dense: bool) -> float:
-    """Bytes of the working copies of a ket, or of a density or a purification,
-    and of a block operator's build (a channel's peaks at 5 cutoff**3 entries)."""
-    entries = _WORKING_COPIES * cutoff ** (num_modes * (2 if dense else 1)) + 8 * cutoff**3
+def _state_bytes(num_modes: int, cutoff: int, kind: str) -> float:
+    """Bytes at the peak of a state's updates, for ``kind`` "ket",
+    "purification" or "density".  A ket is held three times: at the end, the
+    conjugate and the product that form its |x|^2.  A purification or a
+    density is held once, plus the cutoff-th of it that a block's rows or a
+    panel copy.  Beside it sit numpy's buffers and the largest operator
+    build: a channel's 6 cutoff**3 entries, which a replay's ket builds before
+    it densifies, or a pair unitary's cutoff**3 in a purification."""
+    if kind == "ket":
+        entries = 3 * cutoff**num_modes + 6 * cutoff**3
+    else:
+        state = cutoff ** (2 * num_modes)
+        entries = state + state // cutoff + (1 if kind == "purification" else 6) * cutoff**3
+    entries += _BUFFER_ENTRIES
     return 16.0 * entries if entries < 1e300 else math.inf
 
 
@@ -413,21 +455,21 @@ def _refuse_beyond_memory(what: str, need: float) -> None:
         )
 
 
-def _check_memory(num_modes: int, cutoff: int, dense: bool) -> None:
+def _check_memory(num_modes: int, cutoff: int, kind: str) -> None:
     """Refuse, before allocating, a state that would not fit in physical memory."""
     _refuse_beyond_memory(f"cutoff {cutoff} on {num_modes} modes",
-                          _state_bytes(num_modes, cutoff, dense))
+                          _state_bytes(num_modes, cutoff, kind))
 
 
 class _FockWorkspace:
     """Evolving state: a factor of its density until the first channel, then
     the density.  The factor is the vacuum ket, or the purification
     diag(sqrt(weights)) of a diagonal density with a trailing column axis
-    that unitaries leave alone.  The workspace owns its arrays: pair and
-    channel operators update them in place."""
+    that unitaries leave alone.  The workspace owns its arrays: every
+    operator updates them in place."""
 
     def __init__(self, num_modes: int, cutoff: int, weights: np.ndarray | None = None):
-        _check_memory(num_modes, cutoff, weights is not None)
+        _check_memory(num_modes, cutoff, "ket" if weights is None else "purification")
         self.num_modes = num_modes
         self.cutoff = cutoff
         self.rho: np.ndarray | None = None
@@ -440,7 +482,7 @@ class _FockWorkspace:
 
     def _densify(self) -> None:
         if self.vec is not None:
-            _check_memory(self.num_modes, self.cutoff, True)
+            _check_memory(self.num_modes, self.cutoff, "density")
             flat = self.vec.reshape(-1)
             self.rho = np.outer(flat, flat.conj()).reshape(
                 (self.cutoff,) * (2 * self.num_modes)

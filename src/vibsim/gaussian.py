@@ -49,6 +49,11 @@ PHYSICALITY_TOL = 1e-9
 #: of pure states squeezed up to r ~ 1.5 stays below it.
 _PURITY_TOL = 1e-12
 
+#: largest squeezing magnitude |r| a squeezer or a source may have: below it
+#: sinh(r)**2, cosh(2r) and a lone squeezer's covariance stay finite (cosh(2r)
+#: overflows from r = 355.3)
+MAX_SQUEEZING = 350.0
+
 
 class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty bound."""
@@ -131,6 +136,8 @@ def _validate_element(elem: Element, num_modes: int) -> None:
         raise ValueError(f"element acts twice on the same mode: {elem}")
     if isinstance(elem, (Squeeze, TwoModeSqueeze)) and not math.isfinite(elem.r):
         raise ValueError(f"non-finite squeezing parameter in {elem}")
+    if isinstance(elem, (Squeeze, TwoModeSqueeze)) and abs(elem.r) > MAX_SQUEEZING:
+        raise ValueError(f"squeezing parameter above {MAX_SQUEEZING:g} in magnitude in {elem}")
     if isinstance(elem, BeamSplitter) and not math.isfinite(elem.theta):
         raise ValueError(f"non-finite mixing angle in {elem}")
     if isinstance(elem, (Squeeze, BeamSplitter)) and not math.isfinite(elem.phase):

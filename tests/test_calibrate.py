@@ -21,7 +21,7 @@ from vibsim.calibrate import (
     read_histogram_csv,
     write_histogram_csv,
 )
-from vibsim.experiment import DetectorModel
+from vibsim.experiment import DetectorModel, _mixing_angle
 from vibsim.gaussian import BeamSplitter, GaussianCircuit, Loss, TwoModeSqueeze
 from vibsim.sampler import sample
 from vibsim.tables import CountHistogram
@@ -130,6 +130,11 @@ class TestCandidateInvariants:
         assert fock._binomial_roots.cache_info().hits > 0
         assert bits(fit_source(hist_t, hist_r, DET)) == bits(cold)
         assert _splitter.cache_info().hits > 0
+
+    @pytest.mark.parametrize("t", [1.0, 0.0, 0.3])
+    def test_splitter_is_the_squared_unitary(self, t):
+        u = fock.element_matrix(BeamSplitter(0, 1, _mixing_angle(t)), 12)
+        assert _splitter(t, 12).tobytes() == (u.real**2 + u.imag**2).tobytes()
 
     def test_cached_tables_are_read_only(self):
         tables = (*fock._binomial_roots(12), fock._convolution(0.002, 0.001, 12),

@@ -109,7 +109,17 @@ MALFORMED = {
         "kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
         "ground_freqs_cm1": [100.0, 200.0], "excited_freqs_cm1": [120.0, 180.0],
         "bs_angle": 0.3}},
+    # squeezing whose sinh(r)**2 or Fock generator would overflow
+    "huge-tmsv-r": {"experiment": paper_experiment_section(r=1e3)},
+    "huge-smsv-r1": {"experiment": {**paper_experiment_section(),
+                                    "source": {"kind": "smsv_pair", "r1": 1e3, "r2": 0.1}}},
+    "huge-squeeze": {"target": {"kind": "optical", "squeeze": [1e3, 0.2], "bs_angle": 0.3}},
+    "overflowing-squeeze": {"target": {"kind": "optical", "squeeze": [1e308, 0.2],
+                                       "bs_angle": 0.3}},
 }
+#: the command a case runs, where not ``optimize``: the one its value would overflow in
+MALFORMED_COMMAND = {"huge-tmsv-r": "simulate", "huge-smsv-r1": "simulate",
+                     "overflowing-squeeze": "ideal"}
 
 
 class TestConfigValidation:
@@ -153,10 +163,12 @@ class TestConfigValidation:
         path = write_config(tmp_path, target={"kind": "mystery"})
         assert main(["--config", str(path), "--out-dir", str(tmp_path), "ideal"]) == 2
 
-    @pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_malformed_value_exits_2(self, tmp_path, capsys, overrides):
-        path = write_config(tmp_path, **{"experiment": paper_experiment_section(), **overrides})
-        assert main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"]) == 2
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_value_exits_2(self, tmp_path, capsys, name):
+        path = write_config(tmp_path, **{"experiment": paper_experiment_section(),
+                                         **MALFORMED[name]})
+        command = MALFORMED_COMMAND.get(name, "optimize")
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), command]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     def test_empty_squeeze_exits_2(self, tmp_path, capsys):

@@ -69,6 +69,10 @@ class TestBuildCircuit:
             ExperimentModel(source=TMSV(0.5), bs_transmission=1.2)
         with pytest.raises(ValueError):
             ExperimentModel(source=SMSVPair(-0.1, 0.2), bs_transmission=0.5)
+        with pytest.raises(ValueError, match="at most 350"):  # sinh(r)**2 overflows from 355.6
+            TMSV(np.array([0.2, 356.0]))
+        with pytest.raises(ValueError, match="at most 350"):
+            SMSVPair(0.1, 1e3)
         with pytest.raises(ValueError):
             DetectorModel(dark_p1=1.5)
         with pytest.raises(ValueError):  # no geometric law has P(>= 1 count) = 1

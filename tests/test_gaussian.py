@@ -80,10 +80,16 @@ class TestElements:
         Loss(0, 1.4),
         ThermalMix(0, -0.1, 1.0),
         BeamSplitter(0, 0, 0.3),
+        Squeeze(0, -350.5),
+        TwoModeSqueeze(0, 1, 1e308),
     ])
     def test_invalid_elements_rejected(self, elem):
         with pytest.raises(ValueError):
             apply(vacuum(2), elem)
+
+    def test_squeezing_at_the_bound_is_accepted(self):
+        r = gaussian.MAX_SQUEEZING
+        assert GaussianCircuit(2, [Squeeze(0, -r), TwoModeSqueeze(0, 1, r)]).elements
 
     @pytest.mark.parametrize("elem", [
         BeamSplitter(0, 1, math.nan),
