@@ -44,11 +44,10 @@ class TomographyFit:
 @lru_cache(maxsize=4)
 def _splitter(bs_transmission: float, cutoff: int) -> np.ndarray:
     """|U|^2 of the beam splitter set to ``bs_transmission``, on flat pair
-    occupations, squared block by block.  Cached, since every fit asks for
+    occupations, squared entry by entry.  Cached, since every fit asks for
     the same two settings, and so read-only."""
-    op = fock._pair_operator(BeamSplitter(0, 1, _mixing_angle(bs_transmission)), cutoff)
-    squares = tuple(b.real**2 + b.imag**2 for b in op.blocks)
-    weights = fock._pair_matrix(op._replace(blocks=squares), cutoff)
+    u = fock.element_matrix(BeamSplitter(0, 1, _mixing_angle(bs_transmission)), cutoff)
+    weights = u.real**2 + u.imag**2
     weights.setflags(write=False)
     return weights
 

@@ -29,7 +29,7 @@ from .experiment import (
     parse_experiment,
     parse_target,
 )
-from .gaussian import PhysicalityError
+from .gaussian import PHYSICALITY_TOL, PhysicalityError, symplectic_eigenvalues
 from .optimize import (DEFAULT_BOUNDS, MONTE_CARLO_BYTES_PER_DRAW, loss_sweep,
                        monte_carlo_fidelity, optimize_experiment)
 from .tables import FCTable, is_sink
@@ -128,23 +128,38 @@ def _check_run(cfg: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` of integers and floats, the floats to 12 significant
+    digits; a non-finite float is refused before the file is opened."""
+    lines = [",".join(header)]
+    for row in rows:
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"non-finite number in a row of {path.name}: {row}")
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_table_csv(path: Path, table: FCTable, freqs: tuple[float, ...] | None) -> None:
-    modes = table.num_modes
-    header = [f"m{i + 1}" for i in range(modes)] + ["frequency_cm1", "probability"]
-    lines = [",".join(header)]
-    for outcome, p in table.items():
-        if is_sink(outcome):
-            continue
-        freq = float(np.dot(outcome, freqs)) if freqs else 0.0
-        lines.append(",".join([*(str(m) for m in outcome), _fmt(freq), _fmt(p)]))
-    path.write_text("\n".join(lines) + "\n")
+    header = [f"m{i + 1}" for i in range(table.num_modes)] + ["frequency_cm1", "probability"]
+    rows = [(*outcome, float(np.dot(outcome, freqs)) if freqs else 0.0, p)
+            for outcome, p in table.items() if not is_sink(outcome)]
+    _write_csv(path, header, rows)
+
+
+def _check_freqs(freqs: tuple[float, ...] | None, largest: int) -> None:
+    """Refuse excited frequencies whose sum over an outcome of up to
+    ``largest`` photons per mode overflows, as a table or a spectrum sums
+    them: the outcome (largest, ..., largest) bounds every such sum."""
+    if not freqs:
+        return
+    with np.errstate(over="ignore"):
+        top = float(np.dot((largest,) * len(freqs), np.abs(freqs)))
+    if not math.isfinite(top):
+        raise ConfigError(f"excited_freqs_cm1 {list(freqs)} overflow the frequency of an "
+                          f"outcome of up to {largest} photons per mode")
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +169,10 @@ def _write_table_csv(path: Path, table: FCTable, freqs: tuple[float, ...] | None
 
 def cmd_ideal(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
-    cutoff = cfg["cutoff"]
+    cutoff, freqs = cfg["cutoff"], cfg.get("excited_freqs")
+    _check_freqs(freqs, cutoff - 1)
     rho = fock.replay_fock(target.circuit(), cutoff, strict=False)
     table = fock.photon_distribution(rho)
-    freqs = cfg.get("excited_freqs")
     summary = {
         "cutoff": cutoff,
         "tail_mass": rho.tail_mass,
@@ -184,6 +199,8 @@ def cmd_simulate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     model: ExperimentModel = cfg["experiment"]
     cutoff, seed = cfg["cutoff"], cfg["seed"]
     observed = observed_distribution(model, cutoff)
+    # the detector noise lengthens each axis by the kernel's length less one
+    _check_freqs(cfg.get("excited_freqs"), cutoff + fock.noise_kernel(model.detector).size - 2)
     ideal = fc_factors(target, cutoff)
     f = model_fidelity(model, target)
     mc = monte_carlo_fidelity(
@@ -230,6 +247,13 @@ def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     template: ExperimentModel = cfg["experiment"]
     for name, value in asdict(template.source).items():
         _check_start(f"the experiment's {name}", value, name)
+    # a target is pure by construction; past float64's precision its state is not
+    drift = float(np.max(np.abs(symplectic_eigenvalues(target.state()) - 0.5)))
+    if not drift <= PHYSICALITY_TOL:
+        raise ConfigError(
+            f"the target's squeezing is too large for float64: a symplectic eigenvalue of its "
+            f"state lies {drift:.2e} from the pure state's 1/2, past {PHYSICALITY_TOL:g}"
+        )
     best, f_star = optimize_experiment(template, target)
     mc = monte_carlo_fidelity(
         best, target, cfg["uncertainties"], n=cfg["monte_carlo_samples"], seed=cfg["seed"]
@@ -277,10 +301,8 @@ def cmd_sweep_loss(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     delta = cfg["experiment"].distinguishability if "experiment" in cfg else SWEEP_DELTA
     threshold = metrics.closest_classical(target).classical_fidelity
     curves = loss_sweep(target, losses, cfg["detector"], delta)
-    lines = [",".join(["loss", *curves, "classical_threshold"])]
-    for row in zip(losses, *curves.values()):
-        lines.append(",".join(_fmt(v) for v in (*row, threshold)))
-    (out_dir / "loss_sweep.csv").write_text("\n".join(lines) + "\n")
+    rows = [(*row, threshold) for row in zip(losses, *curves.values())]
+    _write_csv(out_dir / "loss_sweep.csv", ["loss", *curves, "classical_threshold"], rows)
     return EXIT_OK
 
 

@@ -127,9 +127,8 @@ class _PairBlocks(NamedTuple):
 
     ``index`` lists the pair states (m1, m2) block by block; block ``k``
     occupies entries ``bounds[k]:bounds[k + 1]`` and acts there as
-    ``blocks[k]``.  Each operator owns its ``index`` arrays: sharing the
-    cached layout's arrays raised the peak resident size of cutoff-30
-    replays by about 10 MB, through glibc's heap placement.
+    ``blocks[k]``.  ``index`` and ``bounds`` are the cached
+    :func:`_block_layout`.
     """
 
     index: tuple[np.ndarray, np.ndarray]
@@ -141,10 +140,10 @@ class _PairBlocks(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _block_layout(cutoff: int, difference: bool) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Pair indices ``m1 * cutoff + m2`` grouped by m1 + m2, or by m1 - m2
-    when ``difference``, in increasing m1 within each group, and the group
-    bounds."""
+def _block_layout(cutoff: int, difference: bool) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+    """Pair states (m1, m2) grouped by m1 + m2, or by m1 - m2 when
+    ``difference``, in increasing m1 within each group, and the group
+    bounds; the arrays are read-only."""
     levels = np.arange(cutoff)
     values = range(1 - cutoff, cutoff) if difference else range(2 * cutoff - 1)
     perm, bounds = [], [0]
@@ -153,9 +152,10 @@ def _block_layout(cutoff: int, difference: bool) -> tuple[np.ndarray, tuple[int,
         inside = (m2 >= 0) & (m2 < cutoff)
         perm.append(levels[inside] * cutoff + m2[inside])
         bounds.append(bounds[-1] + perm[-1].size)
-    perm_arr = np.concatenate(perm)
-    perm_arr.setflags(write=False)
-    return perm_arr, tuple(bounds)
+    index = np.divmod(np.concatenate(perm), cutoff)
+    for arr in index:
+        arr.setflags(write=False)
+    return index, tuple(bounds)
 
 
 def _pair_blocks(
@@ -169,8 +169,7 @@ def _pair_blocks(
     block per value of the conserved quantity holds its pair states in
     increasing m1, on which G is tridiagonal.
     """
-    perm, bounds = _block_layout(cutoff, squeezer)
-    index = np.divmod(perm, cutoff)
+    index, bounds = _block_layout(cutoff, squeezer)
     blocks = []
     for lo, hi in zip(bounds, bounds[1:]):
         m1, m2 = index[0][lo:hi], index[1][lo:hi]
@@ -201,15 +200,6 @@ def _passive_operator(w: np.ndarray, cutoff: int) -> _PairBlocks:
     )
 
 
-def _pair_matrix(op: _PairBlocks, cutoff: int) -> np.ndarray:
-    """The blocks of ``op`` placed on the flat pair states m1 * cutoff + m2."""
-    perm = op.index[0] * cutoff + op.index[1]
-    out = np.zeros((cutoff * cutoff,) * 2, dtype=op.blocks[0].dtype)
-    for lo, hi, block in zip(op.bounds, op.bounds[1:], op.blocks):
-        out[np.ix_(perm[lo:hi], perm[lo:hi])] = block
-    return out
-
-
 def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
     """Truncated unitary of a circuit element on its own mode(s).
 
@@ -227,7 +217,12 @@ def element_matrix(elem: Element, cutoff: int) -> np.ndarray:
         lower = -1j * complex(elem.alpha) * np.sqrt(np.arange(1.0, cutoff))
         return _expm_tridiagonal(np.zeros(cutoff), lower)
     if isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
-        return _pair_matrix(_pair_operator(elem, cutoff), cutoff)
+        op = _pair_operator(elem, cutoff)
+        perm = op.index[0] * cutoff + op.index[1]
+        out = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
+        for lo, hi, block in zip(op.bounds, op.bounds[1:], op.blocks):
+            out[np.ix_(perm[lo:hi], perm[lo:hi])] = block
+        return out
     raise TypeError(f"{type(elem).__name__} has no unitary matrix")
 
 
@@ -268,7 +263,8 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     k, n, root = _binomial_roots(cutoff)
     loss, amp = np.zeros((2, 2 * cutoff - 1, cutoff + 1))
     loss[cutoff - 1 - k, n + k] = _loss_kraus(transmission, cutoff)[n, n + k]
-    amp[cutoff - 1 + k, n] = root * th**k / ch ** (n + 1)
+    with np.errstate(over="ignore"):  # cosh(s)^(n + 1) past the float range weighs 0
+        amp[cutoff - 1 + k, n] = root * th**k / ch ** (n + 1)
 
     # all blocks at once, zero-padded to cutoff x cutoff: block d holds the
     # (ket, bra) states (n0 + j, m0 + j), n0 - m0 = d, for j < cutoff - |d|,
@@ -280,8 +276,7 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     bra = row + np.minimum(np.maximum(-diff, 0) + levels, cutoff)[:, None, :]
     prod = (amp.take(ket) * amp.take(bra)) @ (loss.take(ket) * loss.take(bra))
     blocks = tuple(p[:s, :s].astype(complex) for p, s in zip(prod, cutoff - np.abs(diff[:, 0])))
-    perm, bounds = _block_layout(cutoff, True)
-    return _PairBlocks(np.divmod(perm, cutoff), bounds, blocks)
+    return _PairBlocks(*_block_layout(cutoff, True), blocks)
 
 
 def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:

@@ -393,9 +393,10 @@ def _unphysical(nu_min: float, cov: np.ndarray) -> bool:
     """Whether ``nu_min`` is below 1/2 by more than PHYSICALITY_TOL and by
     more than 4 eps·max|V|², the scale of the rounding of ``eigvals`` on
     1j·Ω·V (past 1e-9 for pure states squeezed beyond r ~ 5)."""
-    return nu_min < 0.5 - PHYSICALITY_TOL and (
-        nu_min < 0.5 - 4.0 * np.finfo(float).eps * float(np.max(np.abs(cov))) ** 2
-    )
+    if nu_min >= 0.5 - PHYSICALITY_TOL:
+        return False
+    scale = float(np.max(np.abs(cov)))  # squared by a product, which overflows to inf
+    return nu_min < 0.5 - 4.0 * np.finfo(float).eps * (scale * scale)
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

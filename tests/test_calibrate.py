@@ -133,12 +133,20 @@ class TestCandidateInvariants:
 
     @pytest.mark.parametrize("t", [1.0, 0.0, 0.3])
     def test_splitter_is_the_squared_unitary(self, t):
-        u = fock.element_matrix(BeamSplitter(0, 1, _mixing_angle(t)), 12)
-        assert _splitter(t, 12).tobytes() == (u.real**2 + u.imag**2).tobytes()
+        # the blockwise route: each block of the pair operator squared and
+        # placed on the flat pair occupations by the layout
+        for cutoff in (6, 12, 14):
+            op = fock._pair_operator(BeamSplitter(0, 1, _mixing_angle(t)), cutoff)
+            perm = op.index[0] * cutoff + op.index[1]
+            expected = np.zeros((cutoff * cutoff,) * 2)
+            for lo, hi, block in zip(op.bounds, op.bounds[1:], op.blocks):
+                expected[np.ix_(perm[lo:hi], perm[lo:hi])] = block.real**2 + block.imag**2
+            assert _splitter(t, cutoff).tobytes() == expected.tobytes()
 
     def test_cached_tables_are_read_only(self):
         tables = (*fock._binomial_roots(12), fock._convolution(0.002, 0.001, 12),
-                  _splitter(1.0, 12))
+                  _splitter(1.0, 12), *fock._block_layout(12, False)[0],
+                  *fock._block_layout(12, True)[0])
         for arr in tables:
             with pytest.raises(ValueError):
                 arr[0] = 1

@@ -3,11 +3,12 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from vibsim import fock
+from vibsim import cli, fock
 from vibsim.calibrate import write_histogram_csv
 from vibsim.cli import main
 from vibsim.experiment import DetectorModel
@@ -454,6 +455,72 @@ class TestOptimize:
         assert main(["--config", str(path2), "--out-dir", str(tmp_path), "simulate"]) == 0
         report = json.loads((tmp_path / "simulate_report.json").read_text())
         assert report["fidelity"] == pytest.approx(result["f_star"], abs=1e-9)
+
+
+def run_quietly(argv, capsys) -> tuple[int, str]:
+    """:func:`main`'s exit code and stderr; it may raise no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert not caught and "Warning" not in err and "Traceback" not in err
+    return code, err
+
+
+class TestOverflowingInputs:
+    """Inputs whose numbers overflow float64 exit 2 or 3 before an artefact
+    holds a non-finite number, and without a warning."""
+
+    @pytest.mark.parametrize("command", ["ideal", "simulate"])
+    @pytest.mark.parametrize("freqs", [[1e308, 110.0], [-1e308, -1e308]])
+    def test_frequencies_that_overflow_exit_2(self, tmp_path, capsys, command, freqs):
+        target = {"kind": "optical", "squeeze": [-0.72, 0.19], "bs_angle": 0.3295,
+                  "excited_freqs_cm1": freqs}
+        path = write_config(tmp_path, cutoff=20, target=target,
+                            experiment=paper_experiment_section(r=0.5, t=0.5))
+        out = tmp_path / "out"
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(out), command], capsys)
+        assert code == 2 and "excited_freqs_cm1" in err
+        assert not any(out.iterdir())
+
+    def test_detector_noise_lengthens_the_outcomes_checked(self, tmp_path, capsys):
+        # 19 photons per mode fit 9e306, the 26 of a noisy count grid do not
+        target = {"kind": "optical", "squeeze": [-0.72, 0.19], "bs_angle": 0.3295,
+                  "excited_freqs_cm1": [9e306, 110.0]}
+        path = write_config(tmp_path, cutoff=20, target=target,
+                            experiment=paper_experiment_section(r=0.5, t=0.5))
+        code, _ = run_quietly(["--config", str(path), "--out-dir", str(tmp_path), "ideal"], capsys)
+        assert code == 0
+        freqs = [float(r["frequency_cm1"]) for r in read_csv_rows(tmp_path / "ideal_table.csv")]
+        assert max(freqs) == 19 * 9e306
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(tmp_path / "sim"),
+                                 "simulate"], capsys)
+        assert code == 2 and "up to 26 photons per mode" in err
+
+    @pytest.mark.parametrize("r", [12.0, 16.0, 19.0, 20.0, 350.0])
+    def test_target_beyond_float_precision_exits_2(self, tmp_path, capsys, r):
+        target = {"kind": "optical", "squeeze": [-r, 0.19], "bs_angle": 0.3295}
+        path = write_config(tmp_path, target=target,
+                            experiment=paper_experiment_section(r=0.5, t=0.5))
+        out = tmp_path / "out"
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(out), "optimize"], capsys)
+        assert code == 2 and "symplectic eigenvalue" in err
+        assert not any(out.iterdir())
+
+    def test_amplifier_gain_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # cosh(s)^(n + 1) overflows: its weight is the limit 0
+        path = write_config(tmp_path, cutoff=16, experiment=paper_experiment_section(r=50.0))
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(tmp_path), "simulate"],
+                                capsys)
+        assert code == 3 and "cutoff 16 too small" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_writers_refuse_non_finite_numbers(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["m1", "p"], [(0, 0.5), (1, bad)])
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "t.json", {"p": bad})
+        assert not any(tmp_path.iterdir())
 
 
 class TestSweepLoss:

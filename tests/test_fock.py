@@ -199,6 +199,20 @@ class TestBlockOperators:
         held = sum(a.nbytes for a in (*op.index, *op.blocks))
         assert held / np.dtype(complex).itemsize < cutoff**4 / 10
 
+    def test_operators_hold_the_cached_layout(self):
+        # every pair operator and channel of one cutoff reads the one cached
+        # index of its conserved quantity, not a copy
+        w = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        ops = {False: [fock._pair_operator(BeamSplitter(0, 1, 0.4, 0.3), self.cutoff),
+                       fock._passive_operator(w, self.cutoff)],
+               True: [fock._pair_operator(TwoModeSqueeze(0, 1, 0.2), self.cutoff),
+                      fock._channel(0.7, 1.0, self.cutoff), fock._channel(0.6, 1.2, self.cutoff)]}
+        for difference, group in ops.items():
+            index, bounds = fock._block_layout(self.cutoff, difference)
+            for op in group + [op.conj() for op in group]:
+                assert op.index[0] is index[0] and op.index[1] is index[1]
+                assert op.bounds is bounds
+
     def test_replays_retain_no_operators(self):
         # operators are keyed by element parameters, which seldom repeat:
         # only the tables keyed by the cutoff may outlive a replay

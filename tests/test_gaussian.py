@@ -230,6 +230,10 @@ class TestPhysicalityTolerance:
             assert not gaussian._unphysical(0.5 - 0.99 * tol, cov)
         assert not gaussian._unphysical(0.5 - 1.01 * tol, 2000.0 * np.eye(4))
 
+    def test_scale_past_the_float_range(self):
+        # max|V|² overflows to inf, which forgives any rounding, rather than raising
+        assert not gaussian._unphysical(0.0, 1e200 * np.eye(4))
+
 
 def apply_fold(circuit):
     """Reference replay: the public :func:`apply`, element by element."""
