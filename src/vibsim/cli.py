@@ -30,8 +30,8 @@ from .experiment import (
     parse_target,
 )
 from .gaussian import PHYSICALITY_TOL, PhysicalityError, symplectic_eigenvalues
-from .optimize import (DEFAULT_BOUNDS, MONTE_CARLO_BYTES_PER_DRAW, loss_sweep,
-                       monte_carlo_fidelity, optimize_experiment)
+from .optimize import (DEFAULT_BOUNDS, MONTE_CARLO_BYTES_PER_DRAW, MonteCarloResult,
+                       loss_sweep, monte_carlo_fidelity, optimize_experiment)
 from .tables import FCTable, is_sink
 from .vibronic import OpticalTarget, fc_factors, spectrum
 
@@ -170,8 +170,9 @@ def _check_freqs(freqs: tuple[float, ...] | None, largest: int) -> None:
 def cmd_ideal(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
     cutoff, freqs = cfg["cutoff"], cfg.get("excited_freqs")
-    _check_freqs(freqs, cutoff - 1)
+    # the replay's memory guard refuses first a cutoff past the float range
     rho = fock.replay_fock(target.circuit(), cutoff, strict=False)
+    _check_freqs(freqs, cutoff - 1)
     table = fock.photon_distribution(rho)
     summary = {
         "cutoff": cutoff,
@@ -194,6 +195,16 @@ def cmd_ideal(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return EXIT_OK if summary["converged"] else EXIT_CONVERGENCE
 
 
+def _monte_carlo(model: ExperimentModel, target: OpticalTarget, cfg: dict) -> MonteCarloResult:
+    """:func:`monte_carlo_fidelity` of the config's uncertainties; draws that
+    it cannot evaluate are the config's error."""
+    try:
+        return monte_carlo_fidelity(model, target, cfg["uncertainties"],
+                                    n=cfg["monte_carlo_samples"], seed=cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_simulate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
     model: ExperimentModel = cfg["experiment"]
@@ -203,9 +214,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     _check_freqs(cfg.get("excited_freqs"), cutoff + fock.noise_kernel(model.detector).size - 2)
     ideal = fc_factors(target, cutoff)
     f = model_fidelity(model, target)
-    mc = monte_carlo_fidelity(
-        model, target, cfg["uncertainties"], n=cfg["monte_carlo_samples"], seed=seed
-    )
+    mc = _monte_carlo(model, target, cfg)
     eps_stat = 0.0
     if cfg["shots"] > 0:
         hist = sampler.sample(observed, cfg["shots"], seed)
@@ -255,9 +264,7 @@ def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
             f"state lies {drift:.2e} from the pure state's 1/2, past {PHYSICALITY_TOL:g}"
         )
     best, f_star = optimize_experiment(template, target)
-    mc = monte_carlo_fidelity(
-        best, target, cfg["uncertainties"], n=cfg["monte_carlo_samples"], seed=cfg["seed"]
-    )
+    mc = _monte_carlo(best, target, cfg)
     payload = {
         "t_star": best.bs_transmission,
         "f_star": f_star,

@@ -280,6 +280,14 @@ def check_keys(obj: dict, where: str, required: set[str], optional: set[str]) ->
         raise ValueError(f"missing field(s) in {where}: {', '.join(sorted(missing))}")
 
 
+#: largest magnitude of a target's beam-splitter angle and of each part of its
+#: displacement, the couplings of its ladder-operator generators.  A displacement
+#: of 1e6 holds 1e12 photons on average, past any cutoff that memory holds, and
+#: float64 still resolves an angle of 1e6 to 1e-10; 1e308 overflowed the Fock
+#: generators (a coupling times up to the cutoff) and the fidelity's quadratic
+#: form in the displacement
+MAX_COUPLING = 1e6
+
 #: the required and the optional fields of each target kind besides its ``kind``
 _TARGET_FIELDS = {
     "optical": ({"squeeze"}, {"bs_angle", "displacement", "excited_freqs_cm1"}),
@@ -313,7 +321,9 @@ def parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
             raise ValueError("target excited_freqs_cm1 must be finite")
         if freqs and len(freqs) != len(squeeze):
             raise ValueError("excited_freqs_cm1 needs one frequency per mode")
-        return OpticalTarget(squeeze, interferometer, disp), freqs or None
+        target = OpticalTarget(squeeze, interferometer, disp)
+        _check_couplings(obj)
+        return target, freqs or None
     disp = obj.get("displacement")
     transition = VibronicTransition(
         duschinsky=np.array(obj["duschinsky"], dtype=float),
@@ -321,7 +331,16 @@ def parse_target(obj: dict) -> tuple[OpticalTarget, tuple[float, ...] | None]:
         excited_freqs=np.array(obj["excited_freqs_cm1"], dtype=float),
         displacement=np.array(disp, dtype=float) if disp else None,
     )
+    _check_couplings(obj)
     return doktorov_decompose(transition), tuple(transition.excited_freqs.tolist())
+
+
+def _check_couplings(obj: dict) -> None:
+    """Refuse a target section's ``bs_angle`` or ``displacement`` value beyond
+    MAX_COUPLING in magnitude; the target, built first, refuses non-finite ones."""
+    for name in ("bs_angle", "displacement"):
+        if np.any(np.abs(np.asarray(obj.get(name, []), dtype=float)) > MAX_COUPLING):
+            raise ValueError(f"target {name} {obj[name]} lies beyond ±{MAX_COUPLING:g}")
 
 
 def parse_experiment(obj: dict) -> ExperimentModel:

@@ -32,8 +32,10 @@ block layout and the binomial roots of the loss Kraus weights, which depend
 only on the cutoff, and the detector-noise convolution, which depends only on
 the detector and the cutoff, so a source fit builds each once rather than once
 per candidate.
-Importing the package loads numpy only; scipy loads with the first block
-build or Williamson/Bloch-Messiah call.
+Importing the package loads numpy only, and so does every block exponential:
+numpy's ``eigh`` solves each tridiagonal block.  scipy loads with the first
+passive mixing or Williamson/Bloch-Messiah call, that is with
+:func:`gaussian_to_fock`.
 """
 
 from __future__ import annotations
@@ -96,19 +98,18 @@ class FockMemoryError(MemoryError):
 def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """exp(iH) for the Hermitian tridiagonal H with real diagonal ``diag``
     and subdiagonal ``lower``, via H = D T D+ with a diagonal phase D and
-    T real: the dense Hermitian eigensolver wakes BLAS threads even at 30 x 30.
-    T goes straight to LAPACK's ?stevd, the driver ``eigh_tridiagonal``
-    picks, without that wrapper's checks, which cost more than the solve."""
+    T real symmetric tridiagonal.  numpy's real ``eigh`` (LAPACK's ?syevd)
+    solves T, so no Fock operator loads scipy, and it gives the bits of
+    LAPACK's tridiagonal solver ?stevd on every block the operators build:
+    ?sytrd's reflectors on an already tridiagonal T have zero weight and
+    leave it as it is, and both routines hand it to the same ?stedc, even
+    at size 1."""
     gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(lower)))))
-    w = np.asarray(diag, dtype=float)
-    if w.size == 1:
-        v = np.ones((1, 1))
-    else:
-        from scipy.linalg import lapack
-
-        w, v, info = lapack.dstevd(w, np.abs(lower))
-        if info:
-            raise np.linalg.LinAlgError(f"dstevd failed (info {info})")
+    n = len(diag)
+    t = np.zeros(n * n)
+    t[:: n + 1] = diag
+    t[n:: n + 1] = np.abs(lower)  # the subdiagonal: eigh reads the lower triangle only
+    w, v = np.linalg.eigh(t.reshape(n, n))
     return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
 
 

@@ -17,6 +17,7 @@ from .experiment import (
     model_fidelities,
 )
 from .fixtures import IDEAL_BS_TRANSMISSION
+from .gaussian import MAX_SQUEEZING
 from .vibronic import OpticalTarget
 
 __all__ = [
@@ -229,7 +230,8 @@ def monte_carlo_fidelity(
 
     Exactly-unit transmissions and zero distinguishability are treated as
     "not part of the model" rather than characterized values, and are not
-    perturbed.
+    perturbed.  Draws of squeezing above ``MAX_SQUEEZING``, or any whose
+    fidelity overflows float64, raise a ``ValueError`` that names ``sigma_r``.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -246,10 +248,21 @@ def monte_carlo_fidelity(
     with np.errstate(over="ignore"):  # a huge sigma draws inf, as float arithmetic does
         perturbed = values + sigma * z
     clamped = _clamp(perturbed, 0.0, np.array([math.inf] * k + [1.0] * 6))
-    samples = model_fidelities(
-        model, target, **dict(zip(source, clamped.T)), bs_transmission=clamped[:, k],
-        loss_pre=clamped[:, k + 1:k + 3], loss_post=clamped[:, k + 3:k + 5],
-        distinguishability=clamped[:, -1])
+    # sigma_r is the one spread that no clamp bounds: check its draws before evaluating any
+    top = float(clamped[:, :k].max())
+    drawn_r = f"uncertainties.sigma_r = {unc.sigma_r:g} draws squeezing up to {top:.4g}"
+    if not top <= MAX_SQUEEZING:
+        raise ValueError(f"{drawn_r}; a squeezing magnitude must be finite, >= 0 and at most "
+                         f"{MAX_SQUEEZING:g}")
+    try:
+        # a singular solve or an overflow: a draw squeezed past what float64 holds
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            samples = model_fidelities(
+                model, target, **dict(zip(source, clamped.T)), bs_transmission=clamped[:, k],
+                loss_pre=clamped[:, k + 1:k + 3], loss_post=clamped[:, k + 3:k + 5],
+                distinguishability=clamped[:, -1])
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise ValueError(f"{drawn_r}, past what float64 holds of a fidelity: {exc}") from None
     clamps = int(np.count_nonzero(clamped != perturbed))
 
     return MonteCarloResult(

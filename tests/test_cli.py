@@ -11,7 +11,7 @@ import pytest
 from vibsim import cli, fock
 from vibsim.calibrate import write_histogram_csv
 from vibsim.cli import main
-from vibsim.experiment import DetectorModel
+from vibsim.experiment import MAX_COUPLING, DetectorModel
 from vibsim.tables import CountHistogram
 
 
@@ -513,6 +513,63 @@ class TestOverflowingInputs:
         code, err = run_quietly(["--config", str(path), "--out-dir", str(tmp_path), "simulate"],
                                 capsys)
         assert code == 3 and "cutoff 16 too small" in err
+
+    def test_cutoff_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # the memory guard refuses it before any frequency is summed
+        path = write_config(tmp_path, **{**README_CONFIG, "cutoff": 10**400})
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(tmp_path), "ideal"],
+                                capsys)
+        assert code == 2 and "bytes" in err
+
+    @pytest.mark.parametrize("config, command, sigma_r, samples", [
+        ("readme", "simulate", 1e3, 3), ("readme", "optimize", 1e3, 3),
+        ("readme", "simulate", 1e308, 3), ("readme", "optimize", 1e308, 3),
+        ("readme", "simulate", 2**63, 3), ("readme", "optimize", 2**63, 3),
+        ("optical", "optimize", 1e3, 3),
+        # below the squeezing bound, but past float64 in the fidelity's
+        # determinant (TMSV) or its solve (SMSV pair)
+        ("readme", "optimize", 50.0, 100), ("optical", "optimize", 10.0, 100),
+    ])
+    def test_monte_carlo_draws_past_the_model_exit_2(self, tmp_path, capsys, config, command,
+                                                     sigma_r, samples):
+        base = {"readme": README_CONFIG, "optical": OPTICAL_CONFIG}[config]
+        path = write_config(tmp_path, **{**base, "monte_carlo_samples": samples,
+                                         "uncertainties": {"sigma_r": sigma_r}})
+        out = tmp_path / "out"
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(out), command], capsys)
+        assert code == 2 and "uncertainties.sigma_r" in err and len(err.splitlines()) == 1
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["ideal", "simulate", "optimize", "sweep-loss"])
+    @pytest.mark.parametrize("field, value", [
+        ("bs_angle", 1e308), ("bs_angle", -1e308), ("bs_angle", 1e17),
+        ("displacement", [[1e308, 0.0], [0.0, 0.15]]),
+        ("displacement", [[0.1, -0.2], [0.0, -1e308]]),
+    ])
+    def test_couplings_past_the_bound_exit_2(self, tmp_path, capsys, command, field, value):
+        target = {**OPTICAL_CONFIG["target"], field: value}
+        path = write_config(tmp_path, **{**OPTICAL_CONFIG, "target": target})
+        argv = [command] + (["--grid", "0,0.5"] if command == "sweep-loss" else [])
+        out = tmp_path / "out"
+        code, err = run_quietly(["--config", str(path), "--out-dir", str(out), *argv], capsys)
+        assert code == 2 and f"target {field}" in err
+        assert not out.exists()  # refused while the config is read
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("optical", "bs_angle", 1.0), ("optical", "displacement", [[1.0, 0.0], [0.0, -1.0]]),
+        ("transition", "displacement", [1.0, 0.0]),
+    ])
+    def test_couplings_at_the_bound_run(self, tmp_path, capsys, kind, field, value):
+        target = {"optical": OPTICAL_CONFIG["target"],
+                  "transition": {"kind": "transition", "duschinsky": [[1.0, 0.0], [0.0, 1.0]],
+                                 "ground_freqs_cm1": [100.0, 200.0],
+                                 "excited_freqs_cm1": [120.0, 180.0]}}[kind]
+        for scale, codes in ((MAX_COUPLING, (0, 3)), (np.nextafter(MAX_COUPLING, math.inf), (2,))):
+            scaled = np.multiply(value, scale).tolist()
+            path = write_config(tmp_path, **{**OPTICAL_CONFIG, "target": {**target, field: scaled}})
+            code, err = run_quietly(["--config", str(path), "--out-dir", str(tmp_path), "ideal"],
+                                    capsys)
+            assert code in codes, err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_writers_refuse_non_finite_numbers(self, tmp_path, bad):

@@ -565,6 +565,50 @@ class TestBlockUpdateBits:
         assert abs(rho.trace - whole) <= 4 * np.spacing(whole)
 
 
+def _stevd_expm(diag, lower):
+    """The earlier block exponential: T solved by LAPACK's tridiagonal
+    solver ?stevd, through scipy, and the size-1 block by hand."""
+    gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(lower)))))
+    w = np.asarray(diag, dtype=float)
+    if w.size == 1:
+        v = np.ones((1, 1))
+    else:
+        w, v, info = la.lapack.dstevd(w, np.abs(lower))
+        assert info == 0
+    return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
+
+
+class TestBlockExponentialBits:
+    """numpy's dense ``eigh`` of a real tridiagonal T gives the bits of the
+    tridiagonal solver, on both ?stedc paths (QR up to 25, divide and
+    conquer above), so the exponentials of every operator keep them."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_random_tridiagonals(self, n):
+        rng = np.random.default_rng([n, 23])
+        for diag_scale in (0.0, 1.0, 10.0):
+            for lower_scale in (1e-3, 1.0, 1e2):
+                diag = diag_scale * rng.normal(size=n) if diag_scale else np.zeros(n)
+                lower = lower_scale * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+                got = fock._expm_tridiagonal(diag, lower)
+                assert _bits(got) == _bits(_stevd_expm(diag, lower))
+
+    @pytest.mark.parametrize("cutoff", [2, 12, 24, 26, 30])
+    def test_operator_blocks(self, cutoff, monkeypatch):
+        w, _ = np.linalg.qr(np.array([[0.3 + 0.8j, -0.5], [0.2j, 0.9 - 0.1j]]))
+
+        def build():
+            return [*fock._pair_blocks(0.7 * np.exp(1.1j), 0.0, 0.0, False, cutoff).blocks,
+                    *fock._pair_blocks(0.4, 0.0, 0.0, True, cutoff).blocks,
+                    *fock._passive_operator(w, cutoff).blocks,
+                    fock._squeeze_matrix(0.6, 0.4, cutoff), fock._tmsv_amplitudes(0.5, cutoff),
+                    element_matrix(Displace(0, 0.5 - 0.2j), cutoff)]
+
+        got = build()
+        monkeypatch.setattr(fock, "_expm_tridiagonal", _stevd_expm)
+        assert [_bits(a) for a in got] == [_bits(b) for b in build()]
+
+
 def _route(kind, num_modes, cutoff):
     """A call that holds a ``kind`` state of ``num_modes`` modes, with every
     operator that state meets on its way, on the last mode too."""

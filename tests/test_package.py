@@ -1,6 +1,6 @@
 """Every public name the package declares resolves, every definition has
-a reader, and importing the package or running a Gaussian-only command
-loads no scipy.
+a reader, and importing the package or running any command loads no
+scipy.
 
 Profiling tools find the functions to time through each module's
 ``__all__``, so a name moved or renamed without its entry would vanish
@@ -157,27 +157,52 @@ def test_import_loads_no_scipy():
     assert run_fresh(f"import sys, vibsim, vibsim.cli; print({SCIPY_LOADED})") == "False\n"
 
 
-def test_gaussian_commands_load_no_scipy(tmp_path):
+def test_cli_commands_load_no_scipy(tmp_path):
+    from vibsim.calibrate import predicted_distribution, write_histogram_csv
     from vibsim.cli import main
+    from vibsim.experiment import DetectorModel
+    from vibsim.sampler import sample
 
     config = tmp_path / "config.json"
     config.write_text(readme_config())
+    pair = [tmp_path / "trans.csv", tmp_path / "refl.csv"]
+    for path, t in zip(pair, (1.0, 0.0)):
+        table = predicted_distribution(0.3, (0.45, 0.40), t, DetectorModel(), 12)
+        write_histogram_csv(sample(table, 20_000, seed=int(t)), path)
+    runs = {"ideal": ["ideal"], "simulate": ["simulate"], "optimize": ["optimize"],
+            "sweep": ["sweep-loss", "--grid", "0:0.95:4"],
+            "tomography": ["tomography", *map(str, pair)]}
     code = f"""
 import json, sys
 from vibsim.cli import main
 config, out = sys.argv[1:]
-codes = [main(["--config", config, "--out-dir", out + "/optimize", "optimize"]),
-         main(["--config", config, "--out-dir", out + "/sweep", "sweep-loss", "--grid", "0:0.95:4"])]
+runs = {runs!r}
+codes = [main(["--config", config, "--out-dir", out + "/" + name, *argv])
+         for name, argv in runs.items()]
 loaded = {SCIPY_LOADED}
-codes.append(main(["--config", config, "--out-dir", out + "/ideal", "ideal"]))
-print(json.dumps([codes, loaded]))
+from vibsim.fock import gaussian_to_fock, photon_distribution
+from vibsim.gaussian import BeamSplitter, GaussianCircuit, Squeeze, ThermalMix, replay
+mixed = replay(GaussianCircuit(2, [Squeeze(0, 0.4), ThermalMix(1, 0.3, 0.2),
+                                   BeamSplitter(0, 1, 0.5, 0.2)]))
+table = photon_distribution(gaussian_to_fock(mixed, 10))
+print(json.dumps([codes, loaded, {SCIPY_LOADED}, sorted(table.entries.items())]))
 """
     out = run_fresh(code, str(config), str(tmp_path / "fresh"))
-    codes, loaded = json.loads(out.splitlines()[-1])
-    assert codes == [0, 0, 0] and not loaded
-    assert main(["--config", str(config), "--out-dir", str(tmp_path / "here"), "ideal"]) == 0
-    fresh = sorted(p.name for p in (tmp_path / "fresh" / "ideal").iterdir())
-    assert fresh == sorted(p.name for p in (tmp_path / "here").iterdir()) and fresh
-    for name in fresh:
-        assert ((tmp_path / "fresh" / "ideal" / name).read_bytes()
-                == (tmp_path / "here" / name).read_bytes())
+    codes, loaded, loaded_by_synthesis, entries = json.loads(out.splitlines()[-1])
+    assert codes == [0] * len(runs) and not loaded and loaded_by_synthesis
+    # a mixed state's synthesis then loads scipy, and gives the in-process table
+    from vibsim.fock import gaussian_to_fock, photon_distribution
+    from vibsim.gaussian import BeamSplitter, GaussianCircuit, Squeeze, ThermalMix, replay
+
+    mixed = replay(GaussianCircuit(2, [Squeeze(0, 0.4), ThermalMix(1, 0.3, 0.2),
+                                       BeamSplitter(0, 1, 0.5, 0.2)]))
+    table = photon_distribution(gaussian_to_fock(mixed, 10))
+    assert entries == json.loads(json.dumps(sorted(table.entries.items())))
+    for name, argv in runs.items():
+        here = tmp_path / "here" / name
+        assert main(["--config", str(config), "--out-dir", str(here), *argv]) == 0
+        fresh = sorted(p.name for p in (tmp_path / "fresh" / name).iterdir())
+        assert fresh == sorted(p.name for p in here.iterdir()) and fresh
+        for artefact in fresh:
+            assert ((tmp_path / "fresh" / name / artefact).read_bytes()
+                    == (here / artefact).read_bytes())
