@@ -52,19 +52,22 @@ def _splitter(bs_transmission: float, cutoff: int) -> np.ndarray:
     return weights
 
 
-def _count_grids(r: float, eta, splitters: list, det: DetectorModel, cutoff: int) -> list:
-    """Count grids of a lossy two-mode squeezed source behind each of the
-    ``splitters`` (:func:`_splitter`), measured by noisy detectors.
+def _count_grids(points: np.ndarray, splitters: np.ndarray, cutoff: int) -> np.ndarray:
+    """Occupation grids, (k, s, cutoff, cutoff), of a lossy two-mode squeezed
+    source at each of the k (r, eta_1, eta_2) ``points``, behind each of the
+    s stacked ``splitters`` (:func:`_splitter`).
 
     The source holds |n, n> and loss only lowers n1 and n2, so the lossy
     density has no coherence between two states of the same n1 + n2,
     which a beam splitter conserves: it maps occupations through |U|^2, as
-    loss does through binomial thinning, and no density is needed.
+    loss does through binomial thinning, and no density is needed.  Each
+    grid of the stack keeps the bits it has alone.
     """
-    psi = fock._tmsv_amplitudes(r, cutoff)
-    thin_1, thin_2 = (fock._loss_kraus(e, cutoff) ** 2 for e in eta)
-    source = ((thin_1 * (psi.real**2 + psi.imag**2)) @ thin_2.T).reshape(-1)
-    return [fock.noisy_occupations((w @ source).reshape(cutoff, cutoff), det) for w in splitters]
+    psi = fock._tmsv_amplitudes(points[:, 0], cutoff)
+    thin = fock._loss_kraus(points[:, 1:], cutoff) ** 2
+    source = (thin[:, 0] * (psi.real**2 + psi.imag**2)[:, None]) @ np.swapaxes(thin[:, 1], 1, 2)
+    return (splitters @ source.reshape(len(points), 1, -1, 1)).reshape(
+        len(points), -1, cutoff, cutoff)
 
 
 def predicted_distribution(
@@ -76,8 +79,9 @@ def predicted_distribution(
 ) -> FCTable:
     """Photon statistics of a lossy two-mode squeezed source measured by
     noisy detectors, for one beam-splitter setting."""
-    (grid,) = _count_grids(r, eta, [_splitter(bs_transmission, cutoff)], det, cutoff)
-    return fock._table(grid)
+    grids = _count_grids(np.array([[r, *eta]], dtype=float),
+                         _splitter(bs_transmission, cutoff)[None], cutoff)
+    return fock._table(fock.noisy_occupations(grids[0, 0], det))
 
 
 def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:
@@ -89,26 +93,41 @@ def _outcomes(hist: CountHistogram) -> tuple[np.ndarray, np.ndarray]:
     return outcomes, np.array(list(hist.counts.values()), dtype=float) / hist.total_shots
 
 
-def _pooled(grid: np.ndarray, cutoff: int) -> tuple[np.ndarray, float]:
-    """Probabilities of the outcomes below ``cutoff`` in both modes, and the
-    sink holding all the rest."""
-    head = grid[:cutoff, :cutoff]
-    return head, 1.0 - float(head.sum())
+def _pooled(grids: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of the outcomes below ``cutoff`` in both modes, on the
+    last two axes of ``grids``, and the sinks holding all the rest."""
+    heads = grids[..., :cutoff, :cutoff]
+    return heads, 1.0 - heads.sum(axis=(-2, -1))
 
 
-def _observed(hist: CountHistogram, cutoff: int) -> tuple[np.ndarray, float]:
-    """The relative frequencies of ``hist``, pooled."""
+def _observed(hist: CountHistogram, cutoff: int) -> np.ndarray:
+    """The relative frequencies of ``hist`` on a cutoff x cutoff grid."""
     outcomes, probs = _outcomes(hist)
     grid = np.zeros((cutoff, cutoff))
     inside = np.all((outcomes >= 0) & (outcomes < cutoff), axis=1)
     grid[tuple(outcomes[inside].T)] = probs[inside]
-    return _pooled(grid, cutoff)
+    return grid
 
 
-def _pooled_tvd(p: tuple[np.ndarray, float], q: tuple[np.ndarray, float]) -> float:
-    """(1/2) (sum |p - q| + |sink_p - sink_q|) of two pooled distributions."""
-    return 0.5 * (float(np.abs(p[0] - q[0]).sum()) + abs(p[1] - q[1]))
+def _pooled_tvds(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(1/2) (sum |p - q| + |sink_p - sink_q|) of pooled distributions, one
+    per grid of the stacks."""
+    return 0.5 * (np.abs(p[0] - q[0]).sum(axis=(-2, -1)) + np.abs(p[1] - q[1]))
 
+
+def _noisy_pooled(grids: np.ndarray, conv, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pooled` counts of the occupation ``grids`` behind detectors whose noise
+    ``conv`` convolves (``fock._noise_convolution``), ``_STACK_BYTES`` of them at a time."""
+    flat, step = grids.reshape(-1, cutoff, cutoff), max(1, _STACK_BYTES // (8 * len(conv) ** 2))
+    heads, sinks = np.empty(flat.shape), np.empty(len(flat))
+    for i in range(0, len(flat), step):
+        noisy = fock._apply_single(fock._apply_single(flat[i:i + step], conv, 1), conv, 2)
+        heads[i:i + step], sinks[i:i + step] = _pooled(noisy, cutoff)
+    return heads.reshape(grids.shape), sinks.reshape(grids.shape[:-2])
+
+
+#: bytes of noisy count grids held at once, or one grid's: what the noise memory check counts
+_STACK_BYTES = 1 << 24
 
 #: (r, eta_1, eta_2) box of the source fit
 _BOUNDS = np.array([(0.0, 1.5), (0.0, 1.0), (0.0, 1.0)])
@@ -168,21 +187,22 @@ def fit_source(
     candidate for the model-mismatch error term).
 
     The simplex starts from the moment estimate of the transmissive counts
-    (:func:`_moment_start`).  Each candidate's count grids come from
-    occupations (:func:`_count_grids`).
+    (:func:`_moment_start`).  Each Nelder-Mead step scores its candidates in
+    one call: their count grids from occupations (:func:`_count_grids`).
     """
-    observed = [_observed(hist, cutoff) for hist in (hist_100_0, hist_0_100)]
-    splitters = [_splitter(t, cutoff) for t in (1.0, 0.0)]
+    observed = _pooled(np.stack([_observed(h, cutoff) for h in (hist_100_0, hist_0_100)]), cutoff)
+    splitters = np.stack([_splitter(t, cutoff) for t in (1.0, 0.0)])
+    start = _moment_start(hist_100_0, det)
+    conv = fock._noise_convolution(det, cutoff, 2)  # after the start's own kernel check
 
-    def residuals(x) -> tuple[float, float]:
-        r, e1, e2 = x
-        grids = _count_grids(r, (e1, e2), splitters, det, cutoff)
-        return tuple(_pooled_tvd(_pooled(g, cutoff), obs) for g, obs in zip(grids, observed))
+    def residuals(points: np.ndarray) -> np.ndarray:  # (k, 2): each setting's pooled TVD
+        return _pooled_tvds(_noisy_pooled(_count_grids(points, splitters, cutoff), conv, cutoff),
+                            observed)
 
-    result = nelder_mead(lambda x: -sum(residuals(x)), _moment_start(hist_100_0, det),
-                         _BOUNDS, tol=tol, max_iter=max_iter)
+    result = nelder_mead(lambda points: -residuals(points).sum(axis=1), start, _BOUNDS,
+                         tol=tol, max_iter=max_iter)
     r, e1, e2 = (float(v) for v in result.x)
-    res_t, res_r = residuals(result.x)
+    res_t, res_r = residuals(result.x[None]).tolist()[0]
     lo, hi = _BOUNDS.T
     converged = result.converged and not (r >= hi[0] - 1e-9 or min(e1 - lo[1], e2 - lo[2]) <= 1e-9)
     return TomographyFit(r, (e1, e2), max(res_t, res_r), bool(converged), result.iterations)

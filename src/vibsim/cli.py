@@ -209,12 +209,13 @@ def cmd_simulate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     target: OpticalTarget = cfg["target"]
     model: ExperimentModel = cfg["experiment"]
     cutoff, seed = cfg["cutoff"], cfg["seed"]
+    # first: it reads nothing of the replay, and refuses its draws before any Fock cost
+    mc = _monte_carlo(model, target, cfg)
     observed = observed_distribution(model, cutoff)
     # the detector noise lengthens each axis by the kernel's length less one
     _check_freqs(cfg.get("excited_freqs"), cutoff + fock.noise_kernel(model.detector).size - 2)
     ideal = fc_factors(target, cutoff)
     f = model_fidelity(model, target)
-    mc = _monte_carlo(model, target, cfg)
     eps_stat = 0.0
     if cfg["shots"] > 0:
         hist = sampler.sample(observed, cfg["shots"], seed)

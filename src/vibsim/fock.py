@@ -20,9 +20,10 @@ amplifier are Kraus families "shift by k times diagonal weights"; they
 conserve the ket-minus-bra photon difference of their mode, so a channel
 (thermal admixture: loss then amplifier, composed) is the same kind of
 block operator on the mode's (ket, bra) axes, O(cutoff^3) entries too.
-Every generator is tridiagonal within its blocks (the single-mode
-squeezer within each photon-number parity), so each block exponential is
-one real tridiagonal eigenproblem.  Blocks are applied to column panels
+Every generator is tridiagonal within its blocks (the single-mode squeezer
+within each photon-number parity), so each block exponential is one real
+tridiagonal eigenproblem; a pair operator's blocks k and 2 cutoff - 2 - k have
+one size and share one stacked solve.  Blocks are applied to column panels
 small enough that BLAS runs each product on the calling thread.  Every
 operator updates the state in place, one block's rows or one panel at a
 time, so a state is held once plus at most a cutoff-th of it.
@@ -30,8 +31,8 @@ Operators are built per call: they are keyed by element parameters, which
 seldom repeat.  Only tables whose key does repeat are cached, read-only: the
 block layout and the binomial roots of the loss Kraus weights, which depend
 only on the cutoff, and the detector-noise convolution, which depends only on
-the detector and the cutoff, so a source fit builds each once rather than once
-per candidate.
+the detector and the cutoff.  Loss weights and two-mode squeezed amplitudes
+take leading stack axes, so a source fit scores its candidates in one call.
 Importing the package loads numpy only, and so does every block exponential:
 numpy's ``eigh`` solves each tridiagonal block.  scipy loads with the first
 passive mixing or Williamson/Bloch-Messiah call, that is with
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -87,7 +89,7 @@ class TruncationError(RuntimeError):
 
 
 class FockMemoryError(MemoryError):
-    """Raised, before allocating, for an array too large for physical memory."""
+    """Raised, before allocating, for an array too large for memory or a soft rlimit."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +100,21 @@ class FockMemoryError(MemoryError):
 def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """exp(iH) for the Hermitian tridiagonal H with real diagonal ``diag``
     and subdiagonal ``lower``, via H = D T D+ with a diagonal phase D and
-    T real symmetric tridiagonal.  numpy's real ``eigh`` (LAPACK's ?syevd)
-    solves T, so no Fock operator loads scipy, and it gives the bits of
-    LAPACK's tridiagonal solver ?stevd on every block the operators build:
-    ?sytrd's reflectors on an already tridiagonal T have zero weight and
-    leave it as it is, and both routines hand it to the same ?stedc, even
-    at size 1."""
-    gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(lower)))))
-    n = len(diag)
-    t = np.zeros(n * n)
-    t[:: n + 1] = diag
-    t[n:: n + 1] = np.abs(lower)  # the subdiagonal: eigh reads the lower triangle only
-    w, v = np.linalg.eigh(t.reshape(n, n))
-    return gauge[:, None] * ((v * np.exp(1j * w)) @ v.T) * gauge.conj()
+    T real symmetric tridiagonal; leading axes stack matrices of one size.
+    numpy's real ``eigh`` (LAPACK's ?syevd) solves T, so no Fock operator
+    loads scipy, and it gives the bits of LAPACK's tridiagonal solver ?stevd
+    on every block the operators build: ?sytrd's reflectors on an already
+    tridiagonal T have zero weight and leave it as it is, and both routines
+    hand it to the same ?stedc, even at size 1 and matrix by matrix in a stack."""
+    angles = np.cumsum(np.angle(lower), axis=-1)
+    gauge = np.exp(1j * np.concatenate((np.zeros(angles.shape[:-1] + (1,)), angles), axis=-1))
+    n = diag.shape[-1]
+    t = np.zeros(diag.shape[:-1] + (n * n,))
+    t[..., :: n + 1] = diag
+    t[..., n:: n + 1] = np.abs(lower)  # the subdiagonal: eigh reads the lower triangle only
+    w, v = np.linalg.eigh(t.reshape(t.shape[:-1] + (n, n)))
+    rotated = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return gauge[..., :, None] * rotated * gauge.conj()[..., None, :]
 
 
 def _squeeze_matrix(r: float, phase: float, cutoff: int) -> np.ndarray:
@@ -171,13 +175,18 @@ def _pair_blocks(
     increasing m1, on which G is tridiagonal.
     """
     index, bounds = _block_layout(cutoff, squeezer)
-    blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        m1, m2 = index[0][lo:hi], index[1][lo:hi]
-        # G = iH; A links neighbours i -> i + 1 by sqrt(m1[i + 1] * max(m2[i], m2[i + 1]))
-        lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
-        blocks.append(_expm_tridiagonal(phase1 * m1 + phase2 * m2, lower))
-    return _PairBlocks(index, bounds, tuple(blocks))
+    (m1, m2), diag = index, phase1 * index[0] + phase2 * index[1]
+    # G = iH; A links neighbours i -> i + 1 by sqrt(m1[i + 1] * max(m2[i], m2[i + 1])),
+    # here along the whole layout, of which each block reads its own links
+    lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
+    blocks = {}
+    for mirrored in (sorted({k, len(bounds) - 2 - k}) for k in range(cutoff)):
+        # block k and its mirror have the same size: one solve for both
+        spans = [(bounds[k], bounds[k + 1]) for k in mirrored]
+        blocks.update(zip(mirrored, _expm_tridiagonal(
+            np.array([diag[lo:hi] for lo, hi in spans]),
+            np.array([lower[lo:hi - 1] for lo, hi in spans]))))
+    return _PairBlocks(index, bounds, tuple(blocks[k] for k in range(len(bounds) - 1)))
 
 
 def _pair_operator(elem: BeamSplitter | TwoModeSqueeze, cutoff: int) -> _PairBlocks:
@@ -241,12 +250,14 @@ def _binomial_roots(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _loss_kraus(eta: float, cutoff: int) -> np.ndarray:
+def _loss_kraus(eta, cutoff: int) -> np.ndarray:
     """Loss amplitudes K[n, n + k] = sqrt(C(n + k, k) eta^n (1-eta)^k); their
-    squares are the binomial thinning of the occupations."""
+    squares are the binomial thinning of the occupations.  An array of
+    ``eta`` gives one matrix per entry, stacked on its axes."""
     k, n, root = _binomial_roots(cutoff)
-    out = np.zeros((cutoff, cutoff))
-    out[n, n + k] = root * np.sqrt(eta**n * (1.0 - eta) ** k)
+    eta = np.asarray(eta, dtype=float)[..., None]
+    out = np.zeros(eta.shape[:-1] + (cutoff, cutoff))
+    out[..., n, n + k] = root * np.sqrt(eta**n * (1.0 - eta) ** k)
     return out
 
 
@@ -280,10 +291,12 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     return _PairBlocks(*_block_layout(cutoff, True), blocks)
 
 
-def _tmsv_amplitudes(r: float, cutoff: int) -> np.ndarray:
+def _tmsv_amplitudes(r, cutoff: int) -> np.ndarray:
     """psi_n of the truncated two-mode squeezed vacuum sum_n psi_n |n, n>: the
-    vacuum column of the n1 - n2 = 0 block of :func:`_pair_blocks`."""
-    return _expm_tridiagonal(np.zeros(cutoff), -1j * complex(r) * np.arange(1.0, cutoff))[:, 0]
+    vacuum column of the n1 - n2 = 0 block of :func:`_pair_blocks`.  An array
+    of ``r`` gives one column per entry, stacked on its axes, in one solve."""
+    lower = -1j * np.asarray(r, dtype=float)[..., None] * np.arange(1.0, cutoff)
+    return _expm_tridiagonal(np.zeros(lower.shape[:-1] + (cutoff,)), lower)[..., :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +450,21 @@ def _state_bytes(num_modes: int, cutoff: int, kind: str) -> float:
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory: the bound of every guard before an allocation."""
+    """Bytes of physical memory."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _refuse_beyond_memory(what: str, need: float) -> None:
-    """Raise :class:`FockMemoryError` when ``need`` bytes exceed physical memory."""
-    have = _physical_memory()
+    """Raise :class:`FockMemoryError` when ``need`` bytes exceed the least of physical
+    memory and the process's soft RLIMIT_AS and RLIMIT_DATA, the bound of every guard."""
+    limits = [(resource.getrlimit(getattr(resource, n))[0], f"the soft {n}")
+              for n in ("RLIMIT_AS", "RLIMIT_DATA")]
+    have, name = min([(_physical_memory(), "physical memory")]
+                     + [limit for limit in limits if limit[0] != resource.RLIM_INFINITY])
     if need > have:
         raise FockMemoryError(
             f"{what} needs about {need:.3g} bytes of working memory, "
-            f"more than the {have:.3g} bytes of physical memory"
+            f"more than the {have:.3g} bytes of {name}"
         )
 
 
@@ -611,7 +628,7 @@ def noise_kernel(det) -> np.ndarray:
     """Distribution of the spurious counts one detector adds: geometric dark
     counts with P(>= 1 count) = ``det.dark_p1``, down to probability 1e-16,
     plus two counts with probability ``det.pump_p2``.  A kernel too long for
-    physical memory raises :class:`FockMemoryError` before it is built."""
+    memory raises :class:`FockMemoryError` before it is built."""
     return _kernel(float(det.dark_p1), float(det.pump_p2))
 
 
@@ -627,20 +644,25 @@ def _convolution(dark_p1: float, pump_p2: float, cutoff: int) -> np.ndarray:
     return conv
 
 
+def _noise_convolution(det, cutoff: int, ndim: int) -> np.ndarray:
+    """The :func:`_convolution` of ``det`` at ``cutoff``, once a grid of
+    ``ndim`` such axes is known to fit in memory with its noisy counts."""
+    p = float(det.dark_p1)
+    terms = _dark_terms_bound(p)
+    # the last axis's input and output, the convolution and its index build
+    size = cutoff + terms + 1
+    need = 8.0 * (2.0 * size**ndim + 3.0 * (terms + 2) * cutoff)
+    _refuse_beyond_memory(f"detector noise with dark_p1 {p!r} on {ndim} axes at cutoff {cutoff}",
+                          need)
+    return _convolution(p, float(det.pump_p2), cutoff)
+
+
 def noisy_occupations(grid: np.ndarray, det) -> np.ndarray:
     """Observed count probabilities of the occupation ``grid``, one axis per
     detector: the occupations convolved with each detector's
     :func:`noise_kernel` in turn.  Axes run past the signal cutoff by the
     kernel's length less one."""
-    p, cut = float(det.dark_p1), grid.shape[0]
-    terms = _dark_terms_bound(p)
-    # the last axis's input and output, the convolution and its index build
-    size = cut + terms + 1
-    need = 8.0 * (2.0 * size**grid.ndim + 3.0 * (terms + 2) * cut)
-    _refuse_beyond_memory(
-        f"detector noise with dark_p1 {p!r} on {grid.ndim} axes at cutoff {cut}", need
-    )
-    conv = _convolution(p, float(det.pump_p2), cut)
+    conv = _noise_convolution(det, grid.shape[0], grid.ndim)
     for axis in range(grid.ndim):
         grid = _apply_single(grid, conv, axis)
     return grid

@@ -48,18 +48,16 @@ def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, *, stacked=False) -> OptResult:
+def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000) -> OptResult:
     """Maximize ``objective`` with a bounded Nelder-Mead simplex, with the
     standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
 
+    ``objective`` maps a (k, n) array of points to their k values.  It gets
+    the first simplex, each shrink, and each iteration's reflection,
+    expansion and contraction in one call (one of the three goes unused).
     Candidate points are clamped into ``bounds`` before evaluation.
     Terminates when the simplex diameter drops below ``tol`` or after
     ``max_iter`` iterations (the best point so far is returned either way).
-
-    A ``stacked`` objective maps a (k, n) array of points to k values, and
-    gets the first simplex, each shrink, and each iteration's reflection,
-    expansion and contraction in one call (one of the three goes unused).
-    A scalar objective is called on a point only when its value is read.
     """
     start = np.asarray(start, dtype=float)
     n = start.size
@@ -72,11 +70,8 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, *, stacked=Fa
     if np.any(start < lo) or np.any(start > hi):
         raise ValueError("start must lie within bounds")
 
-    def evaluate(points: list[np.ndarray]):
-        """Reader, by index, of the values -objective of ``points``."""
-        if stacked:
-            return (-np.asarray(objective(_clamp(np.array(points), lo, hi)))).tolist().__getitem__
-        return lambda i: -float(objective(_clamp(points[i], lo, hi)))
+    def evaluate(points: list[np.ndarray]) -> list[float]:  # the values -objective
+        return (-np.asarray(objective(_clamp(np.array(points), lo, hi)))).tolist()
 
     simplex = [start]
     for i in range(n):
@@ -85,8 +80,7 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, *, stacked=Fa
         vertex = start.copy()
         vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
         simplex.append(vertex)
-    value = evaluate(simplex)
-    values = [value(i) for i in range(n + 1)]
+    values = evaluate(simplex)
 
     iterations = 0
     converged = False
@@ -104,26 +98,19 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, *, stacked=Fa
         reflected = centroid + (centroid - worst)
         expanded = centroid + 2.0 * (centroid - worst)
         contracted = centroid + 0.5 * (worst - centroid)
-        value = evaluate([reflected, expanded, contracted])
-        fr = value(0)
+        fr, fe, fc = evaluate([reflected, expanded, contracted])
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            fe = value(1)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
+            simplex[-1], values[-1] = (expanded, fe) if fe < fr else (reflected, fr)
             continue
-        fc = value(2)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         best = simplex[0]
         simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-        value = evaluate(simplex[1:])
-        values = [values[0]] + [value(i) for i in range(n)]
+        values = [values[0]] + evaluate(simplex[1:])
 
     ibest = int(np.argmin(values))
     xbest = _clamp(simplex[ibest], lo, hi)
@@ -155,11 +142,11 @@ def optimize_experiment(
         return model_fidelities(template, target, **dict(zip(names, points.T)))
 
     start = np.array(list(controllables.values()))
-    best = nelder_mead(objective, start, bounds, tol=1e-8, stacked=True)
+    best = nelder_mead(objective, start, bounds, tol=1e-8)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     alt_start = _clamp(best.x + 0.07 * (hi - lo), lo, hi)
-    alt = nelder_mead(objective, alt_start, bounds, tol=1e-8, stacked=True)
+    alt = nelder_mead(objective, alt_start, bounds, tol=1e-8)
     if alt.value > best.value:
         best = alt
     model = template.with_values(**dict(zip(names, best.x)))

@@ -100,3 +100,63 @@ def clear_fock_caches() -> None:
     for fn in (*vars(fock).values(), *vars(calibrate).values()):
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
+
+
+def lazy_nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, events=None):
+    """The Nelder-Mead method that calls a scalar ``objective`` on one point
+    at a time, and only when the simplex rules read its value; an oracle of
+    ``nelder_mead``, which scores every step's candidates in one call.
+    ``events`` collects "iteration" and "shrink" as they happen."""
+    from vibsim.optimize import SIMPLEX_STEP, OptResult, _clamp
+
+    start = np.asarray(start, dtype=float)
+    n = start.size
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    events = [] if events is None else events
+
+    def value(x):
+        return -float(objective(_clamp(x, lo, hi)))
+
+    simplex = [start]
+    for i in range(n):
+        step = SIMPLEX_STEP * (hi[i] - lo[i]) if math.isfinite(hi[i] - lo[i]) else 0.1
+        step = step if step > 0 else 0.1
+        vertex = start.copy()
+        vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
+        simplex.append(vertex)
+    values = [value(v) for v in simplex]
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        order = np.argsort(values)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if max(np.linalg.norm(v - simplex[0]) for v in simplex[1:]) < tol:
+            converged = True
+            break
+        iterations += 1
+        events.append("iteration")
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        fr = value(reflected)
+        if values[0] <= fr < values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+            continue
+        if fr < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            fe = value(expanded)
+            simplex[-1], values[-1] = (expanded, fe) if fe < fr else (reflected, fr)
+            continue
+        contracted = centroid + 0.5 * (worst - centroid)
+        fc = value(contracted)
+        if fc < values[-1]:
+            simplex[-1], values[-1] = contracted, fc
+            continue
+        events.append("shrink")
+        best = simplex[0]
+        simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
+        values = [values[0]] + [value(v) for v in simplex[1:]]
+    ibest = int(np.argmin(values))
+    return OptResult(_clamp(simplex[ibest], lo, hi), -values[ibest], iterations, converged)

@@ -5,13 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vibsim import fock
+from vibsim import calibrate, fock
 from vibsim.calibrate import (
     SIMPLEX_STEP,
     HistogramFormatError,
     PumpFit,
     _BOUNDS,
+    _count_grids,
     _moment_start,
+    _noisy_pooled,
+    _observed,
+    _pooled,
+    _pooled_tvds,
     _splitter,
     fit_pump_curve,
     fit_source,
@@ -25,7 +30,7 @@ from vibsim.experiment import DetectorModel, _mixing_angle
 from vibsim.gaussian import BeamSplitter, GaussianCircuit, Loss, TwoModeSqueeze
 from vibsim.sampler import sample
 from vibsim.tables import CountHistogram
-from helpers import clear_fock_caches
+from helpers import clear_fock_caches, lazy_nelder_mead
 
 DET = DetectorModel()
 
@@ -115,6 +120,82 @@ class TestFitSource:
         assert abs(np.mean(recovered) - 0.3) < 0.003
 
 
+def scalar_count_grids(r, eta, splitters, det, cutoff):
+    """The count grids of one candidate, built alone: the oracle of the
+    stacked :func:`calibrate._count_grids` and :func:`calibrate._noisy_pooled`."""
+    psi = fock._expm_tridiagonal(np.zeros(cutoff), -1j * complex(r) * np.arange(1.0, cutoff))[:, 0]
+    k, n, root = fock._binomial_roots(cutoff)
+    thin_1, thin_2 = np.zeros((2, cutoff, cutoff))
+    for thin, e in zip((thin_1, thin_2), eta):
+        thin[n, n + k] = (root * np.sqrt(e**n * (1.0 - e) ** k)) ** 2
+    source = ((thin_1 * (psi.real**2 + psi.imag**2)) @ thin_2.T).reshape(-1)
+    return [fock.noisy_occupations((w @ source).reshape(cutoff, cutoff), det) for w in splitters]
+
+
+def scalar_pooled_tvd(grid, observed_grid, cutoff) -> float:
+    """The pooled TVD of one grid against observed frequencies, computed alone."""
+    head, obs = grid[:cutoff, :cutoff], observed_grid[:cutoff, :cutoff]
+    sink, obs_sink = 1.0 - float(head.sum()), 1.0 - float(obs.sum())
+    return 0.5 * (float(np.abs(head - obs).sum()) + abs(sink - obs_sink))
+
+
+class TestStackedCandidates:
+    """A stack of candidates gives each one's count grids and pooled TVDs with
+    the bits of the candidate built alone."""
+
+    ROWS = [(0.0, 0.5, 0.4), (1.5, 0.3, 0.8), (0.4, 0.0, 0.6), (0.7, 1.0, 0.2), (0.3, 1.0, 0.0),
+            (0.55, 0.45, 0.35)]
+
+    @pytest.mark.parametrize("stack_bytes", [calibrate._STACK_BYTES, 1],
+                             ids=["one-call", "grid-by-grid"])
+    @pytest.mark.parametrize("cutoff", [2, 6, 12, 14])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_grids_and_tvds_keep_their_bits(self, monkeypatch, cutoff, k, stack_bytes):
+        monkeypatch.setattr(calibrate, "_STACK_BYTES", stack_bytes)
+        det = DetectorModel(0.004, 0.0015)
+        splitters = [_splitter(t, cutoff) for t in (1.0, 0.0)]
+        conv = fock._noise_convolution(det, cutoff, 2)
+        hists = synthetic_histograms(0.35, (0.5, 0.4), 100_000, seed=cutoff, cutoff=max(cutoff, 6))
+        observed_grids = np.stack([_observed(h, cutoff) for h in hists])
+        for first in range(0, len(self.ROWS), k):
+            points = np.array((self.ROWS * 2)[first:first + k])
+            heads, sinks = _noisy_pooled(_count_grids(points, np.stack(splitters), cutoff), conv,
+                                         cutoff)
+            tvds = _pooled_tvds((heads, sinks), _pooled(observed_grids, cutoff))
+            alone = [scalar_count_grids(p[0], p[1:], splitters, det, cutoff) for p in points]
+            assert heads.tobytes() == np.array(alone)[..., :cutoff, :cutoff].tobytes()
+            expected = [[1.0 - float(g[:cutoff, :cutoff].sum()) for g in pair] for pair in alone]
+            assert sinks.tobytes() == np.array(expected).tobytes()
+            expected = [[scalar_pooled_tvd(g, o, cutoff) for g, o in zip(pair, observed_grids)]
+                        for pair in alone]
+            assert tvds.tobytes() == np.array(expected).tobytes()
+
+    def test_predicted_distribution_is_the_stack_of_one(self):
+        for r, *eta in self.ROWS:
+            for t in (1.0, 0.0, 0.3):
+                (grid,) = scalar_count_grids(r, eta, [_splitter(t, 12)], DET, 12)
+                table = predicted_distribution(r, tuple(eta), t, DET, 12)
+                assert table.entries == fock._table(grid).entries
+
+    @pytest.mark.parametrize("r, eta, seed", [(0.3, (0.45, 0.40), 17), (0.302, (0.316, 0.36), 1086),
+                                              (0.6, (0.7, 0.25), 5)])
+    def test_fit_equals_the_fit_one_candidate_at_a_time(self, r, eta, seed):
+        hists = synthetic_histograms(r, eta, 1_000_000, seed=seed)
+        splitters = [_splitter(t, 12) for t in (1.0, 0.0)]
+        observed_grids = [_observed(h, 12) for h in hists]
+
+        def residuals(x):
+            grids = scalar_count_grids(x[0], x[1:], splitters, DET, 12)
+            return [scalar_pooled_tvd(g, o, 12) for g, o in zip(grids, observed_grids)]
+
+        fit = fit_source(*hists, DET)
+        alone = lazy_nelder_mead(lambda x: -sum(residuals(x)), _moment_start(hists[0], DET),
+                                 _BOUNDS, tol=1e-7, max_iter=1500)
+        assert [v.hex() for v in (fit.r, *fit.eta)] == [float(v).hex() for v in alone.x]
+        assert fit.residual_tvd.hex() == max(residuals(alone.x)).hex()
+        assert fit.iterations == alone.iterations
+
+
 class TestCandidateInvariants:
     """The tables a fit's candidates share are built once and cached."""
 
@@ -126,9 +207,11 @@ class TestCandidateInvariants:
 
         clear_fock_caches()
         cold = fit_source(hist_t, hist_r, DET)
-        assert fock._convolution.cache_info().hits > 0
+        # the convolution is built once per fit, and read from the cache by the next
+        assert fock._convolution.cache_info()[:2] == (0, 1)
         assert fock._binomial_roots.cache_info().hits > 0
         assert bits(fit_source(hist_t, hist_r, DET)) == bits(cold)
+        assert fock._convolution.cache_info()[:2] == (1, 1)
         assert _splitter.cache_info().hits > 0
 
     @pytest.mark.parametrize("t", [1.0, 0.0, 0.3])

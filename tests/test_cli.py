@@ -2,8 +2,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,30 @@ class TestFockMemory:
         assert "Traceback" not in err
         assert not (tmp_path / "optimize_result.json").exists()
 
+    def test_address_space_limit_binds_the_guard(self, tmp_path):
+        # in a child whose soft RLIMIT_AS is 1.5 GB, the 2.3 GB density of
+        # cutoff 110 is refused before it is allocated, and the message names
+        # the binding limit
+        limit = 3 << 29
+        path = write_config(tmp_path, **{**README_CONFIG, "cutoff": 110})
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, "
+                "resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+                "from vibsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, "--config", str(path), "--out-dir",
+                               str(tmp_path / "out"), "simulate"], capture_output=True, text=True,
+                              env=env, timeout=300)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        bound = "the soft RLIMIT_AS" if limit < have else "physical memory"
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+        assert "cutoff 110 on 2 modes" in done.stderr
+        assert f"more than the {float(min(limit, have)):.3g} bytes of {bound}" in done.stderr
+
 
 class TestDetectorNoiseBound:
     """dark_p1 = 1 has no geometric count law, and a dark_p1 close to 1 needs
@@ -379,6 +407,25 @@ class TestDetectorNoiseBound:
         assert "Traceback" not in err and "dark_p1" in err
         assert not out.exists() or not any(out.iterdir())
         assert elapsed < 10.0
+
+    def test_long_kernel_fit_stays_within_the_check(self, tmp_path, capsys, monkeypatch):
+        # dark_p1 = 0.97 widens each count axis to 1108: the memory check counts
+        # one noisy grid, 9.8 MB, and the first simplex's candidates have eight.
+        # Under a bound between the two, the fit runs within it, a grid at a time
+        size = len(fock._convolution(0.97, 0.0, 12))
+        have = 4 * 8 * size**2
+        monkeypatch.setattr(fock, "_physical_memory", lambda: have)
+        hists = write_histogram_pair(tmp_path)
+        exp = {**paper_experiment_section(), "detector": {"dark_p1": 0.97}}
+        path = write_config(tmp_path, experiment=exp)
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(path), "--out-dir", str(tmp_path), "tomography", *hists])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        assert peak < have < 8 * 8 * size**2
 
     def test_long_kernel_that_fits_runs(self, tmp_path):
         # dark_p1 = 0.9 keeps 328 dark-count terms
@@ -526,6 +573,8 @@ class TestOverflowingInputs:
         ("readme", "simulate", 1e308, 3), ("readme", "optimize", 1e308, 3),
         ("readme", "simulate", 2**63, 3), ("readme", "optimize", 2**63, 3),
         ("optical", "optimize", 1e3, 3),
+        # refused before the Fock replay, whose truncation check would exit 3
+        ("optical", "simulate", 1e3, 3),
         # below the squeezing bound, but past float64 in the fidelity's
         # determinant (TMSV) or its solve (SMSV pair)
         ("readme", "optimize", 50.0, 100), ("optical", "optimize", 10.0, 100),

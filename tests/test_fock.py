@@ -567,7 +567,10 @@ class TestBlockUpdateBits:
 
 def _stevd_expm(diag, lower):
     """The earlier block exponential: T solved by LAPACK's tridiagonal
-    solver ?stevd, through scipy, and the size-1 block by hand."""
+    solver ?stevd, through scipy, and the size-1 block by hand; a stack one
+    matrix at a time."""
+    if np.ndim(diag) > 1:
+        return np.array([_stevd_expm(d, sub) for d, sub in zip(diag, lower)])
     gauge = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(lower)))))
     w = np.asarray(diag, dtype=float)
     if w.size == 1:
@@ -607,6 +610,36 @@ class TestBlockExponentialBits:
         got = build()
         monkeypatch.setattr(fock, "_expm_tridiagonal", _stevd_expm)
         assert [_bits(a) for a in got] == [_bits(b) for b in build()]
+
+
+class TestStackedExponentials:
+    """A stack of block exponentials keeps the bits of each block solved alone,
+    and mirror blocks of a pair operator share one solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 26, 40])
+    def test_stack_of_random_tridiagonals(self, n):
+        rng = np.random.default_rng([n, 29])
+        diag = rng.normal(size=(2, 3, n))
+        lower = rng.normal(size=(2, 3, n - 1)) + 1j * rng.normal(size=(2, 3, n - 1))
+        stacked = fock._expm_tridiagonal(diag, lower)
+        assert stacked.shape == (2, 3, n, n)
+        for i, j in np.ndindex(2, 3):
+            assert _bits(stacked[i, j]) == _bits(fock._expm_tridiagonal(diag[i, j], lower[i, j]))
+
+    @pytest.mark.parametrize("squeezer", [False, True])
+    def test_mirror_blocks_share_one_solve(self, squeezer, monkeypatch):
+        sizes = []
+
+        def counting(diag, lower):
+            sizes.append(np.shape(diag))
+            return _stevd_expm(diag, lower)
+
+        monkeypatch.setattr(fock, "_expm_tridiagonal", counting)
+        cutoff = 9
+        op = fock._pair_blocks(0.7 * np.exp(1.1j), 0.2, -0.4, squeezer, cutoff)
+        assert sizes == [(2, k + 1) for k in range(cutoff - 1)] + [(1, cutoff)]
+        sizes = [*range(1, cutoff), cutoff, *range(cutoff - 1, 0, -1)]
+        assert [b.shape[0] for b in op.blocks] == sizes
 
 
 def _route(kind, num_modes, cutoff):

@@ -12,21 +12,25 @@ from vibsim.optimize import (
     nelder_mead,
     optimize_experiment,
 )
+from helpers import lazy_nelder_mead
 
 IDEAL_DET = DetectorModel(0.0, 0.0, 1.0)
 
 
+def rows(f):
+    """The objective, one value per row of points, of a function of one point."""
+    return lambda points: np.array([f(x) for x in points])
+
+
 class TestNelderMead:
     def test_quadratic(self):
-        result = nelder_mead(lambda x: -(x[0] - 1.0) ** 2, [0.0], [(-5, 5)])
+        result = nelder_mead(lambda xs: -(xs[:, 0] - 1.0) ** 2, [0.0], [(-5, 5)])
         assert result.converged
         assert result.x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_banana_valley(self):
-        def objective(x):
-            return -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-
-        result = nelder_mead(objective, [-1.2, 1.0], [(-3, 3), (-3, 3)], tol=1e-10, max_iter=5000)
+        result = nelder_mead(rows(rosenbrock), [-1.2, 1.0], [(-3, 3), (-3, 3)], tol=1e-10,
+                             max_iter=5000)
         assert np.allclose(result.x, [1.0, 1.0], atol=1e-4)
 
     def test_never_worse_than_start(self):
@@ -38,21 +42,21 @@ class TestNelderMead:
                 return coeffs[0] * np.sin(x[0]) + coeffs[1] * x[0] ** 2 + coeffs[2] * x[0]
 
             start = rng.uniform(-1, 1)
-            result = nelder_mead(objective, [start], [(-2, 2)], max_iter=50)
+            result = nelder_mead(rows(objective), [start], [(-2, 2)], max_iter=50)
             assert result.value >= objective(np.array([start])) - 1e-12
 
     def test_bounds_respected(self):
-        result = nelder_mead(lambda x: x[0], [0.5], [(0, 1)])
+        result = nelder_mead(lambda xs: xs[:, 0], [0.5], [(0, 1)])
         assert 0.0 <= result.x[0] <= 1.0
         assert result.value == pytest.approx(1.0, abs=1e-9)
 
     def test_non_convergence_flagged(self):
-        result = nelder_mead(lambda x: -(x[0] - 1.0) ** 2, [-4.0], [(-5, 5)], max_iter=3)
+        result = nelder_mead(lambda xs: -(xs[:, 0] - 1.0) ** 2, [-4.0], [(-5, 5)], max_iter=3)
         assert not result.converged
 
     def test_start_outside_bounds(self):
         with pytest.raises(ValueError):
-            nelder_mead(lambda x: x[0], [2.0], [(0, 1)])
+            nelder_mead(lambda xs: xs[:, 0], [2.0], [(0, 1)])
 
 
 def rosenbrock(x):
@@ -66,21 +70,63 @@ def digest(points) -> str:
     return h.hexdigest()
 
 
+def recorded(objective, log: list):
+    """``objective``, logging the points of each call."""
+    def record(points):
+        log.append(points.copy())
+        return objective(points)
+
+    return record
+
+
+def expected_calls(num_params: int, events: list) -> list[int]:
+    """Rows per call of ``nelder_mead``: the first simplex, then one call of
+    three candidates per iteration, and one of the moved vertices per shrink."""
+    return [num_params + 1] + [3 if e == "iteration" else num_params for e in events]
+
+
 class TestEvaluationOrder:
-    """A scalar objective is called on the points that the method evaluating
-    one candidate at a time called it on, in the same order; the counts and
-    digests were recorded with that method."""
+    """``nelder_mead``, which scores each step's candidates in one call, takes
+    the steps of the oracle that scores one point at a time and only when the
+    simplex rules read its value.  The oracle's point counts and digests are
+    those recorded with the parent's scalar branch."""
+
+    @staticmethod
+    def against_the_oracle(objective, start, bounds) -> tuple[list, list]:
+        """Run both on ``objective`` of one point; the oracle's points and events."""
+        points, events, calls = [], [], []
+        lazy = lazy_nelder_mead(recorded(objective, points), start, bounds, tol=1e-10,
+                                max_iter=5000, events=events)
+        one = nelder_mead(recorded(rows(objective), calls), start, bounds, tol=1e-10, max_iter=5000)
+        assert one.x.tobytes() == lazy.x.tobytes()
+        assert (one.value, one.iterations, one.converged) == (
+            lazy.value, lazy.iterations, lazy.converged)
+        assert [len(c) for c in calls] == expected_calls(len(start), events)
+        # nelder_mead scores every point the oracle scored, in the same order
+        scored = iter(x.tobytes() for c in calls for x in c)
+        assert all(x.tobytes() in scored for x in points)
+        return points, events
 
     def test_rosenbrock(self):
-        points = []
-
-        def objective(x):
-            points.append(x.copy())
-            return rosenbrock(x)
-
-        nelder_mead(objective, [-1.2, 1.0], [(-3, 3), (-3, 3)], tol=1e-10, max_iter=5000)
+        points, _ = self.against_the_oracle(rosenbrock, [-1.2, 1.0], [(-3, 3), (-3, 3)])
         assert len(points) == 264
         assert digest(points) == "b38c32ed476a017d49e7c50a1c91704331a53a4f82527bc41a0556ee55b80355"
+
+    def test_stacked_objective_takes_the_same_steps(self):
+        args = ([-1.2, 1.0], [(-3, 3), (-3, 3)], 1e-10, 5000)
+        one = lazy_nelder_mead(rosenbrock, *args)
+        stacked = nelder_mead(rows(rosenbrock), *args)
+        assert stacked.x.tobytes() == one.x.tobytes()
+        assert (stacked.value, stacked.iterations, stacked.converged) == (
+            one.value, one.iterations, one.converged)
+
+    def test_terraces_shrink(self):
+        def terraces(x):
+            # a paraboloid in flat steps: a simplex on one step shrinks
+            return -np.floor(4 * ((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2))
+
+        _, events = self.against_the_oracle(terraces, [-1.2, 1.0], [(-3, 3), (-3, 3)])
+        assert events.count("shrink") == 33
 
     def test_fit_source(self, monkeypatch):
         from vibsim import calibrate
@@ -89,28 +135,30 @@ class TestEvaluationOrder:
         hists = [sample(calibrate.predicted_distribution(0.3, (0.45, 0.40), t, DetectorModel(), 12),
                         1_000_000, seed=seed, metadata={"bs_setting": setting})
                  for setting, t, seed in (("100:0", 1.0, 17), ("0:100", 0.0, 18))]
-        points = []
+        points, events, calls = [], [], []
 
-        def recording(objective, *args, **kwargs):
-            def record(x):
+        def lazy(objective, *args, **kwargs):
+            def one_point(x):
                 points.append(x.copy())
-                return objective(x)
+                return objective(x[None])[0]
 
-            return nelder_mead(record, *args, **kwargs)
+            return lazy_nelder_mead(one_point, *args, events=events, **kwargs)
 
-        monkeypatch.setattr(calibrate, "nelder_mead", recording)
-        fit = calibrate.fit_source(*hists, DetectorModel())
-        assert (fit.iterations, len(points)) == (104, 197)
+        def stacked(objective, *args, **kwargs):
+            return nelder_mead(recorded(objective, calls), *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "nelder_mead", lazy)
+        oracle = calibrate.fit_source(*hists, DetectorModel())
+        assert (oracle.iterations, len(points)) == (104, 197)
         assert digest(points) == "c751f4a27bce16453c0fa0e7fa3652be875a1e02453271a82da192fec8245e85"
-
-    def test_stacked_objective_takes_the_same_steps(self):
-        args = ([-1.2, 1.0], [(-3, 3), (-3, 3)], 1e-10, 5000)
-        one = nelder_mead(rosenbrock, *args)
-        stacked = nelder_mead(lambda xs: np.array([rosenbrock(x) for x in xs]), *args,
-                              stacked=True)
-        assert stacked.x.tobytes() == one.x.tobytes()
-        assert (stacked.value, stacked.iterations, stacked.converged) == (
-            one.value, one.iterations, one.converged)
+        monkeypatch.setattr(calibrate, "nelder_mead", stacked)
+        fit = calibrate.fit_source(*hists, DetectorModel())
+        assert fit.iterations == 104
+        assert [v.hex() for v in (fit.r, *fit.eta, fit.residual_tvd)] == [
+            v.hex() for v in (oracle.r, *oracle.eta, oracle.residual_tvd)]
+        assert fit == oracle
+        # one call per iteration, plus the first simplex and each shrink
+        assert [len(c) for c in calls] == expected_calls(3, events)
 
 
 class TestOptimizeExperiment:

@@ -96,7 +96,7 @@ def test_only_named_definitions_lack_a_runtime_reader():
 #: as ``module._name``; a layout or a table private to one module stays there
 PRIVATE_READS = {
     "calibrate": {"fock._tmsv_amplitudes", "fock._loss_kraus", "fock._table",
-                  "experiment._mixing_angle"},
+                  "fock._noise_convolution", "fock._apply_single", "experiment._mixing_angle"},
     "cli": {"fock._refuse_beyond_memory"},
     "experiment": {"gaussian._each"},
 }
