@@ -30,8 +30,8 @@ from .experiment import (
     parse_target,
 )
 from .gaussian import PHYSICALITY_TOL, PhysicalityError, symplectic_eigenvalues
-from .optimize import (DEFAULT_BOUNDS, MONTE_CARLO_BYTES_PER_DRAW, MonteCarloResult,
-                       loss_sweep, monte_carlo_fidelity, optimize_experiment)
+from .optimize import (DEFAULT_BOUNDS, MONTE_CARLO_BYTES_PER_DRAW, MonteCarloResult, _optimum,
+                       loss_sweep, monte_carlo_fidelity)
 from .tables import FCTable, is_sink
 from .vibronic import OpticalTarget, fc_factors, spectrum
 
@@ -264,11 +264,11 @@ def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
             f"the target's squeezing is too large for float64: a symplectic eigenvalue of its "
             f"state lies {drift:.2e} from the pure state's 1/2, past {PHYSICALITY_TOL:g}"
         )
-    best, f_star = optimize_experiment(template, target)
+    best, result = _optimum(template, target)
     mc = _monte_carlo(best, target, cfg)
     payload = {
         "t_star": best.bs_transmission,
-        "f_star": f_star,
+        "f_star": result.value,
         "f_mc_mean": mc.mean,
         "f_mc_std": mc.std,
         "clamp_events": mc.clamp_events,
@@ -276,6 +276,11 @@ def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
         **{f"{name}_star": value for name, value in asdict(best.source).items()},
     }
     _write_json(out_dir / "optimize_result.json", payload)
+    if not result.converged:
+        print(f"error: the optimiser did not converge: neither its run nor its restart shrank "
+              f"the simplex to the tolerance (the better stopped after {result.iterations} "
+              f"iterations); optimize_result.json holds the best point found", file=sys.stderr)
+        return EXIT_CONVERGENCE
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ arms, partially distinguishable modes are represented by thermal admixture
 on virtual beam splitters right after the source, arm losses sit before
 and/or after the interference beam splitter, and detector noise enters as
 a classical convolution of the measured counts (plus a constant fidelity
-factor for the noise modes the detectors are sensitive to).
+factor for the noise modes the detectors are sensitive to).  Models that
+differ in a few values are evaluated as one stack (:func:`model_fidelities`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .gaussian import (
     Squeeze,
     ThermalMix,
     TwoModeSqueeze,
+    _anywhere,
     _each,
     replay,
     stacked_fidelity,
@@ -56,7 +58,7 @@ __all__ = [
 def _finite_within(hi: float, *values) -> bool:
     """Whether every number, or every entry of every column, is finite and
     lies in [0, hi]; NaN propagates through the extremes, and fails."""
-    v = np.asarray(values)
+    v = np.concatenate([np.ravel(x) for x in values])
     top = v.max()
     return bool(v.min() >= 0.0 and top <= hi and top < math.inf)
 
@@ -209,12 +211,12 @@ def _elements(source, delta, loss_pre, theta, loss_post) -> list[Element]:
     model at its no-op value (δ = 0, η = 1, θ = 0) passes through it with the
     same bits, bar the sign of a zero entry."""
     elements: list[Element] = list(source.elements())
-    if np.any(delta > 0.0):
+    if _anywhere(delta > 0.0):
         elements += [ThermalMix(m, delta, nbar) for m, nbar in enumerate(source.mode_photons())]
-    elements += [Loss(m, eta) for m, eta in enumerate(loss_pre) if np.any(eta < 1.0)]
-    if np.any(theta != 0.0):
+    elements += [Loss(m, eta) for m, eta in enumerate(loss_pre) if _anywhere(eta < 1.0)]
+    if _anywhere(theta != 0.0):
         elements.append(BeamSplitter(0, 1, theta))
-    elements += [Loss(m, eta) for m, eta in enumerate(loss_post) if np.any(eta < 1.0)]
+    elements += [Loss(m, eta) for m, eta in enumerate(loss_post) if _anywhere(eta < 1.0)]
     return elements
 
 
@@ -239,23 +241,29 @@ def model_fidelities(template: ExperimentModel, target: OpticalTarget, **columns
     """:func:`model_fidelity`, bit for bit, of each model the template gives
     with one row of ``columns`` in place of its values.  Columns are named
     as :meth:`ExperimentModel.with_values` names fields, with one value per
-    model (two for ``loss_pre`` and ``loss_post``).  No model is built: the
-    source is built once, with columns as its fields, so each column's range
-    is checked once.  All models are replayed as one stack (see :func:`_elements`)."""
+    model (two for ``loss_pre`` and ``loss_post``).  No model is built: each
+    column's range is checked once, the source is rebuilt with its columns
+    as fields, and a value that no column replaces stays the template's one
+    value, checked when the template was built.  All models are replayed as
+    one stack (see :func:`_elements`)."""
     count = len(next(iter(columns.values()))) if columns else 1
 
-    def column(owner, name, shape=()) -> np.ndarray:
+    def column(name: str, shape=()) -> np.ndarray:
         out = np.empty((count, *shape))
-        out[...] = columns.pop(name, getattr(owner, name))
-        return out
+        out[...] = columns.pop(name)
+        return out.T  # a loss column as one row per arm
 
-    source = type(template.source)(**{f.name: column(template.source, f.name)
-                                      for f in fields(template.source)})
-    t, delta = column(template, "bs_transmission"), column(template, "distinguishability")
-    loss_pre, loss_post = (tuple(column(template, k, (2,)).T) for k in ("loss_pre", "loss_post"))
+    source = template.source
+    own = {f.name: column(f.name) for f in fields(source) if f.name in columns}
+    source = replace(source, **own) if own else source  # which checks the source's columns
+    t, delta, loss_pre, loss_post = (
+        column(k, (2,) if k.startswith("loss") else ()) if k in columns else getattr(template, k)
+        for k in ("bs_transmission", "distinguishability", "loss_pre", "loss_post"))
     if columns:
         raise ValueError(f"not a parameter of the model: {', '.join(sorted(columns))}")
-    _check_unit(t, *loss_pre, *loss_post, delta)
+    given = [v for v in (t, delta, loss_pre, loss_post) if isinstance(v, np.ndarray)]
+    if given:
+        _check_unit(*given)
     elements = _elements(source, delta, loss_pre, _each(_mixing_angle, t), loss_post)
     fidelities = stacked_fidelity(elements, count, target.state())
     return fidelities * template.detector.noise_fidelity_factor

@@ -454,13 +454,42 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _read_text(path: str) -> str:
+    """A file's text, or "" where it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except (OSError, ValueError):
+        return ""
+
+
+def _cgroup_memory() -> int | None:
+    """Bytes of the memory limit of the process's own cgroup: the v2 ``memory.max``
+    or the v1 ``memory.limit_in_bytes`` of the cgroup ``/proc/self/cgroup`` names,
+    or None where neither is readable or set (v2 writes "max")."""
+    for line in _read_text("/proc/self/cgroup").splitlines():
+        parts = line.split(":", 2)
+        if len(parts) != 3 or (parts[1] and "memory" not in parts[1].split(",")):
+            continue
+        where = parts[2].rstrip("/")
+        limit = _read_text(f"/sys/fs/cgroup/memory{where}/memory.limit_in_bytes" if parts[1]
+                           else f"/sys/fs/cgroup{where}/memory.max").strip()
+        if limit.isdigit():
+            return int(limit)
+    return None
+
+
 def _refuse_beyond_memory(what: str, need: float) -> None:
     """Raise :class:`FockMemoryError` when ``need`` bytes exceed the least of physical
-    memory and the process's soft RLIMIT_AS and RLIMIT_DATA, the bound of every guard."""
+    memory, the process's soft RLIMIT_AS and RLIMIT_DATA and its cgroup's memory
+    limit, the bound of every guard."""
     limits = [(resource.getrlimit(getattr(resource, n))[0], f"the soft {n}")
               for n in ("RLIMIT_AS", "RLIMIT_DATA")]
-    have, name = min([(_physical_memory(), "physical memory")]
-                     + [limit for limit in limits if limit[0] != resource.RLIM_INFINITY])
+    limits = [limit for limit in limits if limit[0] != resource.RLIM_INFINITY]
+    cgroup = _cgroup_memory()
+    if cgroup is not None:
+        limits.append((cgroup, "the memory limit of the process's cgroup"))
+    have, name = min([(_physical_memory(), "physical memory"), *limits])
     if need > have:
         raise FockMemoryError(
             f"{what} needs about {need:.3g} bytes of working memory, "

@@ -186,6 +186,20 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     return omega
 
 
+#: :func:`_forms` of each mode count, built on first use
+_FORMS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _forms(num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and :func:`symplectic_form` of ``num_modes`` modes, read-only,
+    built once for every stack that reads them."""
+    if num_modes not in _FORMS:
+        forms = _FORMS[num_modes] = np.eye(2 * num_modes), symplectic_form(num_modes)
+        for form in forms:
+            form.setflags(write=False)
+    return _FORMS[num_modes]
+
+
 class GaussianState:
     """Mean vector and covariance matrix of ``num_modes`` optical modes.
 
@@ -255,6 +269,11 @@ def _each(fn, value):
     return np.array([fn(x) for x in value.tolist()]) if isinstance(value, np.ndarray) else fn(value)
 
 
+def _anywhere(flags) -> bool:
+    """Whether a comparison of a shared value, or of any entry of a column, holds."""
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
+
+
 def _symplectic(elem: Element, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Return the (S, d) stacks, of shapes (count, 2n, 2n) and (count, 2n),
     of an element validated for ``n`` modes whose numeric fields hold one
@@ -263,7 +282,7 @@ def _symplectic(elem: Element, n: int, count: int) -> tuple[np.ndarray, np.ndarr
     channels, handled in :func:`_step`.
     """
     s = np.empty((count, 2 * n, 2 * n))
-    s[...] = np.eye(2 * n)
+    s[...] = _forms(n)[0]
     d = np.zeros((count, 2 * n))
     if isinstance(elem, Squeeze):
         ix, ip = elem.mode, elem.mode + n
@@ -274,13 +293,15 @@ def _symplectic(elem: Element, n: int, count: int) -> tuple[np.ndarray, np.ndarr
     elif isinstance(elem, BeamSplitter):
         # as passive_symplectic of W embedded in the identity: -Im is -0.0 off the pair
         s[:, :n, n:] = -0.0
-        pair = (elem.mode1, elem.mode2)
         ct, st = _each(math.cos, elem.theta), _each(math.sin, elem.theta)
         ph = _each(cmath.exp, 1j * elem.phase)
-        for i, row in zip(pair, ((ct, st * ph), (-st * np.conj(ph), ct))):
-            for j, wij in zip(pair, row):
-                s[:, i, j] = s[:, i + n, j + n] = wij.real
-                s[:, i, j + n], s[:, i + n, j] = -wij.imag, wij.imag
+        w = np.empty((count, 2, 2), complex)
+        w[:, 0, 0] = w[:, 1, 1] = ct
+        w[:, 0, 1], w[:, 1, 0] = st * ph, -st * np.conj(ph)
+        pair = [[elem.mode1], [elem.mode2], [elem.mode1 + n], [elem.mode2 + n]]
+        re, im = w.real, w.imag
+        s[:, pair, np.ravel(pair)] = np.concatenate(
+            [np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
     elif isinstance(elem, TwoModeSqueeze):
         i, j = elem.mode1, elem.mode2
         ch, sh = _each(math.cosh, elem.r), _each(math.sinh, elem.r)
@@ -326,7 +347,7 @@ def _fold(elements, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(mean, cov) stacks of ``count`` circuits with the same elements (see
     :func:`_symplectic`), folded element by element over the vacuum."""
     mean, cov = np.zeros((count, 2 * n)), np.empty((count, 2 * n, 2 * n))
-    cov[...] = 0.5 * np.eye(2 * n)
+    cov[...] = 0.5 * _forms(n)[0]
     for elem in elements:
         mean, cov = _step(mean, cov, elem, n)
     return mean, cov
@@ -378,9 +399,10 @@ def mean_photon(state: GaussianState, mode: int) -> float:
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues, ascending, of a stack of covariances of
     shape (N, 2M, 2M); raises PhysicalityError at the first unphysical one."""
-    eigs = np.linalg.eigvals(1j * symplectic_form(cov.shape[-1] // 2) @ cov)
+    eigs = np.linalg.eigvals(1j * _forms(cov.shape[-1] // 2)[1] @ cov)
     nu = np.sort(np.abs(eigs))[..., ::2]
-    for nu_min, v in zip(nu[:, 0].tolist(), cov):
+    low = nu[:, 0] < 0.5 - PHYSICALITY_TOL
+    for nu_min, v in zip(nu[low, 0].tolist(), cov[low]):
         if _unphysical(nu_min, v):
             raise PhysicalityError(
                 f"unphysical covariance: smallest symplectic eigenvalue {nu_min!r} < 1/2"
@@ -448,13 +470,13 @@ def _fidelities(
 
 def _mixed_fidelities(mean, cov, other: GaussianState) -> list[float]:
     """The Banchi-Braunstein-Pirandola fidelity of mixed pairs."""
-    omega = symplectic_form(other.num_modes)
+    eye, omega = _forms(other.num_modes)
     v1, v2 = cov, other.cov
     delta = mean - other.mean
     vsum_inv = np.linalg.inv(v1 + v2)
     vaux = omega.T @ vsum_inv @ (0.25 * omega + v2 @ omega @ v1)
     w = vaux @ omega
-    inner = np.eye(2 * other.num_modes) + 0.25 * np.linalg.inv(w @ w)
+    inner = eye + 0.25 * np.linalg.inv(w @ w)
     # det(sqrt(inner) + I) as a product over the eigenvalues of `inner`:
     # no matrix square root, which is unreliable where a pure mode of
     # either state makes `inner` singular

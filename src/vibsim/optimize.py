@@ -1,10 +1,11 @@
 """Derivative-free optimization of experiment parameters and Monte Carlo
-propagation of parameter uncertainty."""
+propagation of parameter uncertainty.  Nelder-Mead runs advance in lockstep,
+all their candidates scored in one call."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .experiment import (
     model_fidelities,
 )
 from .fixtures import IDEAL_BS_TRANSMISSION
-from .gaussian import MAX_SQUEEZING
+from .gaussian import MAX_SQUEEZING, _anywhere
 from .vibronic import OpticalTarget
 
 __all__ = [
@@ -59,6 +60,12 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000) -> OptResult:
     Terminates when the simplex diameter drops below ``tol`` or after
     ``max_iter`` iterations (the best point so far is returned either way).
     """
+    return _lockstep(lambda asks: objective(asks[0]), [_simplex(start, bounds, tol, max_iter)])[0]
+
+
+def _simplex(start, bounds, tol, max_iter):
+    """A run of :func:`nelder_mead`: it yields the clamped (k, n) points it
+    needs scored, is sent their k values, and returns its :class:`OptResult`."""
     start = np.asarray(start, dtype=float)
     n = start.size
     if n < 1:
@@ -70,8 +77,8 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000) -> OptResult:
     if np.any(start < lo) or np.any(start > hi):
         raise ValueError("start must lie within bounds")
 
-    def evaluate(points: list[np.ndarray]) -> list[float]:  # the values -objective
-        return (-np.asarray(objective(_clamp(np.array(points), lo, hi)))).tolist()
+    def evaluate(points: list[np.ndarray]):  # the values -objective
+        return (-np.asarray((yield _clamp(np.array(points), lo, hi)))).tolist()
 
     simplex = [start]
     for i in range(n):
@@ -80,7 +87,7 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000) -> OptResult:
         vertex = start.copy()
         vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
         simplex.append(vertex)
-    values = evaluate(simplex)
+    values = yield from evaluate(simplex)
 
     iterations = 0
     converged = False
@@ -88,17 +95,18 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000) -> OptResult:
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        diameter = max(np.linalg.norm(v - simplex[0]) for v in simplex[1:])
+        # np.linalg.norm's and np.mean's arithmetic, without their per-call overhead
+        diameter = max(math.sqrt(d.dot(d)) for d in (v - simplex[0] for v in simplex[1:]))
         if diameter < tol:
             converged = True
             break
         iterations += 1
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = sum(simplex[1:-1], simplex[0]) / n
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         expanded = centroid + 2.0 * (centroid - worst)
         contracted = centroid + 0.5 * (worst - centroid)
-        fr, fe, fc = evaluate([reflected, expanded, contracted])
+        fr, fe, fc = yield from evaluate([reflected, expanded, contracted])
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
@@ -110,11 +118,28 @@ def nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000) -> OptResult:
             continue
         best = simplex[0]
         simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-        values = [values[0]] + evaluate(simplex[1:])
+        values = [values[0]] + (yield from evaluate(simplex[1:]))
 
     ibest = int(np.argmin(values))
     xbest = _clamp(simplex[ibest], lo, hi)
     return OptResult(xbest, -values[ibest], iterations, converged)
+
+
+def _lockstep(objective, runs) -> list[OptResult]:
+    """The results of ``runs`` of :func:`_simplex`, advanced together: at each
+    step ``objective`` gets a dict of every unfinished run's points by run
+    index, and returns all their values in that order in one array."""
+    results, asks = {}, {i: next(run) for i, run in enumerate(runs)}
+    while asks:
+        values, end = np.asarray(objective(asks)), 0
+        for i, points in list(asks.items()):
+            end += len(points)
+            try:
+                asks[i] = runs[i].send(values[end - len(points):end])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+    return [results[i] for i in range(len(runs))]
 
 
 #: physical parameter ranges for the experiment controllables
@@ -126,31 +151,60 @@ DEFAULT_BOUNDS = {
 }
 
 
+def _optima(objective, starts, bounds) -> list[OptResult]:
+    """Runs from ``starts`` to a simplex diameter of 1e-8, then one
+    deterministic restart of each from its optimum perturbed, each set in
+    :func:`_lockstep`: the restart's result where strictly better, and
+    ``converged`` if either run converged."""
+    def runs(points):
+        return _lockstep(objective, [_simplex(x, b, 1e-8, 2000) for x, b in zip(points, bounds)])
+
+    first = runs(starts)
+    lo, hi = zip(*(np.array(b, dtype=float).T for b in bounds))
+    alts = runs([_clamp(r.x + 0.07 * (h - l), l, h) for r, l, h in zip(first, lo, hi)])
+    return [replace(alt if alt.value > r.value else r, converged=r.converged or alt.converged)
+            for r, alt in zip(first, alts)]
+
+
 def optimize_experiment(
     template: ExperimentModel, target: OpticalTarget
 ) -> tuple[ExperimentModel, float]:
     """Choose the controllable parameters (source squeezing and beam splitter
     transmission) maximizing the model fidelity, to a simplex diameter of
     1e-8.  One deterministic restart from a perturbed start guards against a
-    poor initial simplex.
+    poor initial simplex.  :func:`_optimum` also says whether a run converged.
     """
+    model, result = _optimum(template, target)
+    return model, result.value
+
+
+def _optimum(template: ExperimentModel, target: OpticalTarget) -> tuple[ExperimentModel, OptResult]:
+    """:func:`optimize_experiment`'s model, and its better run's result (see :func:`_optima`)."""
     controllables = {**asdict(template.source), "bs_transmission": template.bs_transmission}
     names = list(controllables)
-    bounds = [DEFAULT_BOUNDS[n] for n in names]
 
-    def objective(points: np.ndarray) -> np.ndarray:
-        return model_fidelities(template, target, **dict(zip(names, points.T)))
+    def objective(asks: dict[int, np.ndarray]) -> np.ndarray:
+        return model_fidelities(template, target, **dict(zip(names, asks[0].T)))
 
     start = np.array(list(controllables.values()))
-    best = nelder_mead(objective, start, bounds, tol=1e-8)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    alt_start = _clamp(best.x + 0.07 * (hi - lo), lo, hi)
-    alt = nelder_mead(objective, alt_start, bounds, tol=1e-8)
-    if alt.value > best.value:
-        best = alt
-    model = template.with_values(**dict(zip(names, best.x)))
-    return model, best.value
+    [best] = _optima(objective, [start], [[DEFAULT_BOUNDS[n] for n in names]])
+    return template.with_values(**dict(zip(names, best.x))), best
+
+
+@dataclass(frozen=True)
+class _SweepSource(SMSVPair):
+    """A stack of SMSV pairs (rows at r = 0) and TMSVs (rows at r1 = r2 = 0):
+    a source at zero squeezing passes through its elements with the same bits,
+    bar a zero's sign, and adds exactly zero thermal photons.  Only r1 and r2
+    are range-checked; the sweep's bounds hold r in [0, 2]."""
+
+    r: float = 0.0
+
+    def elements(self) -> list:  # a squeezer at zero on every row is left out
+        return [e for e in super().elements() + TMSV.elements(self) if _anywhere(e.r != 0.0)]
+
+    def mode_photons(self) -> tuple:
+        return tuple(a + b for a, b in zip(super().mode_photons(), TMSV.mode_photons(self)))
 
 
 def loss_sweep(
@@ -161,31 +215,42 @@ def loss_sweep(
 ) -> dict[str, list[float]]:
     """Optimized fidelity against equal pre-interference loss in both arms.
 
-    At each loss, in the given order, three sources are optimized, each
-    warm-started from its optimum at the previous loss: an SMSV pair with
-    ideal detectors (``f_smsv``, and ``f_smsv_noisydet`` scaled by the
-    detector's noise fidelity factor), a TMSV with ``detector``
-    (``f_tmsv``), and that TMSV with ``distinguishability``
-    (``f_tmsv_dist``).
+    At each loss, in the given order, three sources are optimized as
+    :func:`optimize_experiment` does, each warm-started from its optimum at
+    the previous loss: an SMSV pair with ideal detectors (``f_smsv``, and
+    ``f_smsv_noisydet`` scaled by the detector's noise fidelity factor), a
+    TMSV with ``detector`` (``f_tmsv``), and that TMSV with
+    ``distinguishability`` (``f_tmsv_dist``).  Their runs, then their
+    restarts, advance in :func:`_optima`'s lockstep: each step is one stack
+    of :class:`_SweepSource` models, each row with the bits of its model alone.
     """
-    squeeze = (abs(target.squeeze[0]), abs(target.squeeze[1]))
-    models = {
-        "f_smsv": ExperimentModel(
-            SMSVPair(*squeeze), IDEAL_BS_TRANSMISSION, detector=detector.ideal()
-        ),
-        "f_tmsv": ExperimentModel(TMSV(0.5), 0.5, detector=detector),
-        "f_tmsv_dist": ExperimentModel(
-            TMSV(0.5), 0.5, distinguishability=distinguishability, detector=detector
-        ),
-    }
+    factor = detector.noise_fidelity_factor
+    names = ("r1", "r2", "r", "bs_transmission", "distinguishability")
+    # each curve's row of these and its detector factor, and the entries its controllables fill
+    fixed = np.array([[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, factor],
+                      [0, 0, 0, 0, distinguishability, factor]], dtype=float)
+    places = ([0, 1, 3], [2, 3], [2, 3])
+    bounds = [[DEFAULT_BOUNDS[names[j]] for j in place] for place in places]
+    starts = [np.array([abs(target.squeeze[0]), abs(target.squeeze[1]), IDEAL_BS_TRANSMISSION]),
+              np.array([0.5, 0.5]), np.array([0.5, 0.5])]
     curves = {"f_smsv": [], "f_smsv_noisydet": [], "f_tmsv": [], "f_tmsv_dist": []}
     for loss in losses:
-        for name, model in models.items():
-            models[name], f = optimize_experiment(
-                model.with_values(loss_pre=(1.0 - loss, 1.0 - loss)), target
-            )
-            curves[name].append(f)
-        curves["f_smsv_noisydet"].append(curves["f_smsv"][-1] * detector.noise_fidelity_factor)
+        template = ExperimentModel(_SweepSource(0.0, 0.0), 1.0, (1.0 - loss, 1.0 - loss),
+                                   detector=detector.ideal())
+
+        def objective(asks: dict[int, np.ndarray]) -> np.ndarray:
+            rows = []
+            for i, points in asks.items():
+                rows.append(np.tile(fixed[i], (len(points), 1)))
+                rows[-1][:, places[i]] = points
+            rows = np.concatenate(rows)
+            return model_fidelities(template, target, **dict(zip(names, rows[:, :5].T))) * rows[:, 5]
+
+        best = _optima(objective, starts, bounds)
+        starts = [r.x for r in best]
+        for name, r in zip(("f_smsv", "f_tmsv", "f_tmsv_dist"), best):
+            curves[name].append(r.value)
+        curves["f_smsv_noisydet"].append(curves["f_smsv"][-1] * factor)
     return curves
 
 

@@ -160,3 +160,33 @@ def lazy_nelder_mead(objective, start, bounds, tol=1e-6, max_iter=2000, events=N
         values = [values[0]] + [value(v) for v in simplex[1:]]
     ibest = int(np.argmin(values))
     return OptResult(_clamp(simplex[ibest], lo, hi), -values[ibest], iterations, converged)
+
+
+def sequential_loss_sweep(target, losses, detector, distinguishability):
+    """The loss sweep that optimizes its three curves one after another, each
+    loss's run and restart through ``optimize_experiment``; an oracle of
+    ``loss_sweep``, which advances the three runs, then the three restarts, in
+    lockstep."""
+    from vibsim.experiment import TMSV, ExperimentModel, SMSVPair
+    from vibsim.fixtures import IDEAL_BS_TRANSMISSION
+    from vibsim.optimize import optimize_experiment
+
+    squeeze = (abs(target.squeeze[0]), abs(target.squeeze[1]))
+    models = {
+        "f_smsv": ExperimentModel(
+            SMSVPair(*squeeze), IDEAL_BS_TRANSMISSION, detector=detector.ideal()
+        ),
+        "f_tmsv": ExperimentModel(TMSV(0.5), 0.5, detector=detector),
+        "f_tmsv_dist": ExperimentModel(
+            TMSV(0.5), 0.5, distinguishability=distinguishability, detector=detector
+        ),
+    }
+    curves = {"f_smsv": [], "f_smsv_noisydet": [], "f_tmsv": [], "f_tmsv_dist": []}
+    for loss in losses:
+        for name, model in models.items():
+            models[name], f = optimize_experiment(
+                model.with_values(loss_pre=(1.0 - loss, 1.0 - loss)), target
+            )
+            curves[name].append(f)
+        curves["f_smsv_noisydet"].append(curves["f_smsv"][-1] * detector.noise_fidelity_factor)
+    return curves

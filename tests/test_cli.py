@@ -16,7 +16,9 @@ from vibsim import cli, fock
 from vibsim.calibrate import write_histogram_csv
 from vibsim.cli import main
 from vibsim.experiment import MAX_COUPLING, DetectorModel
+from vibsim.optimize import loss_sweep
 from vibsim.tables import CountHistogram
+from helpers import sequential_loss_sweep
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -503,6 +505,22 @@ class TestOptimize:
         report = json.loads((tmp_path / "simulate_report.json").read_text())
         assert report["fidelity"] == pytest.approx(result["f_star"], abs=1e-9)
 
+    def test_no_converged_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        # neither the run nor its restart reaches the tolerance in three iterations
+        from vibsim import optimize
+
+        simplex = optimize._simplex
+        monkeypatch.setattr(optimize, "_simplex",
+                            lambda start, bounds, tol, max_iter: simplex(start, bounds, tol, 3))
+        path = write_config(tmp_path, experiment=paper_experiment_section(r=0.5, t=0.5))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "optimize"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "did not converge" in err
+        assert "after 3 iterations" in err and "Traceback" not in err
+        # the best point found is still written
+        result = json.loads((tmp_path / "optimize_result.json").read_text())
+        assert 0.0 < result["f_star"] < 1.0
+
 
 def run_quietly(argv, capsys) -> tuple[int, str]:
     """:func:`main`'s exit code and stderr; it may raise no warning."""
@@ -652,6 +670,18 @@ class TestSweepLoss:
         path = write_config(tmp_path)
         assert main(["--config", str(path), "--out-dir", str(tmp_path),
                      "sweep-loss", "--grid", "0,1.5"]) == 2
+
+    @pytest.mark.parametrize("grid", ["0:0.95:20", "0.1187,0.6076"])
+    @pytest.mark.parametrize("config", ["readme", "optical"])
+    def test_lockstep_equals_the_sequential_sweep(self, tmp_path, config, grid):
+        cfg = cli.load_config(write_config(
+            tmp_path, **{"readme": README_CONFIG, "optical": OPTICAL_CONFIG}[config]))
+        args = (cfg["target"], np.sort(cli._parse_grid(grid)), cfg["detector"],
+                cfg["experiment"].distinguishability)
+        got, want = loss_sweep(*args), sequential_loss_sweep(*args)
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert [v.hex() for v in got[name]] == [v.hex() for v in values], name
 
 
 class TestTomography:

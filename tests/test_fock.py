@@ -721,3 +721,61 @@ class TestMemoryGuard:
             tracemalloc.stop()
         # the ket and the channel's build, not the density
         assert peak < fock._state_bytes(2, rho_cutoff, "ket")
+
+
+class TestCgroupLimit:
+    """The guards also read the memory limit of the process's own cgroup,
+    through a reader that tests replace: no cgroup is changed."""
+
+    CGROUP = "the memory limit of the process's cgroup"
+
+    @staticmethod
+    def refusal(need: float) -> str:
+        with pytest.raises(fock.FockMemoryError) as refused:
+            fock._refuse_beyond_memory("a test array", need)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("files, limit", [
+        ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "1048576\n"},
+         1 << 20),
+        # v1, with the memory controller beside another one; v2 sets no memory limit
+        ({"/proc/self/cgroup": "4:cpu,memory:/a/b/\n0::/\n",
+          "/sys/fs/cgroup/memory/a/b/memory.limit_in_bytes": "2097152\n"}, 2 << 20),
+    ])
+    def test_a_limit_moves_the_threshold(self, monkeypatch, tmp_path, capsys, files, limit):
+        monkeypatch.setattr(fock, "_read_text", lambda path: files.get(path, ""))
+        assert fock._cgroup_memory() == limit
+        fock._refuse_beyond_memory("a test array", limit)
+        assert self.refusal(limit + 1).endswith(f"more than the {float(limit):.3g} bytes of "
+                                                f"{self.CGROUP}")
+        # a command exits 2 on it, naming the limit
+        from vibsim.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text('{"version": 1, "target": {"kind": "tropolone"}, "cutoff": 30}')
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out"), "ideal"]) == 2
+        err = capsys.readouterr().err
+        assert "cutoff 30 on 2 modes" in err and self.CGROUP in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("files", [
+        {},
+        {"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "max\n"},
+        {"/proc/self/cgroup": "0::/box\n"},
+        {"/proc/self/cgroup": "4:memory:/a\nnot a cgroup line\n",
+         "/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "-1\n"},
+        {"/proc/self/cgroup": "4:cpu:/a\n", "/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "1\n"},
+    ])
+    def test_no_readable_limit_leaves_every_message(self, monkeypatch, files):
+        need = 4.0 * fock._physical_memory()
+        monkeypatch.setattr(fock, "_read_text", lambda path: "")
+        unlimited = self.refusal(need)
+        assert self.CGROUP not in unlimited
+        monkeypatch.setattr(fock, "_read_text", lambda path: files.get(path, ""))
+        assert fock._cgroup_memory() is None
+        assert self.refusal(need) == unlimited
+
+    def test_the_process_own_cgroup_reads(self):
+        # here the limit is unset, or above what the tests need
+        limit = fock._cgroup_memory()
+        assert limit is None or limit > 1 << 28
+        assert fock._read_text("/nonexistent/memory.max") == ""

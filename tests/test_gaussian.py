@@ -502,6 +502,41 @@ class TestStackParity:
         assert np.any(columns["bs_transmission"] == 1.0)
         assert np.any(columns["loss_pre"] == 1.0) and np.any(columns["distinguishability"] == 0)
 
+    def test_mixed_sources_equal_each_model_alone(self):
+        # the stack of a loss sweep step: SMSV rows (r = 0) and TMSV rows
+        # (r1 = r2 = 0) in one call, each scaled by its own detector factor
+        from vibsim.experiment import (
+            TMSV, DetectorModel, ExperimentModel, SMSVPair, model_fidelities,
+        )
+        from vibsim.optimize import _SweepSource
+        from vibsim.vibronic import OpticalTarget
+
+        rng = np.random.default_rng(25)
+        targets = [OpticalTarget((0.72, -0.19), (BeamSplitter(0, 1, 0.33),)),
+                   OpticalTarget((0.4, 0.3), (BeamSplitter(0, 1, 1.1, 0.4),), (0.3 - 0.2j, 0.1j))]
+        template = ExperimentModel(_SweepSource(0.0, 0.0), 1.0, detector=DetectorModel().ideal())
+        seen = set()
+        for stack in range(200):
+            count = 9
+            tmsv = rng.random(count) < 0.5
+            r1, r2, r = np.where([~tmsv, ~tmsv, tmsv], rng.uniform(0.0, 2.0, (3, count)), 0.0)
+            t = np.where(rng.random(count) < 0.2, 1.0, rng.uniform(0.0, 1.0, count))
+            delta = np.where(rng.random(count) < 0.5, 0.0, 0.06)
+            eta = np.where(rng.random(count) < 0.2, 1.0, rng.uniform(0.05, 1.0, count))
+            factor = np.where(tmsv, 0.9958, 1.0)
+            loss = np.stack([eta, eta], -1)
+            target = targets[stack % 2]
+            got = model_fidelities(template, target, r1=r1, r2=r2, r=r, bs_transmission=t,
+                                   distinguishability=delta, loss_pre=loss) * factor
+            for k in range(count):
+                source = TMSV(r[k]) if tmsv[k] else SMSVPair(r1[k], r2[k])
+                alone = ExperimentModel(source, t[k], (eta[k], eta[k]), distinguishability=delta[k],
+                                        detector=DetectorModel(noise_fidelity_factor=factor[k]))
+                assert got[k].hex() == model_fidelities(alone, target)[0].hex(), (stack, k)
+                seen.add((bool(tmsv[k]), delta[k] > 0, eta[k] == 1.0, t[k] == 1.0))
+        # every kind of row, at δ = 0 and 0.06, at η = 1 and t = 1, met a stack
+        assert len(seen) == 16
+
     def test_one_fold_per_call(self, monkeypatch):
         from vibsim import experiment
         from vibsim.vibronic import OpticalTarget

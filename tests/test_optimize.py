@@ -4,15 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vibsim import optimize
 from vibsim.experiment import DetectorModel, ExperimentModel, ParameterUncertainty, SMSVPair, TMSV, model_fidelity
 from vibsim.fixtures import IDEAL_BS_TRANSMISSION, characterized_model, parameter_uncertainty, tropolone_target
 from vibsim.optimize import (
     MONTE_CARLO_BYTES_PER_DRAW,
+    loss_sweep,
     monte_carlo_fidelity,
     nelder_mead,
     optimize_experiment,
 )
-from helpers import lazy_nelder_mead
+from helpers import lazy_nelder_mead, sequential_loss_sweep
 
 IDEAL_DET = DetectorModel(0.0, 0.0, 1.0)
 
@@ -61,6 +63,11 @@ class TestNelderMead:
 
 def rosenbrock(x):
     return -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+
+def terraces(x):
+    # a paraboloid in flat steps: a simplex on one step shrinks
+    return -np.floor(4 * ((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2))
 
 
 def digest(points) -> str:
@@ -121,20 +128,49 @@ class TestEvaluationOrder:
             one.value, one.iterations, one.converged)
 
     def test_terraces_shrink(self):
-        def terraces(x):
-            # a paraboloid in flat steps: a simplex on one step shrinks
-            return -np.floor(4 * ((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2))
-
         _, events = self.against_the_oracle(terraces, [-1.2, 1.0], [(-3, 3), (-3, 3)])
         assert events.count("shrink") == 33
 
-    def test_fit_source(self, monkeypatch):
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_lockstep_runs_take_their_own_steps(self, count):
+        # runs of other starts and objectives, driven together: a run drops out
+        # when it ends, and each step scores every other run's points in one call
+        bounds = [(-3, 3), (-3, 3)]
+        chosen = [(rosenbrock, [-1.2, 1.0]), (terraces, [-1.2, 1.0]), (rosenbrock, [2.0, -2.5])]
+        chosen = chosen[:count]
+        calls = []
+
+        def objective(asks):
+            calls.append({i: len(points) for i, points in asks.items()})
+            return np.concatenate([rows(chosen[i][0])(points) for i, points in asks.items()])
+
+        results = optimize._lockstep(objective, [optimize._simplex(x, bounds, 1e-10, 5000)
+                                                 for _, x in chosen])
+        steps = []
+        for i, ((f, start), got) in enumerate(zip(chosen, results)):
+            events = []
+            want = lazy_nelder_mead(f, start, bounds, tol=1e-10, max_iter=5000, events=events)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert (got.value, got.iterations, got.converged) == (
+                want.value, want.iterations, want.converged)
+            steps.append(expected_calls(2, events))
+            # the run's points are in each call until it ends, and in no later one
+            assert [c.get(i) for c in calls] == steps[-1] + [None] * (len(calls) - len(steps[-1]))
+        assert len(calls) == max(map(len, steps))
+
+    @staticmethod
+    def fit_histograms():
         from vibsim import calibrate
         from vibsim.sampler import sample
 
-        hists = [sample(calibrate.predicted_distribution(0.3, (0.45, 0.40), t, DetectorModel(), 12),
-                        1_000_000, seed=seed, metadata={"bs_setting": setting})
-                 for setting, t, seed in (("100:0", 1.0, 17), ("0:100", 0.0, 18))]
+        return [sample(calibrate.predicted_distribution(0.3, (0.45, 0.40), t, DetectorModel(), 12),
+                       1_000_000, seed=seed, metadata={"bs_setting": setting})
+                for setting, t, seed in (("100:0", 1.0, 17), ("0:100", 0.0, 18))]
+
+    def test_fit_source(self, monkeypatch):
+        from vibsim import calibrate
+
+        hists = self.fit_histograms()
         points, events, calls = [], [], []
 
         def lazy(objective, *args, **kwargs):
@@ -160,6 +196,30 @@ class TestEvaluationOrder:
         # one call per iteration, plus the first simplex and each shrink
         assert [len(c) for c in calls] == expected_calls(3, events)
 
+    def test_fit_source_in_lockstep(self, monkeypatch):
+        # the fit as the first of three runs that advance together
+        from vibsim import calibrate
+
+        hists = self.fit_histograms()
+        alone = calibrate.fit_source(*hists, DetectorModel())
+        others = [(rosenbrock, [-1.2, 1.0]), (terraces, [-1.2, 1.0])]
+
+        def with_two_more(objective, start, bounds, tol, max_iter):
+            def stacked(asks):
+                return np.concatenate([rows(others[i - 1][0])(points) if i else objective(points)
+                                       for i, points in asks.items()])
+
+            runs = [optimize._simplex(start, bounds, tol, max_iter)] + [
+                optimize._simplex(x, [(-3, 3), (-3, 3)], 1e-10, 5000) for _, x in others]
+            return optimize._lockstep(stacked, runs)[0]
+
+        monkeypatch.setattr(calibrate, "nelder_mead", with_two_more)
+        fit = calibrate.fit_source(*hists, DetectorModel())
+        assert fit.iterations == 104
+        assert [v.hex() for v in (fit.r, *fit.eta, fit.residual_tvd)] == [
+            v.hex() for v in (alone.r, *alone.eta, alone.residual_tvd)]
+        assert fit == alone
+
 
 class TestOptimizeExperiment:
     def test_recovers_ideal_parameters(self):
@@ -182,11 +242,55 @@ class TestOptimizeExperiment:
         assert first[1] == second[1]
         assert first[0] == second[0]
 
+    @pytest.mark.parametrize("capped", [0, 1])
+    def test_converged_when_either_run_converges(self, monkeypatch, capped):
+        # the first run or its restart stops after three iterations
+        simplex, starts = optimize._simplex, []
+
+        def capped_simplex(start, bounds, tol, max_iter):
+            starts.append(start)
+            return simplex(start, bounds, tol, 3 if len(starts) - 1 == capped else max_iter)
+
+        monkeypatch.setattr(optimize, "_simplex", capped_simplex)
+        [best] = optimize._optima(lambda asks: -(asks[0][:, 0] - 0.3) ** 2, [np.array([0.9])],
+                                  [[(0.0, 1.0)]])
+        assert len(starts) == 2 and best.converged
+
     def test_improves_on_start(self):
         template = characterized_model()
         start_f = model_fidelity(template, tropolone_target())
         _, f_star = optimize_experiment(template, tropolone_target())
         assert f_star >= start_f
+
+
+class TestLossSweep:
+    #: the two loss sweeps of the benchmark's design workload at seed 7: the
+    #: grid, and the detector and distinguishability of each config's experiment
+    DESIGN = [
+        ([0.1187, 0.6076], DetectorModel(0.0023128627405924517, 0.0001662966461281794,
+                                         0.9994052746495549), 0.06656155283804172),
+        ([0.0732, 0.5784], DetectorModel(0.0035563075956293213, 0.00025194703147109963,
+                                         0.9973362268883138), 0.020397623608259953),
+    ]
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_design_sweep_in_at_most_450_calls(self, case, monkeypatch):
+        # 949 and 956 calls when the three curves ran one after another
+        grid, detector, delta = self.DESIGN[case]
+        calls, stacked = [], optimize.model_fidelities
+
+        def counted(*args, **columns):
+            calls.append(len(columns["r"]))
+            return stacked(*args, **columns)
+
+        want = sequential_loss_sweep(tropolone_target(), np.array(grid), detector, delta)
+        monkeypatch.setattr(optimize, "model_fidelities", counted)
+        got = loss_sweep(tropolone_target(), np.array(grid), detector, delta)
+        assert len(calls) <= 450
+        # the first simplices of all three runs, 4 + 3 + 3 points, are the widest call
+        assert max(calls) == 10
+        assert {k: [v.hex() for v in vs] for k, vs in got.items()} == {
+            k: [v.hex() for v in vs] for k, vs in want.items()}
 
 
 class TestMonteCarlo:

@@ -97,8 +97,9 @@ def test_only_named_definitions_lack_a_runtime_reader():
 PRIVATE_READS = {
     "calibrate": {"fock._tmsv_amplitudes", "fock._loss_kraus", "fock._table",
                   "fock._noise_convolution", "fock._apply_single", "experiment._mixing_angle"},
-    "cli": {"fock._refuse_beyond_memory"},
-    "experiment": {"gaussian._each"},
+    "cli": {"fock._refuse_beyond_memory", "optimize._optimum"},
+    "experiment": {"gaussian._anywhere", "gaussian._each"},
+    "optimize": {"gaussian._anywhere"},
 }
 
 
