@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except (ConfigError, HistogramFormatError, OSError, fock.FockMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # an allocation past a guard that memory could not hold
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_INPUT
     except (fock.TruncationError, PhysicalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -270,8 +270,9 @@ def model_fidelities(template: ExperimentModel, target: OpticalTarget, **columns
 
 
 def observed_distribution(model: ExperimentModel, cutoff: int) -> FCTable:
-    """Photon-number statistics the detectors would record."""
-    rho = fock.replay_fock(build_circuit(model), cutoff)
+    """Photon-number statistics the detectors would record: :func:`fock.replay_fock`'s
+    counts, bit for bit, from its density's number-balanced sector alone."""
+    rho = fock._photon_counts(build_circuit(model), cutoff)
     return fock.attach_detector_noise(rho, model.detector)
 
 

@@ -10,6 +10,8 @@ space up to genuine tail mass.
 A state is held as a factor X of its density rho = X X+, on which unitaries
 act from one side: a pure state as its ket, a mixed Gaussian state in synthesis
 as the purification diag(sqrt(p)) of its thermal core.  A channel densifies it.
+Counts read the diagonal alone, so a lossy experiment's evolve only the density's
+number-balanced sector, c^3 of its c^4 entries, bit for bit (:func:`_photon_counts`).
 
 Every two-mode operator conserves a photon number: beam splitters and
 other passive mixings conserve the total n1 + n2, the two-mode squeezer
@@ -308,26 +310,29 @@ def _tmsv_amplitudes(r, cutoff: int) -> np.ndarray:
 class FockDensity:
     """Density operator of ``num_modes`` modes truncated at ``cutoff``, held
     as a ``factor`` X of shape (cutoff**num_modes, k) with rho = X X+: a ket
-    (k = 1) or a purification.  A channel's result keeps its density ``rho``.
-    ``tail_mass = 1 - trace`` is the probability that has left the truncated
-    space (zero for purely unitary circuits)."""
+    (k = 1) or a purification.  A channel's result keeps its density ``rho``,
+    or its ``diagonal`` alone for counts.  ``tail_mass = 1 - trace`` is the
+    probability that has left the truncated space (zero for unitary circuits)."""
 
     num_modes: int
     cutoff: int
     factor: np.ndarray | None = None
     rho: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         dim = self.cutoff**self.num_modes
-        data = self.rho if self.factor is None else self.factor
+        data = next((x for x in (self.factor, self.rho, self.diagonal) if x is not None), None)
         shape = np.shape(data)
-        if len(shape) != 2 or shape[0] != dim or (self.factor is None and shape[1] != dim):
+        if (shape != (dim,) if data is self.diagonal else
+                len(shape) != 2 or shape[0] != dim or (data is self.rho and shape[1] != dim)):
             raise ValueError(f"shape {shape} does not match {dim}")
         data.setflags(write=False)
-        if self.factor is None or shape[1] == 1:
+        if data is not self.factor or shape[1] == 1:
             # a density's diagonal, or a ket's |x|^2 in one array: the trace
             # of a pure result is reported to the bit
-            terms = data.diagonal()[:, None] if self.factor is None else data * data.conj()
+            terms = (data * data.conj() if data is self.factor
+                     else (data if data is self.diagonal else data.diagonal())[:, None])
             tr = float(terms.sum().real)
             occupations = terms.real.sum(axis=1)
         else:
@@ -347,6 +352,8 @@ class FockDensity:
     def matrix(self) -> np.ndarray:
         """The density matrix, Hermitian-symmetrised; built on each call."""
         x, mat = self.factor, self.rho
+        if x is None and mat is None:
+            raise ValueError("only the diagonal of this density was kept")
         if x is not None:
             mat = np.outer(x, x.conj()) if x.shape[1] == 1 else x @ x.conj().T
         return (mat + mat.conj().T) * 0.5
@@ -481,19 +488,26 @@ def _cgroup_memory() -> int | None:
 
 def _refuse_beyond_memory(what: str, need: float) -> None:
     """Raise :class:`FockMemoryError` when ``need`` bytes exceed the least of physical
-    memory, the process's soft RLIMIT_AS and RLIMIT_DATA and its cgroup's memory
-    limit, the bound of every guard."""
-    limits = [(resource.getrlimit(getattr(resource, n))[0], f"the soft {n}")
-              for n in ("RLIMIT_AS", "RLIMIT_DATA")]
-    limits = [limit for limit in limits if limit[0] != resource.RLIM_INFINITY]
+    memory, the process's soft RLIMIT_AS less the address space it maps already,
+    its soft RLIMIT_DATA and its cgroup's memory limit, the bound of every guard."""
+    limits = [(_physical_memory(), "physical memory", 0)]
+    for n in ("RLIMIT_AS", "RLIMIT_DATA"):
+        soft = resource.getrlimit(getattr(resource, n))[0]
+        if soft != resource.RLIM_INFINITY:
+            # what the process maps already (VmSize, where readable) counts against RLIMIT_AS
+            status = _read_text("/proc/self/status") if n == "RLIMIT_AS" else ""
+            kib = status.partition("\nVmSize:")[2].split()[:1]
+            mapped = 1024 * int(kib[0]) if kib and kib[0].isdigit() else 0
+            limits.append((soft, f"the soft {n}", mapped))
     cgroup = _cgroup_memory()
     if cgroup is not None:
-        limits.append((cgroup, "the memory limit of the process's cgroup"))
-    have, name = min([(_physical_memory(), "physical memory"), *limits])
-    if need > have:
+        limits.append((cgroup, "the memory limit of the process's cgroup", 0))
+    have, name, mapped = min(limits, key=lambda limit: (limit[0] - limit[2], limit[1]))
+    if need > have - mapped:
+        less = f", less the {mapped:.3g} bytes the process maps" if mapped else ""
         raise FockMemoryError(
             f"{what} needs about {need:.3g} bytes of working memory, "
-            f"more than the {have:.3g} bytes of {name}"
+            f"more than the {have:.3g} bytes of {name}{less}"
         )
 
 
@@ -573,6 +587,16 @@ def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
         raise TypeError(f"unknown element {elem!r}")
 
 
+def _checked(rho: FockDensity, strict: bool = True) -> FockDensity:
+    """``rho``, once it passes :meth:`FockDensity.converged` where ``strict``."""
+    if strict and not rho.converged():
+        raise TruncationError(
+            f"cutoff {rho.cutoff} too small: tail_mass={rho.tail_mass:.3e}, "
+            f"boundary_mass={rho.boundary_mass():.3e}"
+        )
+    return rho
+
+
 def replay_fock(circuit: GaussianCircuit, cutoff: int, *, strict: bool = True) -> FockDensity:
     """Replay a circuit on the truncated Fock space, starting from vacuum.
 
@@ -582,13 +606,55 @@ def replay_fock(circuit: GaussianCircuit, cutoff: int, *, strict: bool = True) -
     ws = _FockWorkspace(circuit.num_modes, cutoff)
     for elem in circuit.elements:
         _apply_element(ws, elem)
-    rho = ws.result()
-    if strict and not rho.converged():
-        raise TruncationError(
-            f"cutoff {cutoff} too small: tail_mass={rho.tail_mass:.3e}, "
-            f"boundary_mass={rho.boundary_mass():.3e}"
-        )
-    return rho
+    return _checked(ws.result(), strict)
+
+
+def _sector(cutoff: int, d: int) -> tuple[np.ndarray, ...]:
+    """Index (a + j, b + k, b + j, a + k), a = max(d, 0), b = max(-d, 0), of block
+    [j, k] of the sector n1 - m1 = m2 - n2 = d of a density rho[n1, n2, m1, m2]."""
+    a, b, j = max(d, 0), max(-d, 0), np.arange(cutoff - abs(d))
+    return a + j[:, None], b + j, b + j[:, None], a + j
+
+
+class _CountsWorkspace(_FockWorkspace):
+    """Its density holds the number-balanced sector alone; channels update blocks ``sectors``."""
+
+    def _densify(self) -> None:
+        if self.vec is not None:
+            _check_memory(2, self.cutoff, "density")
+            psi, self.rho = self.vec, np.zeros((self.cutoff,) * 4, dtype=complex)
+            self.index = {d: _sector(self.cutoff, d) for d in range(1 - self.cutoff, self.cutoff)}
+            for n1, n2, m1, m2 in self.index.values():
+                self.rho[n1, n2, m1, m2] = psi[n1, n2] * psi[m1, m2].conj()
+            self.vec = None
+
+    def apply_channel(self, op: _PairBlocks, mode: int) -> None:
+        self._densify()
+        for d in self.sectors:  # as on the density's rows: block d on mode 0, -d on mode 1
+            index, block = self.index[d], op.blocks[self.cutoff - 1 + (d, -d)[mode]]
+            self.rho[index] = (block @ self.rho[index].T).T if mode else block @ self.rho[index]
+
+
+def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
+    """:func:`replay_fock`'s counts of a two-mode circuit (occupations, trace,
+    masses and refusals) bit for bit, from c^3 of the density's c^4 entries:
+    channels keep each mode's ket-minus-bra difference and beam splitters
+    n1 + n2, so the diagonal reads only the sector n1 - m1 = m2 - n2.  A channel
+    block's product has the bits of every column panel but a one-column one (a
+    matrix-vector product): where :func:`_apply_pair` leaves one, or a unitary
+    other than a beam splitter follows a channel, the replay runs whole."""
+    elements, c = circuit.elements, cutoff
+    lossy = [isinstance(e, (Loss, ThermalMix)) for e in elements] + [True]
+    if circuit.num_modes != 2 or (c * c - 1) % max(1, (_SERIAL_MNK - 1) // c**2) == 0 or not all(
+            isinstance(e, (Loss, ThermalMix, BeamSplitter)) for e in elements[lossy.index(True):]):
+        return replay_fock(circuit, cutoff)
+    ws = _CountsWorkspace(2, c)
+    last = max((i for i, e in enumerate(elements) if isinstance(e, BeamSplitter)), default=-1)
+    for i, elem in enumerate(elements):
+        ws.sectors = range(1 - c, c) if i < last else (0,)
+        _apply_element(ws, elem)
+    return _checked(ws.result() if ws.vec is not None else
+                    FockDensity(2, c, diagonal=ws.rho[ws.index[0]].reshape(-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,39 @@ class TestFockMemory:
         assert "cutoff 110 on 2 modes" in done.stderr
         assert f"more than the {float(min(limit, have)):.3g} bytes of {bound}" in done.stderr
 
+    @pytest.mark.parametrize("cutoff", [96, 98])
+    def test_address_space_already_mapped_counts(self, tmp_path, cutoff):
+        # under a soft RLIMIT_AS of 1.5 GiB set in a child only, the densities
+        # of cutoffs 96 and 98 fit the limit but not beside the interpreter,
+        # numpy and BLAS the child maps already: refused, not a traceback
+        path = write_config(tmp_path, **{**README_CONFIG, "cutoff": cutoff})
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({3 << 29}, "
+                "resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+                "from vibsim.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, "--config", str(path), "--out-dir",
+                               str(tmp_path / "out"), "simulate"], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+        assert not (tmp_path / "out" / "observed.csv").exists()
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 13.4 MiB")])
+    def test_memory_error_past_a_guard_exits_2(self, tmp_path, capsys, monkeypatch, error):
+        def allocate(model, cutoff):
+            raise error
+
+        monkeypatch.setattr(cli, "observed_distribution", allocate)
+        path = write_config(tmp_path, **README_CONFIG)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory{f': {error}' if str(error) else ''}\n"
+
 
 class TestDetectorNoiseBound:
     """dark_p1 = 1 has no geometric count law, and a dark_p1 close to 1 needs
@@ -822,12 +855,20 @@ def config_paths(node, path=()):
         yield from config_paths(child, path + (key,))
 
 
-def mutations(value) -> list:
+#: magnitudes a numeric leaf may take: large, the ends of the float range, an
+#: integer past int64 and one past the float range, the least subnormal and zero
+MAGNITUDES = (1e3, 1e308, -1e308, 2**63, 10**400, 5e-324, 0)
+
+
+def mutations(value, magnitudes: bool = False) -> list:
     """A wrong type, null, NaN, +-inf, a negative number, an empty or
-    truncated list, or the field dropped (``DROP``)."""
+    truncated list, or the field dropped (``DROP``); with ``magnitudes``, a
+    number also takes each of :data:`MAGNITUDES`."""
     out = [None, math.nan, math.inf, -math.inf, DROP, 1 if isinstance(value, str) else "x"]
     if isinstance(value, (int, float)):
         out.append(-(abs(value) or 1))
+        if magnitudes:
+            out += MAGNITUDES
     if isinstance(value, list):
         out += [[], value[:-1]]
     return out
@@ -871,6 +912,29 @@ class TestConfigMutations:
 
     def test_exit_codes_hold_on_optical_smsv_config(self, tmp_path, capsys):
         assert {0, 2} <= exit_codes_under_mutation(OPTICAL_CONFIG, tmp_path, capsys)
+
+    @pytest.mark.parametrize("base", [README_CONFIG, OPTICAL_CONFIG], ids=["readme", "optical"])
+    def test_simulate_holds_at_every_magnitude(self, tmp_path, capsys, base):
+        # every numeric leaf of the experiment, the section simulate's photon
+        # counts read, at each magnitude: exit 0, 2 or 3, no traceback, no warning
+        start, seen, runs = time.perf_counter(), set(), 0
+        for path in config_paths(base["experiment"], ("experiment",)):
+            leaf = base
+            for key in path:
+                leaf = leaf[key]
+            if not isinstance(leaf, (int, float)):
+                continue
+            for value in mutations(leaf, magnitudes=True):
+                cfg_path = tmp_path / "config.json"
+                cfg_path.write_text(json.dumps(mutated(base, path, value)))
+                code, _ = run_quietly(["--config", str(cfg_path), "--out-dir",
+                                       str(tmp_path / "out"), "simulate"], capsys)
+                assert code in (0, 2, 3), (path, value)
+                seen.add(code)
+                runs += 1
+        assert runs == (7 + len(MAGNITUDES)) * (8 if base is README_CONFIG else 11)
+        assert {0, 2} <= seen
+        assert time.perf_counter() - start < 10.0
 
     @pytest.mark.parametrize("r", [-6.5, -8.0, -9.5])
     def test_squeezed_past_six_exits_without_traceback(self, tmp_path, capsys, r):

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as la
 
 from vibsim import fock
+from vibsim.experiment import SMSVPair, TMSV, ExperimentModel, build_circuit
 from vibsim.fock import (
     FockDensity,
     TruncationError,
@@ -661,6 +662,119 @@ def _route(kind, num_modes, cutoff):
     return lambda: gaussian_to_fock(mixed, cutoff)
 
 
+def _counts_models():
+    """(model, cutoff): the corners of the number-balanced route, then seeded
+    models at cutoffs 8-30, some of them too small for their model."""
+    tmsv, smsv = TMSV(0.4), SMSVPair(0.5, 0.3)
+    base = {"bs_transmission": 0.5, "loss_pre": (0.7, 0.8), "loss_post": (0.9, 0.85),
+            "distinguishability": 0.06}
+    corners = [
+        (tmsv, {}, 16), (smsv, {}, 25),  # the last column of _apply_pair's rows is alone
+        (tmsv, {"distinguishability": 0.0}, 20),
+        (smsv, {"loss_pre": (1.0, 1.0), "loss_post": (1.0, 1.0)}, 12),  # thermal admixture only
+        (tmsv, {"bs_transmission": 1.0}, 24),  # t = 1: no splitter
+        (smsv, {"distinguishability": 0.0, "loss_pre": (1.0, 1.0)}, 30),  # channels after it only
+        (tmsv, {"loss_pre": (1.0, 0.6), "loss_post": (0.7, 1.0)}, 9),
+        (smsv, {"distinguishability": 0.0, "loss_pre": (1.0, 1.0), "loss_post": (1.0, 1.0)}, 10),
+        (tmsv, {"bs_transmission": 0.0, "distinguishability": 0.0}, 14),
+    ]
+    cases = [(ExperimentModel(src, **{**base, **over}), cutoff) for src, over, cutoff in corners]
+    rng = np.random.default_rng(26)
+    for i in range(16):
+        def unit_or(lo):
+            return 1.0 if rng.random() < 0.3 else float(rng.uniform(lo, 1.0))
+        source = (TMSV(rng.uniform(0.0, 0.6)) if i % 2 else
+                  SMSVPair(rng.uniform(0.0, 0.7), rng.uniform(0.0, 0.7)))
+        t = float(rng.choice([0.0, 1.0])) if rng.random() < 0.2 else float(rng.uniform())
+        cases.append((ExperimentModel(
+            source, t, (unit_or(0.3), unit_or(0.3)), (unit_or(0.5), unit_or(0.5)),
+            0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.2))),
+            int(rng.integers(8, 31))))
+    return cases
+
+
+def _counts_or_error(run, circuit, cutoff):
+    try:
+        rho = run(circuit, cutoff)
+    except (TruncationError, fock.FockMemoryError) as exc:
+        return type(exc).__name__, str(exc)
+    return (_bits(rho.occupations()), rho.trace.hex(), rho.tail_mass.hex(),
+            rho.boundary_mass().hex())
+
+
+class TestPhotonCounts:
+    """``_photon_counts`` evolves only the number-balanced sector of the
+    density, and gives every bit of the whole replay's counts."""
+
+    @pytest.mark.parametrize("model, cutoff", _counts_models())
+    def test_counts_equal_the_whole_replay(self, model, cutoff):
+        circuit = build_circuit(model)
+        assert (_counts_or_error(fock._photon_counts, circuit, cutoff)
+                == _counts_or_error(replay_fock, circuit, cutoff))
+
+    @pytest.mark.parametrize("mnk", [2, 150, 200, 350, 500])
+    def test_panels_of_other_widths(self, monkeypatch, mnk):
+        # _apply_pair's column panels at cutoff 8 as at cutoffs past memory
+        # here: of 1 column, of 2, 3 ending in 1 (64 % 3 == 1), 5, and 7
+        # ending in 1; a one-column panel is a matrix-vector product
+        monkeypatch.setattr(fock, "_SERIAL_MNK", mnk)
+        for model, _ in _counts_models()[:10]:
+            circuit = build_circuit(model)
+            assert (_counts_or_error(fock._photon_counts, circuit, 8)
+                    == _counts_or_error(replay_fock, circuit, 8))
+
+    @pytest.mark.parametrize("circuit", [
+        GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), Squeeze(1, 0.2),
+                            BeamSplitter(0, 1, 0.5)]),
+        GaussianCircuit(2, [Squeeze(0, 0.3), ThermalMix(1, 0.1, 0.2), TwoModeSqueeze(0, 1, 0.2)]),
+        GaussianCircuit(2, [Squeeze(0, 0.3), Loss(1, 0.7), Displace(0, 0.3 - 0.1j)]),
+        GaussianCircuit(2, [Squeeze(0, 0.3), BeamSplitter(1, 0, 0.4, 0.3), Loss(1, 0.7),
+                            BeamSplitter(0, 1, 0.6), ThermalMix(0, 0.1, 0.2)]),
+        GaussianCircuit(1, [Squeeze(0, 0.4), Loss(0, 0.6)]),
+    ], ids=["squeeze-after", "tms-after", "displace-after", "two-splitters", "one-mode"])
+    def test_other_circuits(self, circuit):
+        # a unitary other than a beam splitter after a channel: the whole replay
+        assert (_counts_or_error(fock._photon_counts, circuit, 12)
+                == _counts_or_error(replay_fock, circuit, 12))
+
+    def test_too_small_a_cutoff_raises_the_same_error(self):
+        circuit = build_circuit(ExperimentModel(TMSV(0.6), 0.5, (0.7, 0.8), (0.9, 0.85), 0.06))
+        with pytest.raises(TruncationError) as whole:
+            replay_fock(circuit, 6)
+        with pytest.raises(TruncationError, match=re.escape(str(whole.value))):
+            fock._photon_counts(circuit, 6)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_same_refusal_and_working_set(self, monkeypatch, t):
+        circuit = build_circuit(ExperimentModel(SMSVPair(0.5, 0.3), t, (0.7, 0.8), (0.9, 0.85)))
+        fock._photon_counts(circuit, 30)
+        tracemalloc.start()
+        try:
+            fock._photon_counts(circuit, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= fock._state_bytes(2, 30, "density")
+        # a density past memory is refused at the first channel, as the
+        # replay refuses it, even where the sector alone would fit (t = 1)
+        have = 1 << 28
+        monkeypatch.setattr(fock, "_physical_memory", lambda: have)
+        cutoff = math.ceil((have / 16) ** 0.25) + 1
+        with pytest.raises(fock.FockMemoryError) as whole:
+            replay_fock(circuit, cutoff)
+        with pytest.raises(fock.FockMemoryError, match=re.escape(str(whole.value))):
+            fock._photon_counts(circuit, cutoff)
+
+    def test_a_kept_diagonal_has_no_matrix(self):
+        circuit = build_circuit(ExperimentModel(TMSV(0.3), 0.5, (0.7, 0.8)))
+        rho = fock._photon_counts(circuit, 10)
+        assert rho.rho is None and rho.factor is None and rho.diagonal.shape == (100,)
+        with pytest.raises(ValueError, match="diagonal"):
+            rho.matrix
+        with pytest.raises(ValueError, match="shape"):
+            FockDensity(2, 4, diagonal=np.ones(15))
+
+
 class TestMemoryGuard:
     @pytest.mark.parametrize("kind", ["ket-replay", "ket-synthesis", "density", "purification"])
     @pytest.mark.parametrize("num_modes, cutoff", [(1, 30), (2, 12), (2, 24), (2, 30), (3, 8),
@@ -721,6 +835,34 @@ class TestMemoryGuard:
             tracemalloc.stop()
         # the ket and the channel's build, not the density
         assert peak < fock._state_bytes(2, rho_cutoff, "ket")
+
+
+class TestAddressSpaceLimit:
+    """The address space a process maps already counts against its soft
+    RLIMIT_AS, through readers that tests replace: no limit is changed."""
+
+    def test_mapped_bytes_move_the_threshold(self, monkeypatch):
+        limit, mapped = 1 << 30, 300 << 20
+        status = f"Name:\tpython\nVmPeak:\t 999999 kB\nVmSize:\t {mapped >> 10} kB\n"
+        monkeypatch.setattr(fock, "_physical_memory", lambda: 1 << 40)
+        monkeypatch.setattr(fock, "_read_text", lambda path: {"/proc/self/status": status}.get(
+            path, ""))
+        monkeypatch.setattr(fock.resource, "getrlimit", lambda which: (
+            limit if which == fock.resource.RLIMIT_AS else fock.resource.RLIM_INFINITY,
+            fock.resource.RLIM_INFINITY))
+        fock._refuse_beyond_memory("a test array", limit - mapped)
+        with pytest.raises(fock.FockMemoryError) as refused:
+            fock._refuse_beyond_memory("a test array", limit - mapped + 1)
+        assert str(refused.value).endswith(
+            f"more than the {float(limit):.3g} bytes of the soft RLIMIT_AS, "
+            f"less the {float(mapped):.3g} bytes the process maps")
+        # unreadable, the whole limit binds, with the message it had
+        monkeypatch.setattr(fock, "_read_text", lambda path: "")
+        fock._refuse_beyond_memory("a test array", limit)
+        with pytest.raises(fock.FockMemoryError) as refused:
+            fock._refuse_beyond_memory("a test array", limit + 1)
+        assert str(refused.value).endswith(f"more than the {float(limit):.3g} bytes of the "
+                                           "soft RLIMIT_AS")
 
 
 class TestCgroupLimit:

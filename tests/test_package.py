@@ -98,7 +98,7 @@ PRIVATE_READS = {
     "calibrate": {"fock._tmsv_amplitudes", "fock._loss_kraus", "fock._table",
                   "fock._noise_convolution", "fock._apply_single", "experiment._mixing_angle"},
     "cli": {"fock._refuse_beyond_memory", "optimize._optimum"},
-    "experiment": {"gaussian._anywhere", "gaussian._each"},
+    "experiment": {"gaussian._anywhere", "gaussian._each", "fock._photon_counts"},
     "optimize": {"gaussian._anywhere"},
 }
 
