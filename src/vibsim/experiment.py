@@ -271,7 +271,7 @@ def model_fidelities(template: ExperimentModel, target: OpticalTarget, **columns
 
 def observed_distribution(model: ExperimentModel, cutoff: int) -> FCTable:
     """Photon-number statistics the detectors would record: :func:`fock.replay_fock`'s
-    counts, bit for bit, from its density's number-balanced sector alone."""
+    counts, bit for bit, from its density's number-balanced sector held alone (c^3 entries)."""
     rho = fock._photon_counts(build_circuit(model), cutoff)
     return fock.attach_detector_noise(rho, model.detector)
 

@@ -9,9 +9,10 @@ space up to genuine tail mass.
 
 A state is held as a factor X of its density rho = X X+, on which unitaries
 act from one side: a pure state as its ket, a mixed Gaussian state in synthesis
-as the purification diag(sqrt(p)) of its thermal core.  A channel densifies it.
-Counts read the diagonal alone, so a lossy experiment's evolve only the density's
-number-balanced sector, c^3 of its c^4 entries, bit for bit (:func:`_photon_counts`).
+as the purification diag(sqrt(p)) of its thermal core, which starts past its
+first passive mixing.  A channel densifies it.  Counts read the diagonal alone,
+so a lossy experiment's are evolved, bit for bit, on the density's
+number-balanced sector alone: c^3 entries, and no c^4 array (:func:`_photon_counts`).
 
 Every two-mode operator conserves a photon number: beam splitters and
 other passive mixings conserve the total n1 + n2, the two-mode squeezer
@@ -561,6 +562,19 @@ class _FockWorkspace:
         assert self.rho is not None
         self.rho = _apply_pair(self.rho, op, mode, self.num_modes + mode)
 
+    def apply_start_passive(self, w: np.ndarray) -> None:
+        """Apply the passive mixing ``w`` to the start state.  It keeps the vacuum ket; on a
+        two-mode purification diag(sqrt(weights)) each entry of a block's product has one nonzero
+        term, so scaling the block's columns by their roots gives its bits, up to signs of zero."""
+        if self.vec is not None and self.vec.ndim == self.num_modes:
+            return
+        if self.vec is None or self.num_modes != 2:
+            return _apply_passive(self, w)
+        op, x = _passive_operator(w, self.cutoff), self.vec.reshape(self.cutoff**2, -1)
+        for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
+            s = op.index[0][lo:hi] * self.cutoff + op.index[1][lo:hi]
+            x[np.ix_(s, s)] = block * x[s, s]
+
     def result(self) -> FockDensity:
         dim = self.cutoff**self.num_modes
         if self.vec is not None:
@@ -616,36 +630,91 @@ def _sector(cutoff: int, d: int) -> tuple[np.ndarray, ...]:
     return a + j[:, None], b + j, b + j[:, None], a + j
 
 
+@lru_cache(maxsize=128)
+def _sector_layout(cutoff: int, swap: bool) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The sector n1 - m1 = m2 - n2 of a density as one flat array: ``bounds`` of
+    its :func:`_sector` blocks d, row-major, in increasing d.  Per pair block
+    N = n1 + n2 of :func:`_block_layout`, its states read as (n2, n1) where ``swap``:
+    ``take``, the flat entries of rho[S_N, S_N], and ``cols``, the pair index
+    n1 c + n2 of S_N; the arrays are read-only."""
+    c, diffs = cutoff, np.arange(1 - cutoff, cutoff)
+    sizes, a, b = c - abs(diffs), np.maximum(diffs, 0), np.maximum(-diffs, 0)
+    bounds = np.concatenate(([0], np.cumsum(sizes**2)))
+    index, pair_bounds = _block_layout(c, False)
+    first, second = index[::-1] if swap else index
+    take, cols = [], []
+    for lo, hi in zip(pair_bounds, pair_bounds[1:]):
+        n1, n2 = first[lo:hi], second[lo:hi]
+        d = c - 1 + n1[:, None] - n1  # block of (ket, bra) = (n, m): n1 - m1
+        take.append(bounds[d] + (n1[:, None] - a[d]) * sizes[d] + n2[:, None] - b[d])
+        cols.append(n1 * c + n2)
+    for arr in take + cols:
+        arr.setflags(write=False)
+    return tuple(bounds.tolist()), tuple(take), tuple(cols)
+
+
 class _CountsWorkspace(_FockWorkspace):
-    """Its density holds the number-balanced sector alone; channels update blocks ``sectors``."""
+    """From the first channel on it holds the sector alone, :func:`_sector_layout`'s
+    flat ``sector`` with views ``blocks``; channels update blocks ``sectors``."""
 
     def _densify(self) -> None:
+        """The sector of the ket's density, past the whole density's guard (which
+        reserves more than the sector holds), so a refusal is the replay's."""
         if self.vec is not None:
             _check_memory(2, self.cutoff, "density")
-            psi, self.rho = self.vec, np.zeros((self.cutoff,) * 4, dtype=complex)
-            self.index = {d: _sector(self.cutoff, d) for d in range(1 - self.cutoff, self.cutoff)}
-            for n1, n2, m1, m2 in self.index.values():
-                self.rho[n1, n2, m1, m2] = psi[n1, n2] * psi[m1, m2].conj()
+            c, psi, bounds = self.cutoff, self.vec, _sector_layout(self.cutoff, False)[0]
+            self.sector = np.empty(bounds[-1], dtype=complex)
+            self.blocks = [self.sector[lo:hi].reshape(c - abs(d), -1)
+                           for d, lo, hi in zip(range(1 - c, c), bounds, bounds[1:])]
+            for d, block in zip(range(1 - c, c), self.blocks):
+                # block by block, as the replay's: an elementwise product's bits depend on
+                # where its operands sit in the array
+                n1, n2, m1, m2 = _sector(c, d)
+                block[...] = psi[n1, n2] * psi[m1, m2].conj()
             self.vec = None
+
+    def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:
+        """A beam splitter on the sector as :func:`_apply_pair`'s two passes: rho[S_N, S_N]
+        at its columns of zeroed rows, and the products of the panels that hold one."""
+        if self.vec is not None:
+            return super().apply_unitary(op, modes)
+        c = self.cutoff
+        width = (_SERIAL_MNK - 1) // c**2
+        _, take, cols = _sector_layout(c, modes[0] == 1)
+        for block, index, col in zip(op.blocks, take, cols):
+            rows = np.zeros((col.size, c * c), dtype=complex)
+            rows[:, col] = self.sector[index]
+            for side in (block, block.conj()):  # the ket's rows, then the bra's
+                for start in range(col[0] // width * width, col[-1] + 1, width):
+                    panel = slice(start, start + width)
+                    rows[:, panel] = side @ rows[:, panel]
+                rows[:, col] = rows[:, col].T
+            self.sector[index] = rows[:, col]
 
     def apply_channel(self, op: _PairBlocks, mode: int) -> None:
         self._densify()
+        c = self.cutoff
         for d in self.sectors:  # as on the density's rows: block d on mode 0, -d on mode 1
-            index, block = self.index[d], op.blocks[self.cutoff - 1 + (d, -d)[mode]]
-            self.rho[index] = (block @ self.rho[index].T).T if mode else block @ self.rho[index]
+            block, rows = op.blocks[c - 1 + (d, -d)[mode]], self.blocks[c - 1 + d]
+            rows = rows.T if mode else rows
+            out = block @ rows
+            if d == 0 and (c * c - 1) % ((_SERIAL_MNK - 1) // c**2) == 0:
+                # _apply_pair's last panel is the one column (c - 1, c - 1)
+                out[:, -1:] = block @ rows[:, -1:]
+            rows[...] = out
 
 
 def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
     """:func:`replay_fock`'s counts of a two-mode circuit (occupations, trace,
-    masses and refusals) bit for bit, from c^3 of the density's c^4 entries:
-    channels keep each mode's ket-minus-bra difference and beam splitters
-    n1 + n2, so the diagonal reads only the sector n1 - m1 = m2 - n2.  A channel
-    block's product has the bits of every column panel but a one-column one (a
-    matrix-vector product): where :func:`_apply_pair` leaves one, or a unitary
-    other than a beam splitter follows a channel, the replay runs whole."""
+    masses and refusals) bit for bit, from the c^3 entries of its density's
+    sector n1 - m1 = m2 - n2, with no c^4 array: channels keep each mode's
+    ket-minus-bra difference and beam splitters n1 + n2, so the diagonal reads
+    only that sector.  Every product is one of :func:`_apply_pair`'s, on the
+    sector's columns of its panels.  Where every panel is one column, or a
+    unitary other than a beam splitter follows a channel, the replay runs whole."""
     elements, c = circuit.elements, cutoff
     lossy = [isinstance(e, (Loss, ThermalMix)) for e in elements] + [True]
-    if circuit.num_modes != 2 or (c * c - 1) % max(1, (_SERIAL_MNK - 1) // c**2) == 0 or not all(
+    if circuit.num_modes != 2 or (_SERIAL_MNK - 1) // c**2 < 2 or not all(
             isinstance(e, (Loss, ThermalMix, BeamSplitter)) for e in elements[lossy.index(True):]):
         return replay_fock(circuit, cutoff)
     ws = _CountsWorkspace(2, c)
@@ -654,7 +723,7 @@ def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
         ws.sectors = range(1 - c, c) if i < last else (0,)
         _apply_element(ws, elem)
     return _checked(ws.result() if ws.vec is not None else
-                    FockDensity(2, c, diagonal=ws.rho[ws.index[0]].reshape(-1)))
+                    FockDensity(2, c, diagonal=ws.blocks[c - 1].reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +880,7 @@ def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:
             thermal = (nb / (1.0 + nb)) ** np.arange(cutoff) / (1.0 + nb)
             weights = np.outer(weights, thermal).reshape(-1)
     ws = _FockWorkspace(state.num_modes, cutoff, weights)
-    _apply_passive(ws, unitary_from_orthosymplectic(o2))
+    ws.apply_start_passive(unitary_from_orthosymplectic(o2))
     for mode, r in enumerate(rs):
         if abs(r) > 1e-14:
             # Z scales x by exp(+r); Squeeze(r) scales x by exp(-r)

@@ -913,28 +913,48 @@ class TestConfigMutations:
     def test_exit_codes_hold_on_optical_smsv_config(self, tmp_path, capsys):
         assert {0, 2} <= exit_codes_under_mutation(OPTICAL_CONFIG, tmp_path, capsys)
 
-    @pytest.mark.parametrize("base", [README_CONFIG, OPTICAL_CONFIG], ids=["readme", "optical"])
-    def test_simulate_holds_at_every_magnitude(self, tmp_path, capsys, base):
-        # every numeric leaf of the experiment, the section simulate's photon
-        # counts read, at each magnitude: exit 0, 2 or 3, no traceback, no warning
+    @staticmethod
+    def exits_at_every_leaf(base, section, values, commands, tmp_path, capsys):
+        """Exit codes and run count of ``commands`` with each numeric leaf of
+        ``base[section]`` set to each of ``values(leaf)``, in under 10 s: each
+        run exits 0, 2 or 3, with no traceback and no warning."""
         start, seen, runs = time.perf_counter(), set(), 0
-        for path in config_paths(base["experiment"], ("experiment",)):
+        for path in config_paths(base[section], (section,)):
             leaf = base
             for key in path:
                 leaf = leaf[key]
             if not isinstance(leaf, (int, float)):
                 continue
-            for value in mutations(leaf, magnitudes=True):
+            for value in values(leaf):
                 cfg_path = tmp_path / "config.json"
                 cfg_path.write_text(json.dumps(mutated(base, path, value)))
-                code, _ = run_quietly(["--config", str(cfg_path), "--out-dir",
-                                       str(tmp_path / "out"), "simulate"], capsys)
-                assert code in (0, 2, 3), (path, value)
-                seen.add(code)
-                runs += 1
+                for command in commands:
+                    code, _ = run_quietly(["--config", str(cfg_path), "--out-dir",
+                                           str(tmp_path / "out"), command], capsys)
+                    assert code in (0, 2, 3), (path, value, command)
+                    seen.add(code)
+                    runs += 1
+        assert time.perf_counter() - start < 10.0
+        return seen, runs
+
+    @pytest.mark.parametrize("base", [README_CONFIG, OPTICAL_CONFIG], ids=["readme", "optical"])
+    def test_simulate_holds_at_every_magnitude(self, tmp_path, capsys, base):
+        # every numeric leaf of the experiment, the section simulate's photon
+        # counts read, at each magnitude
+        seen, runs = self.exits_at_every_leaf(
+            base, "experiment", lambda leaf: mutations(leaf, magnitudes=True), ["simulate"],
+            tmp_path, capsys)
         assert runs == (7 + len(MAGNITUDES)) * (8 if base is README_CONFIG else 11)
         assert {0, 2} <= seen
-        assert time.perf_counter() - start < 10.0
+
+    def test_target_holds_at_every_magnitude(self, tmp_path, capsys):
+        # every numeric leaf of an optical target with every optional field,
+        # which ideal and simulate both read, at each magnitude
+        seen, runs = self.exits_at_every_leaf(
+            OPTICAL_CONFIG, "target", lambda leaf: MAGNITUDES, ["ideal", "simulate"],
+            tmp_path, capsys)
+        assert runs == 2 * len(MAGNITUDES) * 9
+        assert {0, 2, 3} <= seen
 
     @pytest.mark.parametrize("r", [-6.5, -8.0, -9.5])
     def test_squeezed_past_six_exits_without_traceback(self, tmp_path, capsys, r):

@@ -483,6 +483,52 @@ class TestFactorStorage:
             FockDensity(1, 4, factor=np.ones((4, 1), dtype=complex))
 
 
+class _FullProductWorkspace(fock._FockWorkspace):
+    """Applies a synthesis's first passive mixing by its product, as every other one."""
+
+    def apply_start_passive(self, w):
+        fock._apply_passive(self, w)
+
+
+def _synthesis_circuit(kind):
+    """A Gaussian circuit whose state's first passive mixing is not the identity."""
+    num_modes = 3 if kind.startswith("three-mode") else 2
+    elements = [Squeeze(0, 0.45, 0.7), Squeeze(1, -0.25, 1.9), BeamSplitter(0, 1, 0.6, 0.4),
+                TwoModeSqueeze(0, 1, 0.15)]
+    if num_modes == 3:
+        elements += [Squeeze(2, 0.2), BeamSplitter(1, 2, -0.5, 2.1)]
+    if kind != "pure" and kind != "three-mode":
+        # unequal thermal photons on each mode, or on one mode only
+        elements += [ThermalMix(m, 0.12 + 0.05 * m, 0.3 + 0.2 * m)
+                     for m in range(1 if kind == "one-thermal" else num_modes)]
+        elements += [BeamSplitter(0, 1, -0.7, 1.2), Squeeze(1, 0.3, 0.2)]
+    if kind == "displaced":
+        elements += [Displace(0, 0.4 - 0.25j), Displace(1, -0.1 + 0.3j)]
+    return GaussianCircuit(num_modes, elements)
+
+
+class TestStartPassive:
+    """Synthesis starts past its first passive mixing: it keeps the vacuum, and on
+    a two-mode purification its product is each block's columns scaled by their
+    roots.  Every count keeps the bits of the full product."""
+
+    @pytest.mark.parametrize("kind, cutoff", [
+        ("pure", 8), ("pure", 16), ("pure", 30), ("mixed", 8), ("mixed", 17), ("mixed", 24),
+        ("mixed", 30), ("one-thermal", 12), ("one-thermal", 25), ("displaced", 14),
+        ("displaced", 20), ("three-mode", 8), ("three-mode", 10), ("three-mode-mixed", 8),
+    ])
+    def test_counts_equal_the_full_product(self, monkeypatch, kind, cutoff):
+        state = replay(_synthesis_circuit(kind))
+        got = gaussian_to_fock(state, cutoff)
+        monkeypatch.setattr(fock, "_FockWorkspace", _FullProductWorkspace)
+        want = gaussian_to_fock(state, cutoff)
+        assert _bits(got.occupations()) == _bits(want.occupations())
+        assert got.trace.hex() == want.trace.hex()
+        assert got.boundary_mass().hex() == want.boundary_mass().hex()
+        assert photon_distribution(got).entries == photon_distribution(want).entries
+        assert got.occupations().max() > 0.1 and want.factor.shape == got.factor.shape
+
+
 def _whole_gather_pair(tensor, op, ax1, ax2):
     """The update that block-by-block gathers replaced: every pair state's
     rows gathered into one copy of the tensor, updated panel by panel."""
@@ -723,6 +769,17 @@ class TestPhotonCounts:
             assert (_counts_or_error(fock._photon_counts, circuit, 8)
                     == _counts_or_error(replay_fock, circuit, 8))
 
+    def test_one_column_panels_take_the_sector(self, monkeypatch):
+        # cutoffs 16 and 25 leave _apply_pair a last column panel of one column
+        models = [(build_circuit(model), cutoff) for model, cutoff in _counts_models()[:2]]
+        whole = [_counts_or_error(replay_fock, circuit, cutoff) for circuit, cutoff in models]
+
+        def refused(circuit, cutoff, strict=True):
+            raise AssertionError("the replay ran whole")
+
+        monkeypatch.setattr(fock, "replay_fock", refused)
+        assert [_counts_or_error(fock._photon_counts, *m) for m in models] == whole
+
     @pytest.mark.parametrize("circuit", [
         GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), Squeeze(1, 0.2),
                             BeamSplitter(0, 1, 0.5)]),
@@ -731,7 +788,10 @@ class TestPhotonCounts:
         GaussianCircuit(2, [Squeeze(0, 0.3), BeamSplitter(1, 0, 0.4, 0.3), Loss(1, 0.7),
                             BeamSplitter(0, 1, 0.6), ThermalMix(0, 0.1, 0.2)]),
         GaussianCircuit(1, [Squeeze(0, 0.4), Loss(0, 0.6)]),
-    ], ids=["squeeze-after", "tms-after", "displace-after", "two-splitters", "one-mode"])
+        GaussianCircuit(2, [Squeeze(0, 0.3), TwoModeSqueeze(0, 1, 0.2), Loss(0, 0.7),
+                            BeamSplitter(1, 0, 0.5, 0.4), Loss(1, 0.8)]),
+    ], ids=["squeeze-after", "tms-after", "displace-after", "two-splitters", "one-mode",
+            "reversed-splitter"])
     def test_other_circuits(self, circuit):
         # a unitary other than a beam splitter after a channel: the whole replay
         assert (_counts_or_error(fock._photon_counts, circuit, 12)
@@ -754,7 +814,8 @@ class TestPhotonCounts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= fock._state_bytes(2, 30, "density")
+        # the sector, rows of one pair block and the operators: no c^4 array
+        assert peak < 16 * 30**4 / 4
         # a density past memory is refused at the first channel, as the
         # replay refuses it, even where the sector alone would fit (t = 1)
         have = 1 << 28
