@@ -568,7 +568,7 @@ class _FockWorkspace:
         term, so scaling the block's columns by their roots gives its bits, up to signs of zero."""
         if self.vec is not None and self.vec.ndim == self.num_modes:
             return
-        if self.vec is None or self.num_modes != 2:
+        if self.vec is None or self.num_modes != 2:  # a density: a subclass may start from one
             return _apply_passive(self, w)
         op, x = _passive_operator(w, self.cutoff), self.vec.reshape(self.cutoff**2, -1)
         for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
@@ -631,20 +631,19 @@ def _sector(cutoff: int, d: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=128)
-def _sector_layout(cutoff: int, swap: bool) -> tuple[tuple[int, ...], tuple, tuple]:
+def _sector_layout(cutoff: int) -> tuple[tuple[int, ...], tuple, tuple]:
     """The sector n1 - m1 = m2 - n2 of a density as one flat array: ``bounds`` of
     its :func:`_sector` blocks d, row-major, in increasing d.  Per pair block
-    N = n1 + n2 of :func:`_block_layout`, its states read as (n2, n1) where ``swap``:
-    ``take``, the flat entries of rho[S_N, S_N], and ``cols``, the pair index
-    n1 c + n2 of S_N; the arrays are read-only."""
+    N = n1 + n2 of :func:`_block_layout`: ``take``, the flat entries of
+    rho[S_N, S_N], and ``cols``, the increasing pair index n1 c + n2 of S_N;
+    the arrays are read-only."""
     c, diffs = cutoff, np.arange(1 - cutoff, cutoff)
     sizes, a, b = c - abs(diffs), np.maximum(diffs, 0), np.maximum(-diffs, 0)
     bounds = np.concatenate(([0], np.cumsum(sizes**2)))
     index, pair_bounds = _block_layout(c, False)
-    first, second = index[::-1] if swap else index
     take, cols = [], []
     for lo, hi in zip(pair_bounds, pair_bounds[1:]):
-        n1, n2 = first[lo:hi], second[lo:hi]
+        n1, n2 = index[0][lo:hi], index[1][lo:hi]
         d = c - 1 + n1[:, None] - n1  # block of (ket, bra) = (n, m): n1 - m1
         take.append(bounds[d] + (n1[:, None] - a[d]) * sizes[d] + n2[:, None] - b[d])
         cols.append(n1 * c + n2)
@@ -662,7 +661,7 @@ class _CountsWorkspace(_FockWorkspace):
         reserves more than the sector holds), so a refusal is the replay's."""
         if self.vec is not None:
             _check_memory(2, self.cutoff, "density")
-            c, psi, bounds = self.cutoff, self.vec, _sector_layout(self.cutoff, False)[0]
+            c, psi, bounds = self.cutoff, self.vec, _sector_layout(self.cutoff)[0]
             self.sector = np.empty(bounds[-1], dtype=complex)
             self.blocks = [self.sector[lo:hi].reshape(c - abs(d), -1)
                            for d, lo, hi in zip(range(1 - c, c), bounds, bounds[1:])]
@@ -674,13 +673,13 @@ class _CountsWorkspace(_FockWorkspace):
             self.vec = None
 
     def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:
-        """A beam splitter on the sector as :func:`_apply_pair`'s two passes: rho[S_N, S_N]
-        at its columns of zeroed rows, and the products of the panels that hold one."""
+        """A beam splitter on modes (0, 1), on the sector as :func:`_apply_pair`'s two passes:
+        rho[S_N, S_N] at its columns of zeroed rows, and the products of the panels that hold one."""
         if self.vec is not None:
             return super().apply_unitary(op, modes)
         c = self.cutoff
         width = (_SERIAL_MNK - 1) // c**2
-        _, take, cols = _sector_layout(c, modes[0] == 1)
+        _, take, cols = _sector_layout(c)
         for block, index, col in zip(op.blocks, take, cols):
             rows = np.zeros((col.size, c * c), dtype=complex)
             rows[:, col] = self.sector[index]
@@ -697,11 +696,7 @@ class _CountsWorkspace(_FockWorkspace):
         for d in self.sectors:  # as on the density's rows: block d on mode 0, -d on mode 1
             block, rows = op.blocks[c - 1 + (d, -d)[mode]], self.blocks[c - 1 + d]
             rows = rows.T if mode else rows
-            out = block @ rows
-            if d == 0 and (c * c - 1) % ((_SERIAL_MNK - 1) // c**2) == 0:
-                # _apply_pair's last panel is the one column (c - 1, c - 1)
-                out[:, -1:] = block @ rows[:, -1:]
-            rows[...] = out
+            rows[...] = block @ rows
 
 
 def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
@@ -710,12 +705,15 @@ def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
     sector n1 - m1 = m2 - n2, with no c^4 array: channels keep each mode's
     ket-minus-bra difference and beam splitters n1 + n2, so the diagonal reads
     only that sector.  Every product is one of :func:`_apply_pair`'s, on the
-    sector's columns of its panels.  Where every panel is one column, or a
-    unitary other than a beam splitter follows a channel, the replay runs whole."""
+    sector's columns of its panels.  A channel block's product has the bits of
+    every column panel but a one-column one (a matrix-vector product): where
+    :func:`_apply_pair` leaves one, or a unitary other than a beam splitter on
+    modes (0, 1) follows a channel, the replay runs whole."""
     elements, c = circuit.elements, cutoff
     lossy = [isinstance(e, (Loss, ThermalMix)) for e in elements] + [True]
-    if circuit.num_modes != 2 or (_SERIAL_MNK - 1) // c**2 < 2 or not all(
-            isinstance(e, (Loss, ThermalMix, BeamSplitter)) for e in elements[lossy.index(True):]):
+    if circuit.num_modes != 2 or (c * c - 1) % max(1, (_SERIAL_MNK - 1) // c**2) == 0 or not all(
+            isinstance(e, (Loss, ThermalMix)) or isinstance(e, BeamSplitter) and e.mode1 == 0
+            for e in elements[lossy.index(True):]):
         return replay_fock(circuit, cutoff)
     ws = _CountsWorkspace(2, c)
     last = max((i for i, e in enumerate(elements) if isinstance(e, BeamSplitter)), default=-1)

@@ -769,17 +769,6 @@ class TestPhotonCounts:
             assert (_counts_or_error(fock._photon_counts, circuit, 8)
                     == _counts_or_error(replay_fock, circuit, 8))
 
-    def test_one_column_panels_take_the_sector(self, monkeypatch):
-        # cutoffs 16 and 25 leave _apply_pair a last column panel of one column
-        models = [(build_circuit(model), cutoff) for model, cutoff in _counts_models()[:2]]
-        whole = [_counts_or_error(replay_fock, circuit, cutoff) for circuit, cutoff in models]
-
-        def refused(circuit, cutoff, strict=True):
-            raise AssertionError("the replay ran whole")
-
-        monkeypatch.setattr(fock, "replay_fock", refused)
-        assert [_counts_or_error(fock._photon_counts, *m) for m in models] == whole
-
     @pytest.mark.parametrize("circuit", [
         GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), Squeeze(1, 0.2),
                             BeamSplitter(0, 1, 0.5)]),
@@ -793,9 +782,16 @@ class TestPhotonCounts:
     ], ids=["squeeze-after", "tms-after", "displace-after", "two-splitters", "one-mode",
             "reversed-splitter"])
     def test_other_circuits(self, circuit):
-        # a unitary other than a beam splitter after a channel: the whole replay
+        # a unitary other than a beam splitter on modes (0, 1) after a channel: the whole replay
         assert (_counts_or_error(fock._photon_counts, circuit, 12)
                 == _counts_or_error(replay_fock, circuit, 12))
+
+    def test_reversed_splitter_across_panels(self):
+        # at cutoff 20 a pair block of the splitter spans two column panels
+        circuit = GaussianCircuit(2, [Squeeze(0, 0.3), TwoModeSqueeze(0, 1, 0.2), Loss(0, 0.7),
+                                      BeamSplitter(1, 0, 0.5, 0.4), Loss(1, 0.8)])
+        assert (_counts_or_error(fock._photon_counts, circuit, 20)
+                == _counts_or_error(replay_fock, circuit, 20))
 
     def test_too_small_a_cutoff_raises_the_same_error(self):
         circuit = build_circuit(ExperimentModel(TMSV(0.6), 0.5, (0.7, 0.8), (0.9, 0.85), 0.06))
