@@ -673,8 +673,9 @@ class _CountsWorkspace(_FockWorkspace):
             self.vec = None
 
     def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:
-        """A beam splitter on modes (0, 1), on the sector as :func:`_apply_pair`'s two passes:
-        rho[S_N, S_N] at its columns of zeroed rows, and the products of the panels that hold one."""
+        """A beam splitter on modes (0, 1), on the sector as :func:`_apply_pair`'s two
+        passes: rho[S_N, S_N] at its columns of zeroed rows, and the products of the
+        panels that hold one."""
         if self.vec is not None:
             return super().apply_unitary(op, modes)
         c = self.cutoff

@@ -748,6 +748,10 @@ def _counts_or_error(run, circuit, cutoff):
             rho.boundary_mass().hex())
 
 
+_REVERSED_SPLITTER = GaussianCircuit(2, [Squeeze(0, 0.3), TwoModeSqueeze(0, 1, 0.2), Loss(0, 0.7),
+                                         BeamSplitter(1, 0, 0.5, 0.4), Loss(1, 0.8)])
+
+
 class TestPhotonCounts:
     """``_photon_counts`` evolves only the number-balanced sector of the
     density, and gives every bit of the whole replay's counts."""
@@ -769,29 +773,24 @@ class TestPhotonCounts:
             assert (_counts_or_error(fock._photon_counts, circuit, 8)
                     == _counts_or_error(replay_fock, circuit, 8))
 
-    @pytest.mark.parametrize("circuit", [
-        GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), Squeeze(1, 0.2),
-                            BeamSplitter(0, 1, 0.5)]),
-        GaussianCircuit(2, [Squeeze(0, 0.3), ThermalMix(1, 0.1, 0.2), TwoModeSqueeze(0, 1, 0.2)]),
-        GaussianCircuit(2, [Squeeze(0, 0.3), Loss(1, 0.7), Displace(0, 0.3 - 0.1j)]),
-        GaussianCircuit(2, [Squeeze(0, 0.3), BeamSplitter(1, 0, 0.4, 0.3), Loss(1, 0.7),
-                            BeamSplitter(0, 1, 0.6), ThermalMix(0, 0.1, 0.2)]),
-        GaussianCircuit(1, [Squeeze(0, 0.4), Loss(0, 0.6)]),
-        GaussianCircuit(2, [Squeeze(0, 0.3), TwoModeSqueeze(0, 1, 0.2), Loss(0, 0.7),
-                            BeamSplitter(1, 0, 0.5, 0.4), Loss(1, 0.8)]),
+    @pytest.mark.parametrize("circuit, cutoff", [
+        (GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), Squeeze(1, 0.2),
+                             BeamSplitter(0, 1, 0.5)]), 12),
+        (GaussianCircuit(2, [Squeeze(0, 0.3), ThermalMix(1, 0.1, 0.2), TwoModeSqueeze(0, 1, 0.2)]),
+         12),
+        (GaussianCircuit(2, [Squeeze(0, 0.3), Loss(1, 0.7), Displace(0, 0.3 - 0.1j)]), 12),
+        (GaussianCircuit(2, [Squeeze(0, 0.3), BeamSplitter(1, 0, 0.4, 0.3), Loss(1, 0.7),
+                             BeamSplitter(0, 1, 0.6), ThermalMix(0, 0.1, 0.2)]), 12),
+        (GaussianCircuit(1, [Squeeze(0, 0.4), Loss(0, 0.6)]), 12),
+        (_REVERSED_SPLITTER, 12),
+        # a pair block of the splitter spans two column panels
+        (_REVERSED_SPLITTER, 20),
     ], ids=["squeeze-after", "tms-after", "displace-after", "two-splitters", "one-mode",
-            "reversed-splitter"])
-    def test_other_circuits(self, circuit):
+            "reversed-splitter", "reversed-splitter-c20"])
+    def test_other_circuits(self, circuit, cutoff):
         # a unitary other than a beam splitter on modes (0, 1) after a channel: the whole replay
-        assert (_counts_or_error(fock._photon_counts, circuit, 12)
-                == _counts_or_error(replay_fock, circuit, 12))
-
-    def test_reversed_splitter_across_panels(self):
-        # at cutoff 20 a pair block of the splitter spans two column panels
-        circuit = GaussianCircuit(2, [Squeeze(0, 0.3), TwoModeSqueeze(0, 1, 0.2), Loss(0, 0.7),
-                                      BeamSplitter(1, 0, 0.5, 0.4), Loss(1, 0.8)])
-        assert (_counts_or_error(fock._photon_counts, circuit, 20)
-                == _counts_or_error(replay_fock, circuit, 20))
+        assert (_counts_or_error(fock._photon_counts, circuit, cutoff)
+                == _counts_or_error(replay_fock, circuit, cutoff))
 
     def test_too_small_a_cutoff_raises_the_same_error(self):
         circuit = build_circuit(ExperimentModel(TMSV(0.6), 0.5, (0.7, 0.8), (0.9, 0.85), 0.06))
