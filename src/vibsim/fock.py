@@ -25,11 +25,12 @@ conserve the ket-minus-bra photon difference of their mode, so a channel
 block operator on the mode's (ket, bra) axes, O(cutoff^3) entries too.
 Every generator is tridiagonal within its blocks (the single-mode squeezer
 within each photon-number parity), so each block exponential is one real
-tridiagonal eigenproblem; a pair operator's blocks k and 2 cutoff - 2 - k have
-one size and share one stacked solve.  Blocks are applied to column panels
-small enough that BLAS runs each product on the calling thread.  Every
-operator updates the state in place, one block's rows or one panel at a
-time, so a state is held once plus at most a cutoff-th of it.
+tridiagonal eigenproblem, solved in one stack per size class of blocks.  On a
+ket, a pair operator builds and applies only the blocks that hold a nonzero
+row, and counts build a channel's blocks only where the sector is nonzero.
+Blocks are applied to column panels small enough that BLAS runs each product
+on the calling thread.  Every operator updates the state in place, one block's
+rows or one panel at a time, so a state is held once plus at most a cutoff-th of it.
 Operators are built per call: they are keyed by element parameters, which
 seldom repeat.  Only tables whose key does repeat are cached, read-only: the
 block layout and the binomial roots of the loss Kraus weights, which depend
@@ -108,7 +109,11 @@ def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     loads scipy, and it gives the bits of LAPACK's tridiagonal solver ?stevd
     on every block the operators build: ?sytrd's reflectors on an already
     tridiagonal T have zero weight and leave it as it is, and both routines
-    hand it to the same ?stedc, even at size 1 and matrix by matrix in a stack."""
+    hand it to the same ?stedc, even at size 1 and matrix by matrix in a stack.
+    ?stedc solves each unreduced block on its own and sorts the eigenvalues last,
+    so T padded by decoupled diagonal entries above its spectrum gives T's
+    eigenpairs first, and its exponential, with T's bits (:func:`_expm_blocks`),
+    unless ?syevd scales one of the two: to a norm outside about 1e-146 ... 1e146."""
     angles = np.cumsum(np.angle(lower), axis=-1)
     gauge = np.exp(1j * np.concatenate((np.zeros(angles.shape[:-1] + (1,)), angles), axis=-1))
     n = diag.shape[-1]
@@ -120,13 +125,39 @@ def _expm_tridiagonal(diag: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return gauge[..., :, None] * rotated * gauge.conj()[..., None, :]
 
 
+#: blocks are solved in stacks of one size class, each padded to the next multiple of this
+_SIZE_CLASS = 6
+
+
+def _expm_blocks(diags: list, lowers: list) -> list[np.ndarray]:
+    """:func:`_expm_tridiagonal` of each block ``diags[k]``, ``lowers[k]``, of any
+    size, with one stacked solve per size class: each block is padded by diagonal
+    entries twice its Gershgorin bound, and keeps the bits of its lone solve.  A
+    nonzero block whose bound lies outside 1e-100 ... 1e100 is solved alone."""
+    sizes = np.array([d.size for d in diags], dtype=int)
+    classes = -(-sizes // _SIZE_CLASS) * _SIZE_CLASS
+    out = [None] * sizes.size
+    for size in np.unique(classes):
+        members = np.flatnonzero(classes == size)
+        diag, lower = np.zeros((members.size, size)), np.zeros((members.size, size - 1), complex)
+        for row, k in enumerate(members):
+            diag[row, :sizes[k]], lower[row, :sizes[k] - 1] = diags[k], lowers[k]
+        top = np.abs(diag).max(-1) + 2 * np.abs(lower).max(-1, initial=0.0)
+        diag = np.where(np.arange(size) < sizes[members, None], diag, 2 * top[:, None])
+        for k, bound, block in zip(members, top, _expm_tridiagonal(diag, lower)):
+            out[k] = (block[:sizes[k], :sizes[k]] if bound == 0 or 1e-100 < bound < 1e100
+                      else _expm_tridiagonal(diags[k], lowers[k]))
+    return out
+
+
 def _squeeze_matrix(r: float, phase: float, cutoff: int) -> np.ndarray:
     """exp((conj(z) a^2 - z a+^2) / 2), z = r e^{i phase}: tridiagonal per parity."""
     z = r * np.exp(1j * phase)
     out = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
-        lower = 0.5j * z * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-        out[np.ix_(n, n)] = _expm_tridiagonal(np.zeros(n.size), lower)
+    parities = (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2))
+    lowers = [0.5j * z * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)) for n in parities]
+    for n, block in zip(parities, _expm_blocks([np.zeros(n.size) for n in parities], lowers)):
+        out[np.ix_(n, n)] = block
     return out
 
 
@@ -167,7 +198,7 @@ def _block_layout(cutoff: int, difference: bool) -> tuple[tuple[np.ndarray, ...]
 
 
 def _pair_blocks(
-    coupling: complex, phase1: float, phase2: float, squeezer: bool, cutoff: int
+    coupling: complex, phase1: float, phase2: float, squeezer: bool, cutoff: int, live=None
 ) -> _PairBlocks:
     """Two-mode unitary exp(G) with
     G = coupling A - conj(coupling) A+ + i (phase1 n1 + phase2 n2).
@@ -175,32 +206,29 @@ def _pair_blocks(
     A = a1+ a2 for a passive element, which conserves n1 + n2, and
     A = a1+ a2+ for the two-mode squeezer, which conserves n1 - n2.  One
     block per value of the conserved quantity holds its pair states in
-    increasing m1, on which G is tridiagonal.
+    increasing m1, on which G is tridiagonal.  Only the blocks a boolean
+    mask ``live`` selects are built; the others are None.
     """
     index, bounds = _block_layout(cutoff, squeezer)
     (m1, m2), diag = index, phase1 * index[0] + phase2 * index[1]
     # G = iH; A links neighbours i -> i + 1 by sqrt(m1[i + 1] * max(m2[i], m2[i + 1])),
     # here along the whole layout, of which each block reads its own links
     lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
-    blocks = {}
-    for mirrored in (sorted({k, len(bounds) - 2 - k}) for k in range(cutoff)):
-        # block k and its mirror have the same size: one solve for both
-        spans = [(bounds[k], bounds[k + 1]) for k in mirrored]
-        blocks.update(zip(mirrored, _expm_tridiagonal(
-            np.array([diag[lo:hi] for lo, hi in spans]),
-            np.array([lower[lo:hi - 1] for lo, hi in spans]))))
-    return _PairBlocks(index, bounds, tuple(blocks[k] for k in range(len(bounds) - 1)))
+    keep = range(len(bounds) - 1) if live is None else np.flatnonzero(live)
+    blocks = dict(zip(keep, _expm_blocks([diag[bounds[k]:bounds[k + 1]] for k in keep],
+                                         [lower[bounds[k]:bounds[k + 1] - 1] for k in keep])))
+    return _PairBlocks(index, bounds, tuple(blocks.get(k) for k in range(len(bounds) - 1)))
 
 
-def _pair_operator(elem: BeamSplitter | TwoModeSqueeze, cutoff: int) -> _PairBlocks:
+def _pair_operator(elem: BeamSplitter | TwoModeSqueeze, cutoff: int, live=None) -> _PairBlocks:
     if isinstance(elem, BeamSplitter):
         # mode generator theta [[0, e^{i phase}], [-e^{-i phase}, 0]]
         coupling = float(elem.theta) * np.exp(1j * float(elem.phase))
-        return _pair_blocks(complex(coupling), 0.0, 0.0, False, cutoff)
-    return _pair_blocks(complex(float(elem.r)), 0.0, 0.0, True, cutoff)
+        return _pair_blocks(complex(coupling), 0.0, 0.0, False, cutoff, live)
+    return _pair_blocks(complex(float(elem.r)), 0.0, 0.0, True, cutoff, live)
 
 
-def _passive_operator(w: np.ndarray, cutoff: int) -> _PairBlocks:
+def _passive_operator(w: np.ndarray, cutoff: int, live=None) -> _PairBlocks:
     """Fock unitary of a two-mode passive mixing a -> W a."""
     # principal logarithm from the Schur form, diagonal for a unitary W
     # (scipy's logm takes milliseconds on 2 x 2 and wakes BLAS threads)
@@ -209,7 +237,7 @@ def _passive_operator(w: np.ndarray, cutoff: int) -> _PairBlocks:
     t, z = schur(np.asarray(w, dtype=complex), output="complex")
     gen = (z * (1j * np.angle(np.diag(t)))) @ z.conj().T
     return _pair_blocks(
-        complex(gen[0, 1]), float(gen[0, 0].imag), float(gen[1, 1].imag), False, cutoff
+        complex(gen[0, 1]), float(gen[0, 0].imag), float(gen[1, 1].imag), False, cutoff, live
     )
 
 
@@ -264,9 +292,10 @@ def _loss_kraus(eta, cutoff: int) -> np.ndarray:
     return out
 
 
-def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
+def _channel(transmission: float, gain: float, cutoff: int, live=None) -> _PairBlocks:
     """Loss of ``transmission`` eta, then a quantum-limited amplifier of ``gain``
-    cosh(s)^2, as blocks on a mode's (ket, bra) axes by ket-minus-bra difference.
+    cosh(s)^2, as blocks on a mode's (ket, bra) axes by ket-minus-bra difference,
+    those of the differences ``live`` alone where given (the others are None).
 
     Kraus operators K_k[n-k, n] = sqrt(C(n,k) eta^(n-k) (1-eta)^k) and
     K_k[n+k, n] = sqrt(C(n+k,k)) tanh(s)^k / cosh(s)^(n+1), tabulated as
@@ -285,13 +314,15 @@ def _channel(transmission: float, gain: float, cutoff: int) -> _PairBlocks:
     # (ket, bra) states (n0 + j, m0 + j), n0 - m0 = d, for j < cutoff - |d|,
     # and K_t rho K_t+ moves entry j to i = j + t, weighted K_t[n + t, n] K_t[m + t, m];
     # from j = cutoff - |d| on, n0 + j or m0 + j reaches the zero column
-    diff = np.arange(1 - cutoff, cutoff)[:, None]
+    shown = np.arange(1 - cutoff, cutoff) if live is None else np.array(live, dtype=int)
+    diff = shown[:, None]
     row = (cutoff - 1 + levels[:, None] - levels) * (cutoff + 1)
     ket = row + np.minimum(np.maximum(diff, 0) + levels, cutoff)[:, None, :]
     bra = row + np.minimum(np.maximum(-diff, 0) + levels, cutoff)[:, None, :]
     prod = (amp.take(ket) * amp.take(bra)) @ (loss.take(ket) * loss.take(bra))
-    blocks = tuple(p[:s, :s].astype(complex) for p, s in zip(prod, cutoff - np.abs(diff[:, 0])))
-    return _PairBlocks(*_block_layout(cutoff, True), blocks)
+    blocks = {d: p[:s, :s].astype(complex) for d, p, s in zip(shown, prod, cutoff - abs(shown))}
+    return _PairBlocks(*_block_layout(cutoff, True),
+                       tuple(map(blocks.get, range(1 - cutoff, cutoff))))
 
 
 def _tmsv_amplitudes(r, cutoff: int) -> np.ndarray:
@@ -420,11 +451,13 @@ def _apply_single(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
 def _apply_pair(tensor: np.ndarray, op: _PairBlocks, ax1: int, ax2: int) -> np.ndarray:
     """Apply ``op`` to axes ``ax1`` and ``ax2`` of ``tensor``, in place: each
     block's rows, at most a cutoff-th of the tensor, are gathered, updated
-    panel by panel and scattered back."""
+    panel by panel and scattered back.  The rows of a block None stay as they are."""
     rest = tuple(a for a in range(tensor.ndim) if a not in (ax1, ax2))
     moved = np.transpose(tensor, (ax1, ax2) + rest)
     width = max(1, (_SERIAL_MNK - 1) // tensor.shape[ax1] ** 2)  # blocks are at most c x c
     for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
+        if block is None:
+            continue
         pairs = (op.index[0][lo:hi], op.index[1][lo:hi])
         rows = moved[pairs].reshape(hi - lo, -1)
         for start in range(0, rows.shape[1], width):
@@ -546,6 +579,16 @@ class _FockWorkspace:
             )
             self.vec = None
 
+    def live(self, modes: tuple[int, int], difference: bool) -> np.ndarray | None:
+        """Which :func:`_block_layout` blocks of ``modes`` hold a nonzero entry of a
+        ket, so that only those are built and applied; None (all) on a purification
+        or a density, where the mask would take a cutoff^4 copy."""
+        if self.vec is None or self.vec.ndim > self.num_modes:
+            return None
+        c, (index, bounds) = self.cutoff, _block_layout(self.cutoff, difference)
+        held = np.moveaxis(self.vec != 0, modes, (0, 1)).reshape(c, c, -1).any(axis=2)
+        return np.logical_or.reduceat(held[index], bounds[:-1])
+
     def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:
         """Apply a ``cutoff x cutoff`` matrix to one mode, blocks to a pair."""
         act = _apply_single if len(modes) == 1 else _apply_pair
@@ -556,8 +599,9 @@ class _FockWorkspace:
         self.rho = act(self.rho, op, *modes)
         self.rho = act(self.rho, op.conj(), *(self.num_modes + m for m in modes))
 
-    def apply_channel(self, op: _PairBlocks, mode: int) -> None:
-        """Apply a channel, a block operator on the (ket, bra) axes of ``mode``."""
+    def apply_channel(self, transmission: float, gain: float, mode: int) -> None:
+        """Apply a :func:`_channel`, a block operator on the (ket, bra) axes of ``mode``."""
+        op = _channel(transmission, gain, self.cutoff)
         self._densify()
         assert self.rho is not None
         self.rho = _apply_pair(self.rho, op, mode, self.num_modes + mode)
@@ -587,16 +631,18 @@ def _apply_element(ws: _FockWorkspace, elem: Element) -> None:
     if isinstance(elem, (Squeeze, Displace)):
         ws.apply_unitary(element_matrix(elem, cut), (elem.mode,))
     elif isinstance(elem, (BeamSplitter, TwoModeSqueeze)):
-        ws.apply_unitary(_pair_operator(elem, cut), (elem.mode1, elem.mode2))
+        modes = (elem.mode1, elem.mode2)
+        live = ws.live(modes, isinstance(elem, TwoModeSqueeze))
+        ws.apply_unitary(_pair_operator(elem, cut, live), modes)
     elif isinstance(elem, Loss):
         if elem.transmission < 1.0:
-            ws.apply_channel(_channel(float(elem.transmission), 1.0, cut), elem.mode)
+            ws.apply_channel(float(elem.transmission), 1.0, elem.mode)
     elif isinstance(elem, ThermalMix):
         if elem.reflectivity > 0.0:
             # V -> (1-d)V + d(nbar+1/2)I  ==  amplifier(1 + d*nbar) o loss
             gain = 1.0 + float(elem.reflectivity) * float(elem.mean_photons)
             eta = (1.0 - float(elem.reflectivity)) / gain
-            ws.apply_channel(_channel(eta, gain, cut), elem.mode)
+            ws.apply_channel(eta, gain, elem.mode)
     else:  # pragma: no cover
         raise TypeError(f"unknown element {elem!r}")
 
@@ -691,10 +737,13 @@ class _CountsWorkspace(_FockWorkspace):
                 rows[:, col] = rows[:, col].T
             self.sector[index] = rows[:, col]
 
-    def apply_channel(self, op: _PairBlocks, mode: int) -> None:
+    def apply_channel(self, transmission: float, gain: float, mode: int) -> None:
+        """Channel blocks for the blocks d in ``sectors`` that hold a nonzero entry alone."""
         self._densify()
         c = self.cutoff
-        for d in self.sectors:  # as on the density's rows: block d on mode 0, -d on mode 1
+        live = [d for d in self.sectors if self.blocks[c - 1 + d].any()]
+        op = _channel(transmission, gain, c, [(d, -d)[mode] for d in live])
+        for d in live:  # as on the density's rows: block d on mode 0, -d on mode 1
             block, rows = op.blocks[c - 1 + (d, -d)[mode]], self.blocks[c - 1 + d]
             rows = rows.T if mode else rows
             rows[...] = block @ rows
@@ -850,7 +899,7 @@ def attach_detector_noise(rho: FockDensity, det) -> FCTable:
 def _apply_passive(ws: _FockWorkspace, w: np.ndarray) -> None:
     num_modes = w.shape[0]
     if num_modes == 2:
-        ws.apply_unitary(_passive_operator(w, ws.cutoff), (0, 1))
+        ws.apply_unitary(_passive_operator(w, ws.cutoff, ws.live((0, 1), False)), (0, 1))
         return
     # diag(d) = G_k ... G_1 w: the phases of d first, then each G undone
     rotations, diagonal = givens_reduction(w)
@@ -858,7 +907,7 @@ def _apply_passive(ws: _FockWorkspace, w: np.ndarray) -> None:
         op = np.diag(np.exp(1j * phase * np.arange(ws.cutoff)))
         ws.apply_unitary(op, (mode,))
     for i, j, _, g in reversed(rotations):
-        ws.apply_unitary(_passive_operator(g.conj().T, ws.cutoff), (i, j))
+        ws.apply_unitary(_passive_operator(g.conj().T, ws.cutoff, ws.live((i, j), False)), (i, j))
 
 
 def gaussian_to_fock(state: GaussianState, cutoff: int) -> FockDensity:

@@ -73,6 +73,14 @@ def random_circuit(
             return circuit
 
 
+class WholeOperatorWorkspace(fock._FockWorkspace):
+    """A workspace that builds and applies every block of a pair operator on a
+    ket, also those whose rows are zero; an oracle of the live-block build."""
+
+    def live(self, modes, difference):
+        return None
+
+
 def lossy_tmsv_distribution(r: float, eta: float, nmax: int) -> dict[tuple[int, int], float]:
     """Closed form: geometric two-mode squeezed statistics thinned by
     independent binomial loss in each arm."""

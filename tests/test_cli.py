@@ -914,12 +914,15 @@ class TestConfigMutations:
         assert {0, 2} <= exit_codes_under_mutation(OPTICAL_CONFIG, tmp_path, capsys)
 
     @staticmethod
-    def exits_at_every_leaf(base, section, values, commands, tmp_path, capsys):
+    def exits_at_every_leaf(base, sections, values, commands, tmp_path, capsys):
         """Exit codes and run count of ``commands`` with each numeric leaf of
-        ``base[section]`` set to each of ``values(leaf)``, in under 10 s: each
-        run exits 0, 2 or 3, with no traceback and no warning."""
+        ``base[section]`` for each of ``sections`` (None: the top-level numbers
+        of ``base``) set to each of ``values(leaf)``, in under 10 s: each run
+        exits 0, 2 or 3, with no traceback and no warning."""
         start, seen, runs = time.perf_counter(), set(), 0
-        for path in config_paths(base[section], (section,)):
+        paths = [path for section in sections for path in (
+            config_paths(base[section], (section,)) if section else ((key,) for key in base))]
+        for path in paths:
             leaf = base
             for key in path:
                 leaf = leaf[key]
@@ -942,16 +945,36 @@ class TestConfigMutations:
         # every numeric leaf of the experiment, the section simulate's photon
         # counts read, at each magnitude
         seen, runs = self.exits_at_every_leaf(
-            base, "experiment", lambda leaf: mutations(leaf, magnitudes=True), ["simulate"],
+            base, ["experiment"], lambda leaf: mutations(leaf, magnitudes=True), ["simulate"],
             tmp_path, capsys)
         assert runs == (7 + len(MAGNITUDES)) * (8 if base is README_CONFIG else 11)
         assert {0, 2} <= seen
+
+    @pytest.mark.parametrize("base", [README_CONFIG, OPTICAL_CONFIG], ids=["readme", "optical"])
+    def test_simulate_holds_at_every_run_magnitude(self, tmp_path, capsys, base):
+        # every uncertainty, which simulate's Monte Carlo draws read, and every
+        # top-level number (version, cutoff, shots, seed, eps_g, samples)
+        seen, runs = self.exits_at_every_leaf(
+            base, ["uncertainties", None], lambda leaf: MAGNITUDES, ["simulate"], tmp_path, capsys)
+        assert runs == len(MAGNITUDES) * (4 + 6)
+        # the optical config's cutoff 12 is too small for its r1 = 0.7: exit 3
+        assert {2, 0 if base is README_CONFIG else 3} <= seen
+
+    def test_optimize_holds_at_every_magnitude(self, tmp_path, capsys):
+        # every experiment leaf of both sources, each the start of a fit
+        seen, runs = self.exits_at_every_leaf(
+            README_CONFIG, ["experiment"], lambda leaf: MAGNITUDES, ["optimize"], tmp_path, capsys)
+        more, extra = self.exits_at_every_leaf(
+            OPTICAL_CONFIG, ["experiment"], lambda leaf: MAGNITUDES, ["optimize"], tmp_path,
+            capsys)
+        assert runs + extra == len(MAGNITUDES) * (8 + 11)
+        assert {0, 2} <= seen | more
 
     def test_target_holds_at_every_magnitude(self, tmp_path, capsys):
         # every numeric leaf of an optical target with every optional field,
         # which ideal and simulate both read, at each magnitude
         seen, runs = self.exits_at_every_leaf(
-            OPTICAL_CONFIG, "target", lambda leaf: MAGNITUDES, ["ideal", "simulate"],
+            OPTICAL_CONFIG, ["target"], lambda leaf: MAGNITUDES, ["ideal", "simulate"],
             tmp_path, capsys)
         assert runs == 2 * len(MAGNITUDES) * 9
         assert {0, 2, 3} <= seen

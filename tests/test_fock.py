@@ -32,7 +32,9 @@ from vibsim.gaussian import (
     replay,
 )
 from vibsim.metrics import tvd
+from vibsim.experiment import MAX_COUPLING
 from helpers import (
+    WholeOperatorWorkspace,
     lossy_tmsv_distribution,
     random_circuit,
     table_total_variation,
@@ -661,7 +663,7 @@ class TestBlockExponentialBits:
 
 class TestStackedExponentials:
     """A stack of block exponentials keeps the bits of each block solved alone,
-    and mirror blocks of a pair operator share one solve."""
+    and the blocks of a pair operator are solved in one stack per size class."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 25, 26, 40])
     def test_stack_of_random_tridiagonals(self, n):
@@ -674,19 +676,98 @@ class TestStackedExponentials:
             assert _bits(stacked[i, j]) == _bits(fock._expm_tridiagonal(diag[i, j], lower[i, j]))
 
     @pytest.mark.parametrize("squeezer", [False, True])
-    def test_mirror_blocks_share_one_solve(self, squeezer, monkeypatch):
-        sizes = []
+    def test_one_solve_per_size_class(self, squeezer, monkeypatch):
+        shapes = []
 
-        def counting(diag, lower):
-            sizes.append(np.shape(diag))
-            return _stevd_expm(diag, lower)
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(fock, "_expm_tridiagonal", counting)
-        cutoff = 9
-        op = fock._pair_blocks(0.7 * np.exp(1.1j), 0.2, -0.4, squeezer, cutoff)
-        assert sizes == [(2, k + 1) for k in range(cutoff - 1)] + [(1, cutoff)]
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cutoff, coupling, phases = 15, 0.7 * np.exp(1.1j), (0.2, -0.4)
+        op = fock._pair_blocks(coupling, *phases, squeezer, cutoff)
+        # blocks of 1-6, 7-12 and 13-15 states, padded to 6, 12 and 18
+        assert shapes == [(12, 6, 6), (12, 12, 12), (5, 18, 18)]
+        (m1, m2), bounds = fock._block_layout(cutoff, squeezer)
+        diag = phases[0] * m1 + phases[1] * m2
+        lower = -1j * coupling * np.sqrt(m1[1:] * (m2[1:] if squeezer else m2[:-1]))
         sizes = [*range(1, cutoff), cutoff, *range(cutoff - 1, 0, -1)]
         assert [b.shape[0] for b in op.blocks] == sizes
+        for block, lo, hi in zip(op.blocks, bounds, bounds[1:]):
+            assert _bits(block) == _bits(fock._expm_tridiagonal(diag[lo:hi], lower[lo:hi - 1]))
+
+    @pytest.mark.parametrize("size_class", [6, 13])
+    def test_padded_blocks_keep_their_bits(self, size_class, monkeypatch):
+        # classes of 13 pad a block by up to 12 entries; past 1e100 or below
+        # 1e-100, where LAPACK would scale a padded stack and not a lone block,
+        # the classes are the sizes
+        monkeypatch.setattr(fock, "_SIZE_CLASS", size_class)
+        rng = np.random.default_rng(size_class)
+        for scale in [*10.0 ** np.arange(-3, 7), 1e-200, 1e-150, 1e150, 1e200]:
+            for _ in range(60):
+                sizes = rng.integers(1, 41, size=rng.integers(1, 5))
+                diags = [np.zeros(n) if rng.random() < 0.3 else scale * rng.normal(size=n)
+                         for n in sizes]
+                lowers = [scale * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+                          for n in sizes]
+                if rng.random() < 0.2:  # a two-mode squeezer's links near MAX_COUPLING
+                    n = np.arange(1.0, sizes[0])
+                    lowers[0] = -1j * MAX_COUPLING * np.sqrt(n * (n + 1.0))
+                for got, diag, lower in zip(fock._expm_blocks(diags, lowers), diags, lowers):
+                    assert _bits(got) == _bits(fock._expm_tridiagonal(diag, lower))
+
+
+def _built_blocks(monkeypatch, builder):
+    """The indices of the blocks each call of ``fock.<builder>`` builds, as it is called."""
+    built, build = [], getattr(fock, builder)
+
+    def recording(*args):
+        op = build(*args)
+        built.append([k for k, b in enumerate(op.blocks) if b is not None])
+        return op
+
+    monkeypatch.setattr(fock, builder, recording)
+    return built
+
+
+_SQUEEZED_PAIR = [Squeeze(0, 0.4), Squeeze(1, -0.3, 0.5), BeamSplitter(0, 1, 0.7, 0.3)]
+
+
+class TestLiveBlocks:
+    """On a ket a pair operator builds and applies only the blocks whose rows hold
+    a nonzero entry: the other rows stay zero, and every count keeps the bits of
+    the whole-operator build."""
+
+    @pytest.mark.parametrize("run, live", [
+        # a two-mode squeezer on vacuum: only n1 - n2 = 0
+        (lambda: replay_fock(GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.4)]), 20), [[19]]),
+        # a beam splitter after two squeezers: only even n1 + n2 of even n1 and n2
+        (lambda: replay_fock(GaussianCircuit(2, _SQUEEZED_PAIR), 20), [list(range(0, 37, 2))]),
+        # then a two-mode squeezer: only even n1 - n2
+        (lambda: replay_fock(GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), BeamSplitter(
+            0, 1, 0.7, 0.3), TwoModeSqueeze(0, 1, 0.2)]), 24, strict=False),
+         [[23], list(range(0, 47, 2)), list(range(1, 47, 2))]),
+        # synthesis: squeezers on vacuum, then the last passive mixing
+        (lambda: gaussian_to_fock(replay(GaussianCircuit(2, _SQUEEZED_PAIR)), 20),
+         [list(range(0, 37, 2))]),
+        # displaced: every block holds a nonzero row
+        (lambda: replay_fock(GaussianCircuit(2, [Displace(0, 0.3), Displace(1, -0.2j),
+                                                 BeamSplitter(0, 1, 0.7, 0.3)]), 12),
+         [list(range(23))]),
+    ], ids=["tms-on-vacuum", "bs-after-squeezers", "tms-bs-tms", "synthesis", "displaced"])
+    def test_dead_blocks_are_not_built(self, monkeypatch, run, live):
+        built = _built_blocks(monkeypatch, "_pair_blocks")
+        rho = run()
+        assert built == live
+        monkeypatch.setattr(fock, "_FockWorkspace", WholeOperatorWorkspace)
+        whole = run()
+        assert _bits(rho.occupations()) == _bits(whole.occupations())
+        assert rho.trace.hex() == whole.trace.hex()
+        assert rho.tail_mass.hex() == whole.tail_mass.hex()
+        assert rho.boundary_mass().hex() == whole.boundary_mass().hex()
+        # the ket itself, up to the sign of a zero
+        assert np.array_equal(rho.factor, whole.factor)
 
 
 def _route(kind, num_modes, cutoff):
@@ -791,6 +872,18 @@ class TestPhotonCounts:
         # a unitary other than a beam splitter on modes (0, 1) after a channel: the whole replay
         assert (_counts_or_error(fock._photon_counts, circuit, cutoff)
                 == _counts_or_error(replay_fock, circuit, cutoff))
+
+    @pytest.mark.parametrize("source, before", [
+        (TMSV(0.4), [11]),  # n1 = n2 and m1 = m2: only d = 0
+        (SMSVPair(0.5, 0.3), list(range(1, 22, 2))),  # even n1 and m1: even d
+    ], ids=["tmsv", "smsv"])
+    def test_channels_build_only_live_sector_blocks(self, monkeypatch, source, before):
+        # four channels before the splitter, two after it, where counts read d = 0 alone
+        circuit = build_circuit(ExperimentModel(source, 0.5, (0.7, 0.8), (0.9, 0.85), 0.06))
+        built = _built_blocks(monkeypatch, "_channel")
+        got = _counts_or_error(fock._photon_counts, circuit, 12)
+        assert built == [before] * 4 + [[11]] * 2
+        assert got == _counts_or_error(replay_fock, circuit, 12)
 
     def test_too_small_a_cutoff_raises_the_same_error(self):
         circuit = build_circuit(ExperimentModel(TMSV(0.6), 0.5, (0.7, 0.8), (0.9, 0.85), 0.06))
