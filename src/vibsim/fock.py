@@ -292,10 +292,10 @@ def _loss_kraus(eta, cutoff: int) -> np.ndarray:
     return out
 
 
-def _channel(transmission: float, gain: float, cutoff: int, live=None) -> _PairBlocks:
+def _channel(transmission: float, gain: float, cutoff: int, differences=None) -> _PairBlocks:
     """Loss of ``transmission`` eta, then a quantum-limited amplifier of ``gain``
-    cosh(s)^2, as blocks on a mode's (ket, bra) axes by ket-minus-bra difference,
-    those of the differences ``live`` alone where given (the others are None).
+    cosh(s)^2, as blocks on a mode's (ket, bra) axes by ket-minus-bra difference:
+    all of them, or those of ``differences`` alone (the others are None).
 
     Kraus operators K_k[n-k, n] = sqrt(C(n,k) eta^(n-k) (1-eta)^k) and
     K_k[n+k, n] = sqrt(C(n+k,k)) tanh(s)^k / cosh(s)^(n+1), tabulated as
@@ -314,7 +314,7 @@ def _channel(transmission: float, gain: float, cutoff: int, live=None) -> _PairB
     # (ket, bra) states (n0 + j, m0 + j), n0 - m0 = d, for j < cutoff - |d|,
     # and K_t rho K_t+ moves entry j to i = j + t, weighted K_t[n + t, n] K_t[m + t, m];
     # from j = cutoff - |d| on, n0 + j or m0 + j reaches the zero column
-    shown = np.arange(1 - cutoff, cutoff) if live is None else np.array(live, dtype=int)
+    shown = np.arange(1 - cutoff, cutoff) if differences is None else np.array(differences, int)
     diff = shown[:, None]
     row = (cutoff - 1 + levels[:, None] - levels) * (cutoff + 1)
     ket = row + np.minimum(np.maximum(diff, 0) + levels, cutoff)[:, None, :]
