@@ -137,7 +137,7 @@ def _expm_blocks(diags: list, lowers: list) -> list[np.ndarray]:
     sizes = np.array([d.size for d in diags], dtype=int)
     classes = -(-sizes // _SIZE_CLASS) * _SIZE_CLASS
     out = [None] * sizes.size
-    for size in np.unique(classes):
+    for size in sorted(set(classes.tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(classes == size)
         diag, lower = np.zeros((members.size, size)), np.zeros((members.size, size - 1), complex)
         for row, k in enumerate(members):

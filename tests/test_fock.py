@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as la
 
 from vibsim import fock
-from vibsim.experiment import SMSVPair, TMSV, ExperimentModel, build_circuit
+from vibsim.experiment import MAX_COUPLING, SMSVPair, TMSV, ExperimentModel, build_circuit
 from vibsim.fock import (
     FockDensity,
     TruncationError,
@@ -32,7 +32,6 @@ from vibsim.gaussian import (
     replay,
 )
 from vibsim.metrics import tvd
-from vibsim.experiment import MAX_COUPLING
 from helpers import (
     WholeOperatorWorkspace,
     lossy_tmsv_distribution,
@@ -744,7 +743,7 @@ class TestLiveBlocks:
         (lambda: replay_fock(GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.4)]), 20), [[19]]),
         # a beam splitter after two squeezers: only even n1 + n2 of even n1 and n2
         (lambda: replay_fock(GaussianCircuit(2, _SQUEEZED_PAIR), 20), [list(range(0, 37, 2))]),
-        # then a two-mode squeezer: only even n1 - n2
+        # a two-mode squeezer, a splitter and another squeezer: d = 0, even N, even d
         (lambda: replay_fock(GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), BeamSplitter(
             0, 1, 0.7, 0.3), TwoModeSqueeze(0, 1, 0.2)]), 24, strict=False),
          [[23], list(range(0, 47, 2)), list(range(1, 47, 2))]),
