@@ -166,8 +166,8 @@ class _PairBlocks(NamedTuple):
 
     ``index`` lists the pair states (m1, m2) block by block; block ``k``
     occupies entries ``bounds[k]:bounds[k + 1]`` and acts there as
-    ``blocks[k]``.  ``index`` and ``bounds`` are the cached
-    :func:`_block_layout`.
+    ``blocks[k]``, or not at all where that is None.  ``index`` and
+    ``bounds`` are the cached :func:`_block_layout`.
     """
 
     index: tuple[np.ndarray, np.ndarray]
@@ -582,7 +582,7 @@ class _FockWorkspace:
     def live(self, modes: tuple[int, int], difference: bool) -> np.ndarray | None:
         """Which :func:`_block_layout` blocks of ``modes`` hold a nonzero entry of a
         ket, so that only those are built and applied; None (all) on a purification
-        or a density, where the mask would take a cutoff^4 copy."""
+        or a density, whose mask would read a copy of all of it."""
         if self.vec is None or self.vec.ndim > self.num_modes:
             return None
         c, (index, bounds) = self.cutoff, _block_layout(self.cutoff, difference)
@@ -738,7 +738,7 @@ class _CountsWorkspace(_FockWorkspace):
             self.sector[index] = rows[:, col]
 
     def apply_channel(self, transmission: float, gain: float, mode: int) -> None:
-        """Channel blocks for the blocks d in ``sectors`` that hold a nonzero entry alone."""
+        """Channel blocks only for the blocks d of ``sectors`` that hold a nonzero entry."""
         self._densify()
         c = self.cutoff
         live = [d for d in self.sectors if self.blocks[c - 1 + d].any()]
