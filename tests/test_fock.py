@@ -750,11 +750,15 @@ class TestLiveBlocks:
         # synthesis: squeezers on vacuum, then the last passive mixing
         (lambda: gaussian_to_fock(replay(GaussianCircuit(2, _SQUEEZED_PAIR)), 20),
          [list(range(0, 37, 2))]),
+        # a reversed two-mode squeezer on a squeezed mode 1: only even n1 - n0 >= 0
+        (lambda: replay_fock(GaussianCircuit(2, [Squeeze(1, 0.4), TwoModeSqueeze(1, 0, 0.2)]), 12,
+                             strict=False), [list(range(11, 22, 2))]),
         # displaced: every block holds a nonzero row
         (lambda: replay_fock(GaussianCircuit(2, [Displace(0, 0.3), Displace(1, -0.2j),
                                                  BeamSplitter(0, 1, 0.7, 0.3)]), 12),
          [list(range(23))]),
-    ], ids=["tms-on-vacuum", "bs-after-squeezers", "tms-bs-tms", "synthesis", "displaced"])
+    ], ids=["tms-on-vacuum", "bs-after-squeezers", "tms-bs-tms", "synthesis", "reversed-tms",
+            "displaced"])
     def test_dead_blocks_are_not_built(self, monkeypatch, run, live):
         built = _built_blocks(monkeypatch, "_pair_blocks")
         rho = run()
