@@ -574,9 +574,7 @@ class _FockWorkspace:
         if self.vec is not None:
             _check_memory(self.num_modes, self.cutoff, "density")
             flat = self.vec.reshape(-1)
-            self.rho = np.outer(flat, flat.conj()).reshape(
-                (self.cutoff,) * (2 * self.num_modes)
-            )
+            self.rho = np.outer(flat, flat.conj()).reshape((self.cutoff,) * (2 * self.num_modes))
             self.vec = None
 
     def live(self, modes: tuple[int, int], difference: bool) -> np.ndarray | None:
@@ -610,9 +608,9 @@ class _FockWorkspace:
         """Apply the passive mixing ``w`` to the start state.  It keeps the vacuum ket; on a
         two-mode purification diag(sqrt(weights)) each entry of a block's product has one nonzero
         term, so scaling the block's columns by their roots gives its bits, up to signs of zero."""
-        if self.vec is not None and self.vec.ndim == self.num_modes:
+        if self.vec.ndim == self.num_modes:
             return
-        if self.vec is None or self.num_modes != 2:  # a density: a subclass may start from one
+        if self.num_modes != 2:
             return _apply_passive(self, w)
         op, x = _passive_operator(w, self.cutoff), self.vec.reshape(self.cutoff**2, -1)
         for block, lo, hi in zip(op.blocks, op.bounds, op.bounds[1:]):
@@ -724,8 +722,7 @@ class _CountsWorkspace(_FockWorkspace):
         panels that hold one."""
         if self.vec is not None:
             return super().apply_unitary(op, modes)
-        c = self.cutoff
-        width = (_SERIAL_MNK - 1) // c**2
+        c, width = self.cutoff, max(1, (_SERIAL_MNK - 1) // self.cutoff**2)
         _, take, cols = _sector_layout(c)
         for block, index, col in zip(op.blocks, take, cols):
             rows = np.zeros((col.size, c * c), dtype=complex)
@@ -738,15 +735,20 @@ class _CountsWorkspace(_FockWorkspace):
             self.sector[index] = rows[:, col]
 
     def apply_channel(self, transmission: float, gain: float, mode: int) -> None:
-        """Channel blocks only for the blocks d of ``sectors`` that hold a nonzero entry."""
+        """Channel blocks only for the blocks d of ``sectors`` that hold a nonzero entry; a
+        column that :func:`_apply_pair` holds alone in a panel is a one-column product."""
         self._densify()
-        c = self.cutoff
+        c, width = self.cutoff, max(1, (_SERIAL_MNK - 1) // self.cutoff**2)
         live = [d for d in self.sectors if self.blocks[c - 1 + d].any()]
         op = _channel(transmission, gain, c, [(d, -d)[mode] for d in live])
         for d in live:  # as on the density's rows: block d on mode 0, -d on mode 1
             block, rows = op.blocks[c - 1 + (d, -d)[mode]], self.blocks[c - 1 + d]
             rows = rows.T if mode else rows
-            rows[...] = block @ rows
+            # all alone at width 1, else at most the density rows' last, column c - 1 of d = 0
+            cut = 0 if width == 1 else rows.shape[1] - (d == 0 and (c * c - 1) % width == 0)
+            rows[:, :cut] = block @ rows[:, :cut]
+            for k in range(cut, rows.shape[1]):
+                rows[:, k:k + 1] = block @ rows[:, k:k + 1]
 
 
 def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
@@ -755,16 +757,14 @@ def _photon_counts(circuit: GaussianCircuit, cutoff: int) -> FockDensity:
     sector n1 - m1 = m2 - n2, with no c^4 array: channels keep each mode's
     ket-minus-bra difference and beam splitters n1 + n2, so the diagonal reads
     only that sector.  Every product is one of :func:`_apply_pair`'s, on the
-    sector's columns of its panels.  A channel block's product has the bits of
-    every column panel but a one-column one (a matrix-vector product): where
-    :func:`_apply_pair` leaves one, or a unitary other than a beam splitter on
-    modes (0, 1) follows a channel, the replay runs whole."""
+    sector's columns of its panels.  A circuit that leaves the sector (other than
+    two modes, or another unitary after a channel) raises ValueError."""
     elements, c = circuit.elements, cutoff
     lossy = [isinstance(e, (Loss, ThermalMix)) for e in elements] + [True]
-    if circuit.num_modes != 2 or (c * c - 1) % max(1, (_SERIAL_MNK - 1) // c**2) == 0 or not all(
+    if circuit.num_modes != 2 or not all(
             isinstance(e, (Loss, ThermalMix)) or isinstance(e, BeamSplitter) and e.mode1 == 0
             for e in elements[lossy.index(True):]):
-        return replay_fock(circuit, cutoff)
+        raise ValueError("counts take two modes, and beam splitters on (0, 1) after a channel")
     ws = _CountsWorkspace(2, c)
     last = max((i for i, e in enumerate(elements) if isinstance(e, BeamSplitter)), default=-1)
     for i, elem in enumerate(elements):

@@ -915,10 +915,10 @@ class TestConfigMutations:
 
     @staticmethod
     def exits_at_every_leaf(base, sections, values, commands, tmp_path, capsys):
-        """Exit codes and run count of ``commands`` with each numeric leaf of
-        ``base[section]`` for each of ``sections`` (None: the top-level numbers
-        of ``base``) set to each of ``values(leaf)``, in under 10 s: each run
-        exits 0, 2 or 3, with no traceback and no warning."""
+        """Exit codes and run count of ``commands``, each an argv list, with each
+        numeric leaf of ``base[section]`` for each of ``sections`` (None: the
+        top-level numbers of ``base``) set to each of ``values(leaf)``, in under
+        10 s: each run exits 0, 2 or 3, with no traceback and no warning."""
         start, seen, runs = time.perf_counter(), set(), 0
         paths = [path for section in sections for path in (
             config_paths(base[section], (section,)) if section else ((key,) for key in base))]
@@ -933,7 +933,7 @@ class TestConfigMutations:
                 cfg_path.write_text(json.dumps(mutated(base, path, value)))
                 for command in commands:
                     code, _ = run_quietly(["--config", str(cfg_path), "--out-dir",
-                                           str(tmp_path / "out"), command], capsys)
+                                           str(tmp_path / "out"), *command], capsys)
                     assert code in (0, 2, 3), (path, value, command)
                     seen.add(code)
                     runs += 1
@@ -945,7 +945,7 @@ class TestConfigMutations:
         # every numeric leaf of the experiment, the section simulate's photon
         # counts read, at each magnitude
         seen, runs = self.exits_at_every_leaf(
-            base, ["experiment"], lambda leaf: mutations(leaf, magnitudes=True), ["simulate"],
+            base, ["experiment"], lambda leaf: mutations(leaf, magnitudes=True), [["simulate"]],
             tmp_path, capsys)
         assert runs == (7 + len(MAGNITUDES)) * (8 if base is README_CONFIG else 11)
         assert {0, 2} <= seen
@@ -955,7 +955,8 @@ class TestConfigMutations:
         # every uncertainty, which simulate's Monte Carlo draws read, and every
         # top-level number (version, cutoff, shots, seed, eps_g, samples)
         seen, runs = self.exits_at_every_leaf(
-            base, ["uncertainties", None], lambda leaf: MAGNITUDES, ["simulate"], tmp_path, capsys)
+            base, ["uncertainties", None], lambda leaf: MAGNITUDES, [["simulate"]], tmp_path,
+            capsys)
         assert runs == len(MAGNITUDES) * (4 + 6)
         # the optical config's cutoff 12 is too small for its r1 = 0.7: exit 3
         assert {2, 0 if base is README_CONFIG else 3} <= seen
@@ -963,9 +964,10 @@ class TestConfigMutations:
     def test_optimize_holds_at_every_magnitude(self, tmp_path, capsys):
         # every experiment leaf of both sources, each the start of a fit
         seen, runs = self.exits_at_every_leaf(
-            README_CONFIG, ["experiment"], lambda leaf: MAGNITUDES, ["optimize"], tmp_path, capsys)
+            README_CONFIG, ["experiment"], lambda leaf: MAGNITUDES, [["optimize"]], tmp_path,
+            capsys)
         more, extra = self.exits_at_every_leaf(
-            OPTICAL_CONFIG, ["experiment"], lambda leaf: MAGNITUDES, ["optimize"], tmp_path,
+            OPTICAL_CONFIG, ["experiment"], lambda leaf: MAGNITUDES, [["optimize"]], tmp_path,
             capsys)
         assert runs + extra == len(MAGNITUDES) * (8 + 11)
         assert {0, 2} <= seen | more
@@ -974,10 +976,24 @@ class TestConfigMutations:
         # every numeric leaf of an optical target with every optional field,
         # which ideal and simulate both read, at each magnitude
         seen, runs = self.exits_at_every_leaf(
-            OPTICAL_CONFIG, ["target"], lambda leaf: MAGNITUDES, ["ideal", "simulate"],
+            OPTICAL_CONFIG, ["target"], lambda leaf: MAGNITUDES, [["ideal"], ["simulate"]],
             tmp_path, capsys)
         assert runs == 2 * len(MAGNITUDES) * 9
         assert {0, 2, 3} <= seen
+
+    @pytest.mark.parametrize("base", [README_CONFIG, OPTICAL_CONFIG], ids=["readme", "optical"])
+    def test_sweep_loss_holds_at_every_magnitude(self, tmp_path, capsys, base):
+        # every numeric leaf of the target and of the experiment, which the
+        # sweep's fits read, at each magnitude: one section per call, so that
+        # each stays under the helper's time cap
+        seen, runs = set(), 0
+        for section in ("target", "experiment"):
+            codes, count = self.exits_at_every_leaf(
+                base, [section], lambda leaf: MAGNITUDES, [["sweep-loss", "--grid", "0.5"]],
+                tmp_path, capsys)
+            seen, runs = seen | codes, runs + count
+        assert runs == len(MAGNITUDES) * (8 if base is README_CONFIG else 9 + 11)
+        assert {0, 2} <= seen
 
     @pytest.mark.parametrize("r", [-6.5, -8.0, -9.5])
     def test_squeezed_past_six_exits_without_traceback(self, tmp_path, capsys, r):

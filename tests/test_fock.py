@@ -435,6 +435,9 @@ class _TwoSidedWorkspace(fock._FockWorkspace):
             self.vec = None
             self.rho = np.diag(weights.astype(complex)).reshape((cutoff,) * (2 * num_modes))
 
+    def apply_start_passive(self, w):
+        fock._apply_passive(self, w)
+
 
 class TestFactorStorage:
     @pytest.mark.parametrize("num_modes, cutoff", [
@@ -857,24 +860,29 @@ class TestPhotonCounts:
             assert (_counts_or_error(fock._photon_counts, circuit, 8)
                     == _counts_or_error(replay_fock, circuit, 8))
 
-    @pytest.mark.parametrize("circuit, cutoff", [
+    @pytest.mark.parametrize("circuit, cutoff, counted", [
         (GaussianCircuit(2, [TwoModeSqueeze(0, 1, 0.3), Loss(0, 0.8), Squeeze(1, 0.2),
-                             BeamSplitter(0, 1, 0.5)]), 12),
+                             BeamSplitter(0, 1, 0.5)]), 12, False),
         (GaussianCircuit(2, [Squeeze(0, 0.3), ThermalMix(1, 0.1, 0.2), TwoModeSqueeze(0, 1, 0.2)]),
-         12),
-        (GaussianCircuit(2, [Squeeze(0, 0.3), Loss(1, 0.7), Displace(0, 0.3 - 0.1j)]), 12),
+         12, False),
+        (GaussianCircuit(2, [Squeeze(0, 0.3), Loss(1, 0.7), Displace(0, 0.3 - 0.1j)]), 12, False),
+        # a reversed splitter before the first channel stays on the ket
         (GaussianCircuit(2, [Squeeze(0, 0.3), BeamSplitter(1, 0, 0.4, 0.3), Loss(1, 0.7),
-                             BeamSplitter(0, 1, 0.6), ThermalMix(0, 0.1, 0.2)]), 12),
-        (GaussianCircuit(1, [Squeeze(0, 0.4), Loss(0, 0.6)]), 12),
-        (_REVERSED_SPLITTER, 12),
-        # a pair block of the splitter spans two column panels
-        (_REVERSED_SPLITTER, 20),
+                             BeamSplitter(0, 1, 0.6), ThermalMix(0, 0.1, 0.2)]), 12, True),
+        (GaussianCircuit(1, [Squeeze(0, 0.4), Loss(0, 0.6)]), 12, False),
+        (_REVERSED_SPLITTER, 12, False),
+        (_REVERSED_SPLITTER, 20, False),
     ], ids=["squeeze-after", "tms-after", "displace-after", "two-splitters", "one-mode",
             "reversed-splitter", "reversed-splitter-c20"])
-    def test_other_circuits(self, circuit, cutoff):
-        # a unitary other than a beam splitter on modes (0, 1) after a channel: the whole replay
-        assert (_counts_or_error(fock._photon_counts, circuit, cutoff)
-                == _counts_or_error(replay_fock, circuit, cutoff))
+    def test_other_circuits(self, circuit, cutoff, counted):
+        # a circuit of other than two modes, or with a unitary other than a
+        # beam splitter on modes (0, 1) after a channel, leaves the sector
+        if counted:
+            assert (_counts_or_error(fock._photon_counts, circuit, cutoff)
+                    == _counts_or_error(replay_fock, circuit, cutoff))
+        else:
+            with pytest.raises(ValueError, match="after a channel"):
+                fock._photon_counts(circuit, cutoff)
 
     @pytest.mark.parametrize("source, before", [
         (TMSV(0.4), [11]),  # n1 = n2 and m1 = m2: only d = 0
@@ -898,15 +906,16 @@ class TestPhotonCounts:
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_same_refusal_and_working_set(self, monkeypatch, t):
         circuit = build_circuit(ExperimentModel(SMSVPair(0.5, 0.3), t, (0.7, 0.8), (0.9, 0.85)))
-        fock._photon_counts(circuit, 30)
-        tracemalloc.start()
-        try:
-            fock._photon_counts(circuit, 30)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the sector, rows of one pair block and the operators: no c^4 array
-        assert peak < 16 * 30**4 / 4
+        for cutoff in (25, 30):  # at 25 the density's last column panel is one column
+            fock._photon_counts(circuit, cutoff)
+            tracemalloc.start()
+            try:
+                fock._photon_counts(circuit, cutoff)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the sector, rows of one pair block and the operators: no c^4 array
+            assert peak < 16 * cutoff**4 / 4
         # a density past memory is refused at the first channel, as the
         # replay refuses it, even where the sector alone would fit (t = 1)
         have = 1 << 28
