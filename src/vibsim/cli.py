@@ -219,24 +219,23 @@ def cmd_simulate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     eps_stat = 0.0
     if cfg["shots"] > 0:
         hist = sampler.sample(observed, cfg["shots"], seed)
+        fock._refuse_beyond_memory(f"the bootstrap of shots = {cfg['shots']} over "
+                                   f"{len(hist.counts)} sampled outcomes",
+                                   sampler.BOOTSTRAP_BYTES_PER_OUTCOME * len(hist.counts))
         eps_stat = sampler.estimate_fc(hist, seed=seed).eps_stat
     budget = metrics.total_bound(f, eps_stat, cfg["eps_g"])
     bench = metrics.closest_classical(target)
     wit = metrics.witness(f, max(mc.std, 1e-12), bench)
     report = {
-        "fidelity": budget.fidelity,
-        "fidelity_bound": budget.fidelity_bound,
+        **asdict(budget),
         "fidelity_mc_mean": mc.mean,
         "fidelity_mc_std": mc.std,
-        "eps_stat": budget.eps_stat,
-        "eps_g": budget.eps_g,
-        "total": budget.total,
         "tvd_to_ideal": metrics.tvd(observed, ideal),
         "classical_benchmark": {
             "classical_fidelity": bench.classical_fidelity,
             "classical_bound": bench.classical_bound,
         },
-        "witness": {"passes": wit.passes, "margin_sigmas": wit.margin_sigmas},
+        "witness": asdict(wit),
     }
     _write_table_csv(out_dir / "observed.csv", observed, cfg.get("excited_freqs"))
     _write_json(out_dir / "simulate_report.json", report)
@@ -323,14 +322,7 @@ def cmd_tomography(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     hist_t = read_histogram_csv(Path(args.transmissive))
     hist_r = read_histogram_csv(Path(args.reflective))
     fit = fit_source(hist_t, hist_r, cfg["detector"], cutoff=min(cfg["cutoff"], MAX_FIT_CUTOFF))
-    payload = {
-        "r": fit.r,
-        "eta": list(fit.eta),
-        "residual_tvd": fit.residual_tvd,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-    }
-    _write_json(out_dir / "tomography_fit.json", payload)
+    _write_json(out_dir / "tomography_fit.json", asdict(fit))
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
 
 

@@ -667,17 +667,10 @@ def replay_fock(circuit: GaussianCircuit, cutoff: int, *, strict: bool = True) -
     return _checked(ws.result(), strict)
 
 
-def _sector(cutoff: int, d: int) -> tuple[np.ndarray, ...]:
-    """Index (a + j, b + k, b + j, a + k), a = max(d, 0), b = max(-d, 0), of block
-    [j, k] of the sector n1 - m1 = m2 - n2 = d of a density rho[n1, n2, m1, m2]."""
-    a, b, j = max(d, 0), max(-d, 0), np.arange(cutoff - abs(d))
-    return a + j[:, None], b + j, b + j[:, None], a + j
-
-
 @lru_cache(maxsize=128)
 def _sector_layout(cutoff: int) -> tuple[tuple[int, ...], tuple, tuple]:
     """The sector n1 - m1 = m2 - n2 of a density as one flat array: ``bounds`` of
-    its :func:`_sector` blocks d, row-major, in increasing d.  Per pair block
+    its blocks d, row-major, in increasing d.  Per pair block
     N = n1 + n2 of :func:`_block_layout`: ``take``, the flat entries of
     rho[S_N, S_N], and ``cols``, the increasing pair index n1 c + n2 of S_N;
     the arrays are read-only."""
@@ -706,14 +699,15 @@ class _CountsWorkspace(_FockWorkspace):
         if self.vec is not None:
             _check_memory(2, self.cutoff, "density")
             c, psi, bounds = self.cutoff, self.vec, _sector_layout(self.cutoff)[0]
+            index, pairs = _block_layout(c, True)
             self.sector = np.empty(bounds[-1], dtype=complex)
             self.blocks = [self.sector[lo:hi].reshape(c - abs(d), -1)
                            for d, lo, hi in zip(range(1 - c, c), bounds, bounds[1:])]
-            for d, block in zip(range(1 - c, c), self.blocks):
-                # block by block, as the replay's: an elementwise product's bits depend on
-                # where its operands sit in the array
-                n1, n2, m1, m2 = _sector(c, d)
-                block[...] = psi[n1, n2] * psi[m1, m2].conj()
+            for block, lo, hi in zip(self.blocks, pairs, pairs[1:]):
+                # rho[a, b, b, a] on the pairs (a, b) of d = a - b, block by block as the replay's:
+                # an elementwise product's bits depend on where its operands sit in the array
+                a, b = index[0][lo:hi], index[1][lo:hi]
+                block[...] = psi[a[:, None], b] * psi[b[:, None], a].conj()
             self.vec = None
 
     def apply_unitary(self, op: np.ndarray | _PairBlocks, modes: tuple[int, ...]) -> None:

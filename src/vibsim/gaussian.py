@@ -257,9 +257,10 @@ def vacuum(num_modes: int) -> GaussianState:
 
 
 def passive_symplectic(w: np.ndarray) -> np.ndarray:
-    """Symplectic matrix (xxpp) of the passive transformation a -> W a."""
+    """Symplectic matrix (xxpp) of the passive transformation a -> W a, one
+    for each matrix of a stack of W on the leading axes."""
     re, im = w.real, w.imag
-    return np.block([[re, -im], [im, re]])
+    return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
 
 
 def _each(fn, value):
@@ -299,9 +300,7 @@ def _symplectic(elem: Element, n: int, count: int) -> tuple[np.ndarray, np.ndarr
         w[:, 0, 0] = w[:, 1, 1] = ct
         w[:, 0, 1], w[:, 1, 0] = st * ph, -st * np.conj(ph)
         pair = [[elem.mode1], [elem.mode2], [elem.mode1 + n], [elem.mode2 + n]]
-        re, im = w.real, w.imag
-        s[:, pair, np.ravel(pair)] = np.concatenate(
-            [np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
+        s[:, pair, np.ravel(pair)] = passive_symplectic(w)
     elif isinstance(elem, TwoModeSqueeze):
         i, j = elem.mode1, elem.mode2
         ch, sh = _each(math.cosh, elem.r), _each(math.sinh, elem.r)

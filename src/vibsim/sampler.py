@@ -9,7 +9,11 @@ import numpy as np
 
 from .tables import CountHistogram, FCTable
 
-__all__ = ["sample", "FCEstimate", "estimate_fc"]
+__all__ = ["sample", "FCEstimate", "estimate_fc", "BOOTSTRAP_BYTES_PER_OUTCOME"]
+
+#: bytes per sampled outcome that :func:`estimate_fc` holds at once, three 1000-row arrays
+#: of 8-byte numbers: tracemalloc peaks of 24 061-24 117 at 10-60 000 outcomes, a third on top
+BOOTSTRAP_BYTES_PER_OUTCOME = 32_000.0
 
 
 def sample(table: FCTable, shots: int, seed: int, metadata: dict | None = None) -> CountHistogram:

@@ -328,6 +328,21 @@ THREE_MODE_TRANSITION = {
 }
 
 
+def simulate_under_address_limit(path, out_dir, limit) -> subprocess.CompletedProcess:
+    """``simulate`` on the config at ``path`` in a child whose soft RLIMIT_AS is ``limit``."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, "
+            "resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from vibsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, "--config", str(path), "--out-dir",
+                           str(out_dir), "simulate"], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
 class TestFockMemory:
     @pytest.mark.parametrize("cutoff", [20, 50])
     def test_three_mode_ideal_stays_a_ket(self, tmp_path, cutoff):
@@ -370,17 +385,7 @@ class TestFockMemory:
         # the binding limit
         limit = 3 << 29
         path = write_config(tmp_path, **{**README_CONFIG, "cutoff": 110})
-        code = ("import resource, sys\n"
-                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, "
-                "resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-                "from vibsim.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))")
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
-            "PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code, "--config", str(path), "--out-dir",
-                               str(tmp_path / "out"), "simulate"], capture_output=True, text=True,
-                              env=env, timeout=300)
+        done = simulate_under_address_limit(path, tmp_path / "out", limit)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         bound = "the soft RLIMIT_AS" if limit < have else "physical memory"
         assert done.returncode == 2, done.stderr
@@ -394,21 +399,26 @@ class TestFockMemory:
         # of cutoffs 96 and 98 fit the limit but not beside the interpreter,
         # numpy and BLAS the child maps already: refused, not a traceback
         path = write_config(tmp_path, **{**README_CONFIG, "cutoff": cutoff})
-        code = ("import resource, sys\n"
-                f"resource.setrlimit(resource.RLIMIT_AS, ({3 << 29}, "
-                "resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-                "from vibsim.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))")
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
-            "PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code, "--config", str(path), "--out-dir",
-                               str(tmp_path / "out"), "simulate"], capture_output=True, text=True,
-                              env=env, timeout=300)
+        done = simulate_under_address_limit(path, tmp_path / "out", 3 << 29)
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error: ")
         assert not (tmp_path / "out" / "observed.csv").exists()
+
+    def test_bootstrap_beyond_the_address_space_exits_2(self, tmp_path):
+        # at dark_p1 = 0.97, 2e7 shots land on about 59 000 outcomes, whose
+        # bootstrap needs about 1.9 GB: under a soft RLIMIT_AS of 1.5 GiB set in
+        # a child only, the guard refuses it between sampling and the bootstrap
+        shots = 2 * 10**7
+        exp = {**README_CONFIG["experiment"],
+               "detector": {**README_CONFIG["experiment"]["detector"], "dark_p1": 0.97}}
+        path = write_config(tmp_path, **{**README_CONFIG, "experiment": exp, "shots": shots})
+        done = simulate_under_address_limit(path, tmp_path / "out", 3 << 29)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith(f"error: the bootstrap of shots = {shots} over ")
+        assert "out of memory" not in done.stderr and "the soft RLIMIT_AS" in done.stderr
+        assert not (tmp_path / "out" / "simulate_report.json").exists()
 
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 13.4 MiB")])
     def test_memory_error_past_a_guard_exits_2(self, tmp_path, capsys, monkeypatch, error):
@@ -839,6 +849,48 @@ OPTICAL_CONFIG = {
         "detector": {"dark_p1": 0.002, "pump_p2": 0.001, "noise_fidelity_factor": 0.9958},
     },
 }
+
+
+def key_paths(record: dict, prefix: str = "") -> set[str]:
+    """The keys of a JSON record, a nested record's as ``outer.inner``."""
+    keys = set()
+    for key, value in record.items():
+        keys.add(prefix + key)
+        if isinstance(value, dict):
+            keys |= key_paths(value, f"{prefix}{key}.")
+    return keys
+
+
+#: the keys of each JSON artefact: those of simulate, optimize and tomography
+#: come in part from dataclass fields, so a new field must show up here
+ARTEFACT_KEYS = {
+    "ideal_summary.json": {"boundary_mass", "converged", "cutoff", "peaks", "tail_mass",
+                           "vacuum_probability"},
+    "simulate_report.json": {
+        "classical_benchmark", "classical_benchmark.classical_bound",
+        "classical_benchmark.classical_fidelity", "eps_g", "eps_stat", "fidelity",
+        "fidelity_bound", "fidelity_mc_mean", "fidelity_mc_std", "total", "tvd_to_ideal",
+        "witness", "witness.margin_sigmas", "witness.passes"},
+    "optimize_result.json": {
+        "clamp_events", "experiment", "experiment.bs_transmission", "experiment.detector",
+        "experiment.detector.dark_p1", "experiment.detector.noise_fidelity_factor",
+        "experiment.detector.pump_p2", "experiment.distinguishability", "experiment.loss_post",
+        "experiment.loss_pre", "experiment.source", "experiment.source.kind",
+        "experiment.source.r", "f_mc_mean", "f_mc_std", "f_star", "r_star", "t_star"},
+    "tomography_fit.json": {"converged", "eta", "iterations", "r", "residual_tvd"},
+}
+
+
+@pytest.mark.parametrize("command, artefact", [
+    ("ideal", "ideal_summary.json"), ("simulate", "simulate_report.json"),
+    ("optimize", "optimize_result.json"), ("tomography", "tomography_fit.json")])
+def test_artefact_keys_are_pinned(tmp_path, command, artefact):
+    hists = write_histogram_pair(tmp_path) if command == "tomography" else []
+    path = write_config(tmp_path, **README_CONFIG)
+    assert main(["--config", str(path), "--out-dir", str(tmp_path), command, *hists]) == 0
+    assert key_paths(json.loads((tmp_path / artefact).read_text())) == ARTEFACT_KEYS[artefact]
+
+
 DROP = object()
 
 

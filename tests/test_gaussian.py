@@ -151,6 +151,20 @@ class TestElementSymplectic:
                 assert np.array_equal(got, want), elem
                 assert np.array_equal(np.signbit(got), np.signbit(want)), elem
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_passive_symplectic_of_a_stack_is_each_matrix(self, n):
+        # signed zeros included: a real entry's -Im is -0.0 in the stack as alone
+        rng = np.random.default_rng(n)
+        w = rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n))
+        w[0, 0], w[0, 1] = np.eye(n), -np.eye(n) + 0j
+        w[0, 2].imag = -0.0
+        stack = gaussian.passive_symplectic(w)
+        assert stack.shape == (3, 4, 2 * n, 2 * n)
+        for k in np.ndindex(3, 4):
+            alone = np.block([[w[k].real, -w[k].imag], [w[k].imag, w[k].real]])
+            assert stack[k].tobytes() == gaussian.passive_symplectic(w[k]).tobytes()
+            assert stack[k].tobytes() == alone.tobytes()
+
     #: sha256 of every (S, d) and every stepped (mean, cov) below: the bits,
     #: signed zeros included, of building each model's entries on its own
     COLUMN_DIGESTS = {
