@@ -33,10 +33,11 @@ on the calling thread.  Every operator updates the state in place, one block's
 rows or one panel at a time, so a state is held once plus at most a cutoff-th of it.
 Operators are built per call: they are keyed by element parameters, which
 seldom repeat.  Only tables whose key does repeat are cached, read-only: the
-block layout and the binomial roots of the loss Kraus weights, which depend
-only on the cutoff, and the detector-noise convolution, which depends only on
-the detector and the cutoff.  Loss weights and two-mode squeezed amplitudes
-take leading stack axes, so a source fit scores its candidates in one call.
+block layout, the sector layout and the binomial roots of the loss Kraus
+weights, which depend only on the cutoff, and :mod:`vibsim.calibrate`'s
+squared beam splitter; the detector-noise convolution is built per call.
+Loss weights and two-mode squeezed amplitudes take leading stack axes, so a
+source fit scores its candidates in one call.
 Importing the package loads numpy only, and so does every block exponential:
 numpy's ``eigh`` solves each tridiagonal block.  scipy loads with the first
 passive mixing or Williamson/Bloch-Messiah call, that is with
@@ -816,7 +817,12 @@ def _dark_terms_bound(p: float) -> int:
 _DARK_TERM_BYTES = 64
 
 
-def _kernel(p: float, pump: float) -> np.ndarray:
+def noise_kernel(det) -> np.ndarray:
+    """Distribution of the spurious counts one detector adds: geometric dark
+    counts with P(>= 1 count) = ``det.dark_p1``, down to probability 1e-16,
+    plus two counts with probability ``det.pump_p2``.  A kernel too long for
+    memory raises :class:`FockMemoryError` before it is built."""
+    p, pump = float(det.dark_p1), float(det.pump_p2)
     # the loop runs once per term, so it may not start on a kernel that cannot fit
     _refuse_beyond_memory(f"detector noise with dark_p1 {p!r}",
                           _DARK_TERM_BYTES * float(_dark_terms_bound(p)))
@@ -830,29 +836,10 @@ def _kernel(p: float, pump: float) -> np.ndarray:
     return kernel
 
 
-def noise_kernel(det) -> np.ndarray:
-    """Distribution of the spurious counts one detector adds: geometric dark
-    counts with P(>= 1 count) = ``det.dark_p1``, down to probability 1e-16,
-    plus two counts with probability ``det.pump_p2``.  A kernel too long for
-    memory raises :class:`FockMemoryError` before it is built."""
-    return _kernel(float(det.dark_p1), float(det.pump_p2))
-
-
-@lru_cache(maxsize=128)
-def _convolution(dark_p1: float, pump_p2: float, cutoff: int) -> np.ndarray:
-    """Matrix that convolves an occupation axis of length ``cutoff`` with
-    the noise kernel of ``dark_p1`` and ``pump_p2``."""
-    kernel = _kernel(dark_p1, pump_p2)
-    shift, level = np.indices((kernel.size, cutoff))
-    conv = np.zeros((cutoff + kernel.size - 1, cutoff))
-    conv[shift + level, level] = kernel[:, None]
-    conv.setflags(write=False)
-    return conv
-
-
 def _noise_convolution(det, cutoff: int, ndim: int) -> np.ndarray:
-    """The :func:`_convolution` of ``det`` at ``cutoff``, once a grid of
-    ``ndim`` such axes is known to fit in memory with its noisy counts."""
+    """Matrix that convolves an occupation axis of length ``cutoff`` with the
+    :func:`noise_kernel` of ``det``, built once a grid of ``ndim`` such axes
+    is known to fit in memory with its noisy counts."""
     p = float(det.dark_p1)
     terms = _dark_terms_bound(p)
     # the last axis's input and output, the convolution and its index build
@@ -860,7 +847,11 @@ def _noise_convolution(det, cutoff: int, ndim: int) -> np.ndarray:
     need = 8.0 * (2.0 * size**ndim + 3.0 * (terms + 2) * cutoff)
     _refuse_beyond_memory(f"detector noise with dark_p1 {p!r} on {ndim} axes at cutoff {cutoff}",
                           need)
-    return _convolution(p, float(det.pump_p2), cutoff)
+    kernel = noise_kernel(det)
+    shift, level = np.indices((kernel.size, cutoff))
+    conv = np.zeros((cutoff + kernel.size - 1, cutoff))
+    conv[shift + level, level] = kernel[:, None]
+    return conv
 
 
 def noisy_occupations(grid: np.ndarray, det) -> np.ndarray:

@@ -197,21 +197,28 @@ class TestStackedCandidates:
 
 
 class TestCandidateInvariants:
-    """The tables a fit's candidates share are built once and cached."""
+    """The tables a fit's candidates share are built once per fit, and those
+    that every fit reads again are cached."""
 
-    def test_caches_do_not_change_a_fit(self):
+    def test_caches_do_not_change_a_fit(self, monkeypatch):
         hist_t, hist_r = synthetic_histograms(0.35, (0.5, 0.4), 200_000, seed=41)
+        build, builds = fock._noise_convolution, []
+
+        def spy(*args):
+            builds.append(args)
+            return build(*args)
 
         def bits(fit):
             return fit.r.hex(), *(e.hex() for e in fit.eta), fit.residual_tvd.hex()
 
+        monkeypatch.setattr(fock, "_noise_convolution", spy)
         clear_fock_caches()
         cold = fit_source(hist_t, hist_r, DET)
-        # the convolution is built once per fit, and read from the cache by the next
-        assert fock._convolution.cache_info()[:2] == (0, 1)
+        # the convolution is built once per fit, and again by the next
+        assert builds == [(DET, 12, 2)]
         assert fock._binomial_roots.cache_info().hits > 0
         assert bits(fit_source(hist_t, hist_r, DET)) == bits(cold)
-        assert fock._convolution.cache_info()[:2] == (1, 1)
+        assert builds == [(DET, 12, 2)] * 2
         assert _splitter.cache_info().hits > 0
 
     @pytest.mark.parametrize("t", [1.0, 0.0, 0.3])
@@ -227,8 +234,7 @@ class TestCandidateInvariants:
             assert _splitter(t, cutoff).tobytes() == expected.tobytes()
 
     def test_cached_tables_are_read_only(self):
-        tables = (*fock._binomial_roots(12), fock._convolution(0.002, 0.001, 12),
-                  _splitter(1.0, 12), *fock._block_layout(12, False)[0],
+        tables = (*fock._binomial_roots(12), _splitter(1.0, 12), *fock._block_layout(12, False)[0],
                   *fock._block_layout(12, True)[0])
         for arr in tables:
             with pytest.raises(ValueError):

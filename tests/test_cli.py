@@ -407,13 +407,14 @@ class TestFockMemory:
 
     def test_bootstrap_beyond_the_address_space_exits_2(self, tmp_path):
         # at dark_p1 = 0.97, 2e7 shots land on about 59 000 outcomes, whose
-        # bootstrap needs about 1.9 GB: under a soft RLIMIT_AS of 1.5 GiB set in
-        # a child only, the guard refuses it between sampling and the bootstrap
+        # bootstrap needs about 1.27 GB: under a soft RLIMIT_AS of 1 GiB set in
+        # a child only, the guard refuses it between sampling and the bootstrap,
+        # where the bootstrap's two 453 MiB arrays would run out of memory
         shots = 2 * 10**7
         exp = {**README_CONFIG["experiment"],
                "detector": {**README_CONFIG["experiment"]["detector"], "dark_p1": 0.97}}
         path = write_config(tmp_path, **{**README_CONFIG, "experiment": exp, "shots": shots})
-        done = simulate_under_address_limit(path, tmp_path / "out", 3 << 29)
+        done = simulate_under_address_limit(path, tmp_path / "out", 1 << 30)
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith(f"error: the bootstrap of shots = {shots} over ")
@@ -457,7 +458,7 @@ class TestDetectorNoiseBound:
         # dark_p1 = 0.97 widens each count axis to 1108: the memory check counts
         # one noisy grid, 9.8 MB, and the first simplex's candidates have eight.
         # Under a bound between the two, the fit runs within it, a grid at a time
-        size = len(fock._convolution(0.97, 0.0, 12))
+        size = len(fock._noise_convolution(DetectorModel(0.97, 0.0), 12, 2))
         have = 4 * 8 * size**2
         monkeypatch.setattr(fock, "_physical_memory", lambda: have)
         hists = write_histogram_pair(tmp_path)

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg as la
 
 from vibsim import fock
-from vibsim.experiment import MAX_COUPLING, SMSVPair, TMSV, ExperimentModel, build_circuit
+from vibsim.experiment import (MAX_COUPLING, SMSVPair, TMSV, DetectorModel, ExperimentModel,
+                               build_circuit)
 from vibsim.fock import (
     FockDensity,
     TruncationError,
@@ -596,7 +597,7 @@ class TestBlockUpdateBits:
     @pytest.mark.parametrize("cutoff", [6, 12, 20])
     def test_convolution_keeps_its_bits(self, cutoff):
         grid = np.random.default_rng(cutoff).random((cutoff, cutoff))
-        conv = fock._convolution(0.002, 0.001, cutoff)
+        conv = fock._noise_convolution(DetectorModel(0.002, 0.001), cutoff, 2)
         got, expected = grid, grid
         for axis in range(2):
             got = fock._apply_single(got, conv, axis)

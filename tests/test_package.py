@@ -132,6 +132,26 @@ def test_private_reads_across_modules_are_listed():
     assert reads == PRIVATE_READS
 
 
+#: the ``lru_cache`` tables of the package, each kept because its traffic reads it
+#: again; hits and misses in one seed-7 round of the benchmark workload named:
+#: ``fock._binomial_roots`` 1289 / 1 (tomography), ``fock._block_layout`` 245 / 11,
+#: ``fock._sector_layout`` 22 / 4 (spectra), ``calibrate._splitter`` 18 / 2 (tomography).
+#: A new cache needs a key its traffic repeats: one that never hits still costs a
+#: read-only table, and a builder twin whose arguments are hashable
+CACHED_TABLES = {"fock._block_layout", "fock._binomial_roots", "fock._sector_layout",
+                 "calibrate._splitter"}
+
+
+def test_cached_tables_are_listed():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr, val in vars(module).items():
+            if callable(getattr(val, "cache_info", None)) and val.__module__ == name:
+                found.add(f"{name.removeprefix('vibsim.')}.{attr}")
+    assert found == CACHED_TABLES
+
+
 # The import-budget checks run in a fresh interpreter: this process has
 # imported scipy already.
 
